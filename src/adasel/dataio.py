@@ -5,6 +5,8 @@ layout (magic ``ADSLMAT1``, u64 rows, u64 cols, row-major f64 payload);
 JSON documents are written with sorted keys and repr-exact floats so that
 identical inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
+Version 2 profiles store only each scenario's basis; the complement sidecars
+a version 1 profile names are ignored.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (BadMagic, DimensionOverflow, DuplicateKey, MalformedRow,
 from .subspace import SubspaceBasis
 
 MATRIX_MAGIC = b"ADSLMAT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
 
@@ -225,7 +227,7 @@ def read_performance_table(path) -> list[PerformanceRecord]:
 # --------------------------------------------------------------------------
 # design profiles (JSON + matrix sidecars)
 
-def _profile_doc(profile: DesignProfile, scenario_files) -> dict:
+def _profile_doc(profile: DesignProfile, basis_refs) -> dict:
     cfg = profile.config
     constraints = None
     if cfg.constraints is not None:
@@ -260,8 +262,7 @@ def _profile_doc(profile: DesignProfile, scenario_files) -> dict:
             "member_count": int(s.member_count),
             "labels": s.labels,
             "representative_feature": s.representative_feature.tolist(),
-            "basis_file": scenario_files[s.scenario_id][0],
-            "complement_file": scenario_files[s.scenario_id][1],
+            "basis_file": basis_refs[s.scenario_id],
         } for s in profile.scenarios],
     }
 
@@ -269,14 +270,12 @@ def _profile_doc(profile: DesignProfile, scenario_files) -> dict:
 def write_profile(path, profile: DesignProfile) -> None:
     path = Path(path)
     stem = path.stem
-    scenario_files = {}
+    basis_files = {}
     for s in profile.scenarios:
         basis_file = f"{stem}.{s.scenario_id}.basis.mat"
-        comp_file = f"{stem}.{s.scenario_id}.complement.mat"
         write_matrix(path.parent / basis_file, s.subspace.basis)
-        write_matrix(path.parent / comp_file, s.subspace.complement)
-        scenario_files[s.scenario_id] = (basis_file, comp_file)
-    path.write_text(_canonical_json(_profile_doc(profile, scenario_files)))
+        basis_files[s.scenario_id] = basis_file
+    path.write_text(_canonical_json(_profile_doc(profile, basis_files)))
 
 
 def read_profile(path) -> DesignProfile:
@@ -306,9 +305,7 @@ def read_profile(path) -> DesignProfile:
         extras=dict(r.get("extras", {}))) for r in doc["performance"]]
     scenarios = []
     for s in doc["scenarios"]:
-        basis = read_matrix(path.parent / s["basis_file"])
-        comp = read_matrix(path.parent / s["complement_file"])
-        subspace = SubspaceBasis(basis=basis, complement=comp)
+        subspace = SubspaceBasis(read_matrix(path.parent / s["basis_file"]))
         subspace.validate(tol=1e-8)
         scenarios.append(ScenarioProfile(
             scenario_id=s["scenario_id"],
@@ -323,16 +320,10 @@ def read_profile(path) -> DesignProfile:
 
 def profile_digest(profile: DesignProfile) -> str:
     """Content hash of a profile, independent of where its files live."""
-    files = {}
-    for s in profile.scenarios:
-        bh = hashlib.sha256(
-            np.ascontiguousarray(s.subspace.basis, dtype="<f8")
-            .tobytes()).hexdigest()
-        ch = hashlib.sha256(
-            np.ascontiguousarray(s.subspace.complement, dtype="<f8")
-            .tobytes()).hexdigest()
-        files[s.scenario_id] = (bh, ch)
-    doc = _profile_doc(profile, files)
+    hashes = {s.scenario_id: hashlib.sha256(
+        np.ascontiguousarray(s.subspace.basis, dtype="<f8").tobytes()
+    ).hexdigest() for s in profile.scenarios}
+    doc = _profile_doc(profile, hashes)
     return hashlib.sha256(_canonical_json(doc).encode()).hexdigest()
 
 

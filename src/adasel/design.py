@@ -244,7 +244,7 @@ def _best_achievable(platform: PlatformSpec, combos: list[AlgoParamCombo],
 def select_platform(platforms: list[PlatformSpec],
                     performance: list[PerformanceRecord],
                     constraints: SelectionConstraints,
-                    combos: list[AlgoParamCombo] | None = None) -> str:
+                    combos: list[AlgoParamCombo]) -> str:
     """Cheapest platform whose best achievable mean error meets the ceiling.
 
     Best achievable mean error = mean over scenarios of the min error over
@@ -252,14 +252,6 @@ def select_platform(platforms: list[PlatformSpec],
     lower error, then id order.  Raises NoFeasiblePlatform with per-platform
     diagnostics when nothing qualifies.
     """
-    if combos is None:
-        seen: dict[str, AlgoParamCombo] = {}
-        for p in platforms:
-            for cid in p.combo_capabilities:
-                seen.setdefault(cid, AlgoParamCombo(
-                    id=cid, algorithm=cid, fps=p.combo_capabilities[cid],
-                    resolution=(0, 0)))
-        combos = list(seen.values())
     scenario_ids = sorted({r.scenario_id for r in performance})
     table = _error_table(performance)
 

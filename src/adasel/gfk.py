@@ -4,11 +4,12 @@ The flow from a source subspace x to a target z on the Grassmann manifold is
 
     theta(y) = x U diag(cos(y * theta_k)) - B diag(sin(y * theta_k)),
 
-with U the left rotation and B the flow-complement directions from
-:func:`adasel.subspace.principal_angles` (B = complement @ complement_rotation).
-The kernel W is the exact integral of theta(y) theta(y)^T over y in [0, 1]:
-an a x a symmetric PSD matrix of rank <= 2b.  A trapezoidal integrator over
-actual flow samples serves as the independent verification oracle.
+with U the left rotation and B the flow directions from
+:func:`adasel.subspace.principal_angles`.  The kernel W is the exact
+integral of theta(y) theta(y)^T over y in [0, 1]: an a x a symmetric PSD
+matrix of rank <= 2b.  It is kept as its a x b factors, so a distance costs
+O(ab); the dense W is formed only on request.  A trapezoidal integrator
+over actual flow samples serves as the independent verification oracle.
 """
 
 from __future__ import annotations
@@ -36,17 +37,30 @@ class FlowPoint:
 
 @dataclass
 class GeodesicKernel:
-    """Closed-form geodesic flow kernel W with its diagonal factors."""
+    """Closed-form geodesic flow kernel in factored form.
 
-    matrix: np.ndarray
-    source_decomposition: PrincipalDecomposition
+    W = [A, B] [[L1, L2], [L2, L3]] [A, B]^T with ``start`` = A = x U (the
+    flow at y=0), ``flow`` = B and the diagonals ``lambda1``-``lambda3``.
+    """
+
+    start: np.ndarray
+    flow: np.ndarray
     lambda1: np.ndarray
     lambda2: np.ndarray
     lambda3: np.ndarray
 
     @property
     def dim_ambient(self) -> int:
-        return self.matrix.shape[0]
+        return self.start.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense a x a kernel W, symmetrized."""
+        A, B = self.start, self.flow
+        GM = np.hstack([A * self.lambda1 + B * self.lambda2,
+                        A * self.lambda2 + B * self.lambda3])
+        W = GM @ np.hstack([A, B]).T
+        return (W + W.T) / 2.0
 
 
 def _lambda_coeffs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,12 +122,7 @@ def gfk_kernel(dec: PrincipalDecomposition, x: SubspaceBasis) -> GeodesicKernel:
     """Closed-form kernel W = [xU, B] [[L1, L2], [L2, L3]] [xU, B]^T."""
     A, B = _flow_factors(dec, x)
     l1, l2, l3 = _lambda_coeffs(dec.angles)
-    G = np.hstack([A, B])
-    GM = np.hstack([A * l1 + B * l2, A * l2 + B * l3])
-    W = GM @ G.T
-    W = (W + W.T) / 2.0
-    return GeodesicKernel(matrix=W, source_decomposition=dec,
-                          lambda1=l1, lambda2=l2, lambda3=l3)
+    return GeodesicKernel(start=A, flow=B, lambda1=l1, lambda2=l2, lambda3=l3)
 
 
 def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
@@ -141,10 +150,11 @@ def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
 
 
 def kernel_distance(t, r, kernel: GeodesicKernel) -> float:
-    """Kernel-induced squared distance (t - r)^T W (t - r).
+    """Kernel-induced squared distance (t - r)^T W (t - r), from the factors.
 
-    Equals t^T W t + r^T W r - 2 t^T W r; tiny negatives from rounding
-    (W is PSD only to floating-point tolerance) are clamped to zero.
+    With delta = t - r, p = A^T delta and q = B^T delta this is
+    p^T L1 p + 2 p^T L2 q + q^T L3 q.  Tiny negatives from rounding (W is
+    PSD only to floating-point tolerance) are clamped to zero.
     """
     t = as_feature_vector(t)
     r = as_feature_vector(r)
@@ -153,7 +163,10 @@ def kernel_distance(t, r, kernel: GeodesicKernel) -> float:
         raise DimensionMismatch(
             f"features must have shape ({a},), got {t.shape} and {r.shape}")
     delta = t - r
-    d = float(delta @ kernel.matrix @ delta)
+    p = kernel.start.T @ delta
+    q = kernel.flow.T @ delta
+    d = float(p @ (kernel.lambda1 * p + 2.0 * kernel.lambda2 * q)
+              + q @ (kernel.lambda3 * q))
     return d if d > 0.0 else 0.0
 
 

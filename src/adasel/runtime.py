@@ -1,19 +1,15 @@
 """Runtime phase: window segmentation, scenario matching, combo selection.
 
 Each incoming time window gets a mean feature and a PCA subspace, is
-matched to the most similar training scenario through the geodesic-flow
-kernel distance, and inherits that scenario's best combo for the active
-platform.  The design profile is read-only here; the per-scenario kernel
-computations are independent and can run on a thread pool capped by the
-ADASEL_THREADS environment variable.
+matched to the nearest training scenario by geodesic-flow kernel distance,
+and inherits that scenario's best combo for the active platform.  The
+design profile is read-only here.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +19,8 @@ from .errors import (AdaselError, DegenerateWindow, DimensionMismatch,
                      EmptyStream, RankDeficient, TooFewFrames,
                      UnlabeledScenario)
 from .gfk import gfk_kernel, kernel_distance, similarity
-from .subspace import (SubspaceBasis, as_feature_matrix, orthogonal_complement,
-                       pca_basis, principal_angles)
+from .subspace import (SubspaceBasis, as_feature_matrix, pca_basis,
+                       principal_angles)
 
 
 @dataclass
@@ -69,15 +65,6 @@ class SelectionTrace:
     def switch_count(self) -> int:
         combos = [d.chosen_combo_id for d in self.decisions]
         return sum(1 for prev, cur in zip(combos, combos[1:]) if prev != cur)
-
-
-def max_workers() -> int:
-    """Parallelism cap from ADASEL_THREADS (default: serial)."""
-    raw = os.environ.get("ADASEL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def segment_windows(stream, length: int) -> list[TimeWindow]:
@@ -127,29 +114,27 @@ def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
 
 
 def _truncated(basis: SubspaceBasis, dim: int) -> SubspaceBasis:
-    """Top-``dim`` directions of a basis, with a recomputed complement."""
+    """Top-``dim`` directions of a basis."""
     if basis.dim_subspace == dim:
         return basis
-    top = basis.basis[:, :dim]
-    return SubspaceBasis(basis=top, complement=orthogonal_complement(top))
+    return SubspaceBasis(basis=basis.basis[:, :dim])
 
 
-def _scenario_similarity(scenario: ScenarioProfile, window: TimeWindow,
-                         effective_dim: int) -> float:
+def _scenario_distance(scenario: ScenarioProfile, window: TimeWindow,
+                       effective_dim: int) -> float:
     x = _truncated(scenario.subspace, effective_dim)
     dec = principal_angles(x, _truncated(window.subspace, effective_dim))
-    kernel = gfk_kernel(dec, x)
-    d = kernel_distance(scenario.representative_feature,
-                        window.aggregated_feature, kernel)
-    return similarity(d)
+    return kernel_distance(scenario.representative_feature,
+                           window.aggregated_feature, gfk_kernel(dec, x))
 
 
 def match_scenario(window: TimeWindow,
                    profile: DesignProfile) -> tuple[str, np.ndarray]:
-    """Most similar training scenario for a window (ties: lowest id).
+    """Nearest training scenario by kernel distance (ties: lowest id).
 
-    Returns (scenario_id, similarities) with one similarity per profile
-    scenario, in profile order.
+    Returns (scenario_id, similarities) with one similarity exp(-d) per
+    profile scenario, in profile order.  The ranking uses d itself, so it
+    stays right where every exp(-d) underflows to 0.
     """
     if not profile.scenarios:
         raise ValueError("profile has no scenarios")
@@ -167,19 +152,10 @@ def match_scenario(window: TimeWindow,
     effective_dim = min(window.subspace.dim_subspace,
                         profile.config.dim_subspace)
 
-    workers = min(max_workers(), len(profile.scenarios))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sims = list(pool.map(
-                lambda s: _scenario_similarity(s, window, effective_dim),
-                profile.scenarios))
-    else:
-        sims = [_scenario_similarity(s, window, effective_dim)
-                for s in profile.scenarios]
-    sims = np.asarray(sims)
-    best = min((-sims[i], profile.scenarios[i].scenario_id, i)
-               for i in range(len(sims)))
-    return profile.scenarios[best[2]].scenario_id, sims
+    distances = [_scenario_distance(s, window, effective_dim)
+                 for s in profile.scenarios]
+    best = min(zip(distances, (s.scenario_id for s in profile.scenarios)))
+    return best[1], np.array([similarity(d) for d in distances])
 
 
 def select_combo(scenario_id: str, platform_id: str,

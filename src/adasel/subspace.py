@@ -1,4 +1,4 @@
-"""PCA subspaces, orthogonal complements, and principal angles.
+"""PCA subspaces and principal angles.
 
 Feature vectors are plain 1-D float64 arrays of length ``a`` (the ambient
 dimension); subspaces are ``a x b`` matrices with orthonormal columns.
@@ -9,7 +9,7 @@ and serialized profiles are bit-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, NotOrthonormal, RankDeficient
 
 ORTHO_TOL = 1e-8
 # Residual column norm below which a principal angle is treated as exactly
-# zero and its complement direction is free (it is multiplied by sin 0 = 0
+# zero and its flow direction is free (it is multiplied by sin 0 = 0
 # everywhere downstream).
 DEGENERATE_SIN = 1e-8
 # Singular values above this are too close to 1 for arccos to resolve the
@@ -68,14 +68,14 @@ def _fix_signs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SubspaceBasis:
-    """Orthonormal basis of a b-dimensional subspace of R^a plus its complement.
+    """Orthonormal a x b basis of a b-dimensional subspace of R^a.
 
-    ``basis`` is a x b, ``complement`` is a x (a-b); stacked side by side they
-    form an orthogonal a x a matrix (within tolerance).
+    ``complement`` is only carried for callers that still pass an
+    orthogonal complement; adasel never sets, reads or validates it.
     """
 
     basis: np.ndarray
-    complement: np.ndarray
+    complement: np.ndarray | None = None
 
     @property
     def dim_ambient(self) -> int:
@@ -86,19 +86,12 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Raise NotOrthonormal if the orthogonality invariants fail."""
+        """Raise NotOrthonormal if the basis columns are not orthonormal."""
         a, b = self.basis.shape
         if not (1 <= b < a):
             raise DimensionMismatch(f"need 1 <= b < a, got a={a}, b={b}")
-        if self.complement.shape != (a, a - b):
-            raise DimensionMismatch(
-                f"complement shape {self.complement.shape} != ({a}, {a - b})")
         if np.abs(self.basis.T @ self.basis - np.eye(b)).max() > tol:
             raise NotOrthonormal("basis columns are not orthonormal")
-        if np.abs(self.complement.T @ self.complement - np.eye(a - b)).max() > tol:
-            raise NotOrthonormal("complement columns are not orthonormal")
-        if np.abs(self.basis.T @ self.complement).max() > tol:
-            raise NotOrthonormal("complement is not orthogonal to basis")
 
 
 @dataclass
@@ -108,29 +101,19 @@ class PrincipalDecomposition:
     ``angles`` are the canonical angles theta_k in [0, pi/2], non-decreasing;
     ``left_rotation`` (U) and ``right_rotation`` (V) come from the SVD
     x^T z = U diag(cos theta) V^T under the column sign convention.
-    ``flow_complement`` is the a x b product (complement @ complement_rotation):
-    the unit directions, orthogonal to the source subspace, along which the
-    geodesic rotates.  ``complement_rotation`` itself is derived lazily since
-    only the product enters the flow and kernel formulas.
+    ``flow_complement`` (B) is a x b with orthonormal columns orthogonal to
+    the source subspace: the unit directions along which the geodesic
+    rotates.
     """
 
     angles: np.ndarray
     left_rotation: np.ndarray
     right_rotation: np.ndarray
     flow_complement: np.ndarray
-    source: SubspaceBasis
-    _rotation: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def complement_rotation(self) -> np.ndarray:
-        """(a-b) x b matrix R with orthonormal columns, complement^T @ flow directions."""
-        if self._rotation is None:
-            self._rotation = self.source.complement.T @ self.flow_complement
-        return self._rotation
 
 
 def pca_basis(samples, b: int) -> SubspaceBasis:
-    """Top-b principal directions of mean-centered samples, with complement.
+    """Top-b principal directions of mean-centered samples.
 
     Parameters
     ----------
@@ -143,7 +126,9 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
         If samples differ in length or b is out of range.
     RankDeficient
         If the centered sample matrix has rank < b; the exception carries
-        the achievable rank.
+        the achievable rank.  Singular values count toward the rank only
+        above max(n, a) * eps * ||X||_F, the rounding left by centering the
+        frames, so a window of identical frames has rank 0.
     """
     X = as_feature_matrix(samples)
     n, a = X.shape
@@ -153,23 +138,20 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
         raise DimensionMismatch(f"need 1 <= b < a={a}, got b={b}")
     centered = X - X.mean(axis=0)
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        rank = 0
-    else:
-        tol = max(n, a) * np.finfo(np.float64).eps * svals[0]
-        rank = int(np.count_nonzero(svals > tol))
+    tol = max(n, a) * np.finfo(np.float64).eps * np.linalg.norm(X)
+    rank = int(np.count_nonzero(svals > tol))
     if rank < b:
         raise RankDeficient(
             f"centered sample matrix has rank {rank} < requested b={b}", rank)
     basis, _ = _fix_signs(Vt[:b].T)
-    return SubspaceBasis(basis=basis, complement=orthogonal_complement(basis))
+    return SubspaceBasis(basis=basis)
 
 
 def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(basis).
 
-    Deterministic: uses the full Householder QR of the input and the same
-    column sign convention as pca_basis.
+    Not used by adasel itself.  Deterministic: uses the full Householder
+    QR of the input and the same column sign convention as pca_basis.
     """
     basis = np.asarray(basis, dtype=np.float64)
     a, b = basis.shape
@@ -225,7 +207,7 @@ def principal_angles(x: SubspaceBasis, z: SubspaceBasis) -> PrincipalDecompositi
     a, b = x.dim_ambient, x.dim_subspace
     if a - b < b:
         raise DimensionMismatch(
-            f"complement rotation needs 2b <= a; got a={a}, b={b}")
+            f"b flow directions orthogonal to x need 2b <= a; a={a}, b={b}")
 
     M = x.basis.T @ z.basis
     U, svals, Vt = np.linalg.svd(M)
@@ -267,4 +249,4 @@ def principal_angles(x: SubspaceBasis, z: SubspaceBasis) -> PrincipalDecompositi
         B = B[:, order]
     return PrincipalDecomposition(
         angles=angles, left_rotation=U, right_rotation=V,
-        flow_complement=B, source=x)
+        flow_complement=B)

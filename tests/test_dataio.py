@@ -211,7 +211,9 @@ def test_profile_round_trip(tmp_path):
         assert np.array_equal(s1.representative_feature,
                               s2.representative_feature)
         assert np.array_equal(s1.subspace.basis, s2.subspace.basis)
-        assert np.array_equal(s1.subspace.complement, s2.subspace.complement)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["profile.json"] + [f"profile.{s.scenario_id}.basis.mat"
+                            for s in profile.scenarios])
 
 
 def test_profile_serialization_deterministic(tmp_path):
@@ -233,10 +235,28 @@ def test_profile_future_version_rejected(tmp_path):
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
+    doc["format_version"] = dataio.FORMAT_VERSION + 1
     path.write_text(json.dumps(doc))
     with pytest.raises(UnsupportedVersion):
         dataio.read_profile(path)
+
+
+def test_profile_v1_ignores_missing_complement_sidecars(tmp_path):
+    # version 1 profiles also named a complement sidecar per scenario;
+    # the reader never opens it, so a v1 profile loads without those files
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    for s in doc["scenarios"]:
+        s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
+        assert not (tmp_path / s["complement_file"]).exists()
+    path.write_text(json.dumps(doc))
+    back = dataio.read_profile(path)
+    for s1, s2 in zip(profile.scenarios, back.scenarios):
+        assert np.array_equal(s1.subspace.basis, s2.subspace.basis)
+    assert dataio.profile_digest(back) == dataio.profile_digest(profile)
 
 
 def test_profile_digest_tracks_content(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasel.errors import DimensionMismatch, OutOfRange
 from adasel.gfk import (GeodesicKernel, flow_samples, geodesic_flow,
@@ -201,11 +203,11 @@ def test_distance_zero_for_equal_features(rng):
 
 
 def test_distance_with_identity_kernel_is_squared_euclidean(rng):
-    x = random_subspace(rng, 6, 2)
-    dec = principal_angles(x, x)
-    k = GeodesicKernel(matrix=np.eye(6), source_decomposition=dec,
-                       lambda1=np.ones(2), lambda2=np.zeros(2),
-                       lambda3=np.zeros(2))
+    # a = 2b and L1 = L3 = 1, L2 = 0: W = A A^T + B B^T = I
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    k = GeodesicKernel(start=q[:, :3], flow=q[:, 3:], lambda1=np.ones(3),
+                       lambda2=np.zeros(3), lambda3=np.ones(3))
+    assert np.abs(k.matrix - np.eye(6)).max() < 1e-12
     t, r = rng.standard_normal(6), rng.standard_normal(6)
     assert abs(kernel_distance(t, r, k) - np.sum((t - r) ** 2)) < 1e-12
 
@@ -268,3 +270,51 @@ def test_kernel_direction_symmetry(rng):
     W_fwd = gfk_kernel(principal_angles(x, z), x).matrix
     W_rev = gfk_kernel(principal_angles(z, x), z).matrix
     assert np.linalg.norm(W_fwd - W_rev) < 1e-8
+
+
+# --------------------------------------------------------------------------
+# properties of the factored distance
+
+@st.composite
+def subspace_pairs(draw, kinds=("random", "identical", "near")):
+    """(x, z, rng): a in [4, 40], b <= a/2; z random, equal to x, or near x."""
+    a = draw(st.integers(4, 40))
+    b = draw(st.integers(1, a // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_subspace(rng, a, b)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        z = random_subspace(rng, a, b)
+    elif kind == "identical":
+        z = x
+    else:
+        eps = draw(st.floats(1e-12, 1e-7))
+        q, _ = np.linalg.qr(x.basis + eps * rng.standard_normal((a, b)))
+        z = SubspaceBasis(q)
+    return x, z, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_pairs())
+def test_factored_distance_equals_dense_quadratic_form(case):
+    x, z, rng = case
+    k = gfk_kernel(principal_angles(x, z), x)
+    t = 10.0 * rng.standard_normal(x.dim_ambient)
+    r = rng.standard_normal(x.dim_ambient)
+    delta = t - r
+    dense = delta @ k.matrix @ delta
+    assert abs(kernel_distance(t, r, k) - dense) <= 1e-12 * (delta @ delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_pairs(kinds=("random", "identical")))
+def test_distance_invariant_under_basis_rotation(case):
+    x, z, rng = case
+    a, b = x.dim_ambient, x.dim_subspace
+    t, r = 10.0 * rng.standard_normal(a), rng.standard_normal(a)
+    q1, _ = np.linalg.qr(rng.standard_normal((b, b)))
+    q2, _ = np.linalg.qr(rng.standard_normal((b, b)))
+    xq, zq = SubspaceBasis(x.basis @ q1), SubspaceBasis(z.basis @ q2)
+    d = kernel_distance(t, r, gfk_kernel(principal_angles(x, z), x))
+    dq = kernel_distance(t, r, gfk_kernel(principal_angles(xq, zq), xq))
+    assert abs(d - dq) <= 1e-12 * ((t - r) @ (t - r))

@@ -6,9 +6,11 @@ import pytest
 from adasel.design import SelectionConstraints, build_design_profile
 from adasel.errors import (DegenerateWindow, DimensionMismatch, EmptyStream,
                            TooFewFrames, UnlabeledScenario)
+from adasel.gfk import gfk_kernel
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import (build_window, match_scenario, mean_similarity,
                             run_selection, segment_windows, select_combo)
+from adasel.subspace import principal_angles
 
 OPEN_CONSTRAINTS = SelectionConstraints(
     max_mean_error=float("inf"), required_fps=0.0, max_cost=float("inf"))
@@ -20,6 +22,11 @@ def small_dataset(**overrides):
                     noise_sigma=0.1, seed=11)
     defaults.update(overrides)
     return generate_synthetic(SyntheticConfig(**defaults))
+
+
+def default_dataset():
+    """Default synth settings (a=64, b=5, seed 42) with 3 scenarios."""
+    return generate_synthetic(SyntheticConfig(n_scenarios=3, n_windows=12))
 
 
 def profile_for(dataset):
@@ -195,6 +202,13 @@ def test_match_degenerate_window_raises(rng):
     w = build_window(np.tile(np.arange(16.0), (12, 1)), 3)
     with pytest.raises(DegenerateWindow):
         match_scenario(w, profile)
+    # identical frames whose mean does not round exactly: the centering
+    # residue is rounding noise, not a 1-dim subspace
+    dataset = default_dataset()
+    w = build_window(np.tile(dataset.test_stream[0], (20, 1)), 5, window_id=7)
+    assert w.degraded and w.subspace is None
+    with pytest.raises(DegenerateWindow, match="window 7"):
+        match_scenario(w, profile_for(dataset))
 
 
 def test_match_degraded_window_still_compares(rng):
@@ -209,24 +223,34 @@ def test_match_degraded_window_still_compares(rng):
     assert sims.shape == (3,)
 
 
+def test_match_ranks_by_distance_beyond_exp_underflow():
+    # each window's mean moved 60 units along its own leading direction:
+    # every d is in the thousands, so every exp(-d) underflows to 0.0,
+    # and only the distances themselves can tell the scenarios apart
+    dataset = default_dataset()
+    profile = profile_for(dataset)
+    per = dataset.config.frames_per_scenario
+    for k in range(12):
+        frames = dataset.test_stream[k * per:(k + 1) * per]
+        shift = 60.0 * build_window(frames, 5).subspace.basis[:, 0]
+        w = build_window(frames + shift, 5)
+        d = []
+        for s in profile.scenarios:
+            W = gfk_kernel(principal_angles(s.subspace, w.subspace),
+                           s.subspace).matrix
+            delta = s.representative_feature - w.aggregated_feature
+            d.append(delta @ W @ delta)
+        sid, sims = match_scenario(w, profile)
+        assert min(d) > 745.0 and not sims.any()
+        assert sid == profile.scenarios[int(np.argmin(d))].scenario_id
+
+
 def test_match_dimension_mismatch(rng):
     dataset = small_dataset()
     profile = profile_for(dataset)
     w = build_window(rng.standard_normal((10, 8)), 3)
     with pytest.raises(DimensionMismatch):
         match_scenario(w, profile)
-
-
-def test_match_respects_thread_env(rng, monkeypatch):
-    dataset = small_dataset()
-    profile = profile_for(dataset)
-    per = dataset.config.frames_per_scenario
-    w = build_window(dataset.test_stream[:per], 3)
-    serial_id, serial_sims = match_scenario(w, profile)
-    monkeypatch.setenv("ADASEL_THREADS", "3")
-    threaded_id, threaded_sims = match_scenario(w, profile)
-    assert threaded_id == serial_id
-    assert np.array_equal(serial_sims, threaded_sims)
 
 
 # --------------------------------------------------------------------------

@@ -69,7 +69,6 @@ def test_pca_deterministic(rng):
     s1 = pca_basis(samples, 3)
     s2 = pca_basis(samples.copy(), 3)
     assert np.array_equal(s1.basis, s2.basis)
-    assert np.array_equal(s1.complement, s2.complement)
 
 
 # --------------------------------------------------------------------------
@@ -167,20 +166,13 @@ def test_decomposition_factors_orthonormal(rng):
     eye = np.eye(5)
     assert np.abs(dec.left_rotation.T @ dec.left_rotation - eye).max() < 1e-10
     assert np.abs(dec.right_rotation.T @ dec.right_rotation - eye).max() < 1e-10
-    R = dec.complement_rotation
-    assert R.shape == (13, 5)
-    assert np.abs(R.T @ R - eye).max() < 1e-10
+    B = dec.flow_complement
+    assert B.shape == (18, 5)
+    assert np.abs(B.T @ B - eye).max() < 1e-10
+    assert np.abs(x.basis.T @ B).max() < 1e-10
     # cos(angles) equals the singular values of x^T z
     svals = np.linalg.svd(x.basis.T @ z.basis, compute_uv=False)
     assert np.abs(np.cos(dec.angles) - svals).max() < 1e-10
-
-
-def test_flow_complement_consistent_with_rotation(rng):
-    x = random_subspace(rng, 14, 4)
-    z = random_subspace(rng, 14, 4)
-    dec = principal_angles(x, z)
-    assert np.allclose(dec.flow_complement,
-                       x.complement @ dec.complement_rotation, atol=1e-12)
 
 
 def test_dimension_mismatch_errors(rng):
@@ -190,7 +182,7 @@ def test_dimension_mismatch_errors(rng):
     with pytest.raises(DimensionMismatch):
         principal_angles(random_subspace(rng, 10, 3),
                          random_subspace(rng, 10, 2))
-    # complement rotation needs 2b <= a
+    # b flow directions orthogonal to x need 2b <= a
     with pytest.raises(DimensionMismatch):
         principal_angles(random_subspace(rng, 5, 3),
                          random_subspace(rng, 5, 3))
