@@ -10,6 +10,12 @@ integral of theta(y) theta(y)^T over y in [0, 1]: an a x a symmetric PSD
 matrix of rank <= 2b.  It is kept as its a x b factors, so a distance costs
 O(ab); the dense W is formed only on request.  A trapezoidal integrator
 over actual flow samples serves as the independent verification oracle.
+
+The runtime does not use the flow factors: :func:`stacked_distances` writes
+the same distance in b-dimensional quantities for many sources at once.
+The factored kernel (``principal_angles``, ``gfk_kernel``,
+``geodesic_flow``, ``kernel_distance``) and ``kernel_integral_oracle``
+remain the reference path that tests and oracles check it against.
 """
 
 from __future__ import annotations
@@ -67,9 +73,10 @@ def _lambda_coeffs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Diagonal entries of the integral kernel for each principal angle.
 
     lambda1_k = 1/2 + sin(2 theta)/(4 theta)
-    lambda2_k = (cos(2 theta) - 1)/(4 theta)
+    lambda2_k = (cos(2 theta) - 1)/(4 theta) = -sin(theta)^2/(2 theta)
     lambda3_k = 1/2 - sin(2 theta)/(4 theta)
-    with 4th-order series below SERIES_ANGLE.
+    with 4th-order series below SERIES_ANGLE.  lambda2 uses the sine form,
+    which does not cancel at small angles.
     """
     th = np.asarray(angles, dtype=np.float64)
     small = th < SERIES_ANGLE
@@ -78,10 +85,58 @@ def _lambda_coeffs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     l1 = np.where(small, 1.0 - th**2 / 3.0 + th**4 / 15.0,
                   0.5 + np.sin(two) / denom)
     l2 = np.where(small, -th / 2.0 + th**3 / 6.0,
-                  (np.cos(two) - 1.0) / denom)
+                  -2.0 * np.sin(th) ** 2 / denom)
     l3 = np.where(small, th**2 / 3.0 - th**4 / 15.0,
                   0.5 - np.sin(two) / denom)
     return l1, l2, l3
+
+
+def _flow_free_coeffs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda1, lambda2/sin(theta) and lambda3/sin(theta)^2 per angle.
+
+    The two ratios stay finite as theta -> 0 (limits -1/2 and 1/3); below
+    SERIES_ANGLE they come from their series, so nothing divides by a small
+    sine.
+    """
+    th = np.asarray(angles, dtype=np.float64)
+    small = th < SERIES_ANGLE
+    t2 = th * th
+    l1, l2, l3 = _lambda_coeffs(th)
+    sin = np.where(small, 1.0, np.sin(th))
+    l2s = np.where(small, -0.5 + t2 / 12.0 - t2 * t2 / 240.0, l2 / sin)
+    l3s = np.where(small, 1.0 / 3.0 + 2.0 * t2 / 45.0 + 2.0 * t2 * t2 / 315.0,
+                   l3 / sin**2)
+    return l1, l2s, l3s
+
+
+def stacked_distances(bases: np.ndarray, means: np.ndarray,
+                      z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Kernel distances from M sources to one target, without the flow.
+
+    ``bases`` (M, a, k) holds each source basis x_s, ``means`` (M, a) each
+    source feature t_s; z (a, k) and r (a,) are the target's.  Entry s is
+    what ``kernel_distance(t_s, r, gfk_kernel(principal_angles(x_s, z), x_s))``
+    returns, in k-dim quantities only.  With delta = t_s - r, g = x^T delta,
+    h = z^T delta and x^T z = U diag(cos theta) V^T, let p = U^T g and
+    w = V^T (h - (x^T z)^T g) = -sin(theta) B^T delta.  Then
+
+        d = sum lambda1 p^2 - 2 (lambda2/sin theta) p w
+              + (lambda3/sin^2 theta) w^2.
+
+    The three coefficients depend smoothly on cos theta, so d does not
+    depend on the rotations the SVD picks inside a cluster of equal angles,
+    and no flow direction B is needed.  Rounding negatives are clamped to zero.
+    """
+    delta = means - r                                   # (M, a)
+    xz = np.matmul(bases.transpose(0, 2, 1), z)         # (M, k, k)
+    g = np.matmul(delta[:, None, :], bases)[:, 0, :]    # (M, k)
+    h = delta @ z
+    U, cos, Vt = np.linalg.svd(xz)
+    p = np.einsum("mki,mk->mi", U, g)
+    w = np.einsum("mij,mj->mi", Vt, h - np.einsum("mkj,mk->mj", xz, g))
+    l1, l2s, l3s = _flow_free_coeffs(np.arccos(np.minimum(cos, 1.0)))
+    d = (l1 * p * p - 2.0 * l2s * p * w + l3s * w * w).sum(axis=1)
+    return np.maximum(d, 0.0)
 
 
 def _flow_factors(dec: PrincipalDecomposition,

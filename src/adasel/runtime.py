@@ -3,7 +3,9 @@
 Each incoming time window gets a mean feature and a PCA subspace, is
 matched to the nearest training scenario by geodesic-flow kernel distance,
 and inherits that scenario's best combo for the active platform.  The
-design profile is read-only here.
+distances to all M scenarios come from one stacked product and one batched
+b x b SVD (:func:`adasel.gfk.stacked_distances`); the geodesic flow itself
+is never formed.  The design profile is read-only here.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignProfile, ScenarioProfile
+from .design import DesignProfile
 from .errors import (AdaselError, DegenerateWindow, DimensionMismatch,
                      EmptyStream, RankDeficient, TooFewFrames,
                      UnlabeledScenario)
-from .gfk import gfk_kernel, kernel_distance, similarity
-from .subspace import (SubspaceBasis, as_feature_matrix, pca_basis,
-                       principal_angles)
+from .gfk import similarity, stacked_distances
+from .subspace import SubspaceBasis, as_feature_matrix, pca_basis
 
 
 @dataclass
@@ -67,12 +68,13 @@ class SelectionTrace:
         return sum(1 for prev, cur in zip(combos, combos[1:]) if prev != cur)
 
 
-def segment_windows(stream, length: int) -> list[TimeWindow]:
+def segment_windows(stream, length: int,
+                    min_frames: int = 1) -> list[TimeWindow]:
     """Split a stream into consecutive non-overlapping windows of ``length``.
 
-    A trailing remainder of at least length/2 frames becomes a final short
-    window; a smaller remainder is merged into the previous window.  Every
-    frame lands in exactly one window.
+    A trailing remainder of at least length/2 and at least ``min_frames``
+    frames becomes a final short window; a smaller remainder is merged into
+    the previous window.  Every frame lands in exactly one window.
     """
     if length < 2:
         raise ValueError(f"window length must be >= 2, got {length}")
@@ -83,7 +85,7 @@ def segment_windows(stream, length: int) -> list[TimeWindow]:
     n = X.shape[0]
 
     bounds = list(range(0, n, length))
-    if len(bounds) > 1 and n - bounds[-1] < length / 2:
+    if len(bounds) > 1 and n - bounds[-1] < max(length / 2, min_frames):
         bounds.pop()  # merge short remainder into the previous window
     bounds.append(n)
     return [TimeWindow(window_id=i, frame_features=X[lo:hi])
@@ -113,19 +115,18 @@ def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
                       degraded=degraded)
 
 
-def _truncated(basis: SubspaceBasis, dim: int) -> SubspaceBasis:
-    """Top-``dim`` directions of a basis."""
-    if basis.dim_subspace == dim:
-        return basis
-    return SubspaceBasis(basis=basis.basis[:, :dim])
+def _scenario_distances(window: TimeWindow,
+                        profile: DesignProfile) -> np.ndarray:
+    """Kernel distance d to every profile scenario, in profile order.
 
-
-def _scenario_distance(scenario: ScenarioProfile, window: TimeWindow,
-                       effective_dim: int) -> float:
-    x = _truncated(scenario.subspace, effective_dim)
-    dec = principal_angles(x, _truncated(window.subspace, effective_dim))
-    return kernel_distance(scenario.representative_feature,
-                           window.aggregated_feature, gfk_kernel(dec, x))
+    Both sides are compared at the effective dimension: the top
+    min(window dim, profile dim) directions of each basis.
+    """
+    k = min(window.subspace.dim_subspace, profile.config.dim_subspace)
+    bases = np.stack([s.subspace.basis[:, :k] for s in profile.scenarios])
+    means = np.stack([s.representative_feature for s in profile.scenarios])
+    return stacked_distances(bases, means, window.subspace.basis[:, :k],
+                             window.aggregated_feature)
 
 
 def match_scenario(window: TimeWindow,
@@ -149,11 +150,8 @@ def match_scenario(window: TimeWindow,
         raise DegenerateWindow(
             f"window {window.window_id} has zero variance; "
             "no subspace comparison is possible")
-    effective_dim = min(window.subspace.dim_subspace,
-                        profile.config.dim_subspace)
 
-    distances = [_scenario_distance(s, window, effective_dim)
-                 for s in profile.scenarios]
+    distances = _scenario_distances(window, profile).tolist()
     best = min(zip(distances, (s.scenario_id for s in profile.scenarios)))
     return best[1], np.array([similarity(d) for d in distances])
 
@@ -179,7 +177,8 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
         raise ValueError("profile has no scenarios")
     from .dataio import profile_digest  # local import to avoid a cycle
 
-    windows = segment_windows(stream, window_length)
+    windows = segment_windows(stream, window_length,
+                              min_frames=profile.config.dim_subspace + 1)
     decisions = []
     timing_ms = []
     for w in windows:

@@ -16,13 +16,16 @@ import numpy as np
 from .errors import DimensionMismatch, NotOrthonormal, RankDeficient
 
 ORTHO_TOL = 1e-8
-# Residual column norm below which a principal angle is treated as exactly
-# zero and its flow direction is free (it is multiplied by sin 0 = 0
-# everywhere downstream).
-DEGENERATE_SIN = 1e-8
-# Singular values above this are too close to 1 for arccos to resolve the
-# angle; those angles are recovered from the sine side instead.
-SMALL_ANGLE_SVAL = 1.0 - 1e-8
+# Sine below which a principal angle is treated as exactly zero and its flow
+# direction is free (it is multiplied by sin 0 = 0 everywhere downstream).
+# Zeroing such an angle moves a kernel distance by at most
+# DEGENERATE_SIN/2 * |delta|^2; above it, a flow direction computed from the
+# residual is accurate to about eps/sin.
+DEGENERATE_SIN = 1e-13
+# Angles within this of each other form one cluster whose rotation the SVD
+# leaves free.
+CLUSTER_TOL = 1e-13
+SIN_PI_4 = np.sqrt(0.5)
 
 
 def as_feature_vector(values) -> np.ndarray:
@@ -162,19 +165,20 @@ def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _canonicalize_clusters(U: np.ndarray, V: np.ndarray, svals: np.ndarray,
-                           tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Make U, V deterministic inside degenerate singular-value clusters.
+def _canonicalize_clusters(U: np.ndarray, V: np.ndarray, angles: np.ndarray,
+                           tol: float = CLUSTER_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Make U, V deterministic inside clusters of equal angles.
 
-    Within a cluster of equal singular values the SVD factors are defined
-    only up to a common rotation; rotate them (Procrustes) so the U block
-    is as close to the identity columns as possible.  Identical subspaces
-    then yield U = V = I.  W and the geodesic are invariant to this choice.
+    Within a cluster of equal angles (sorted ascending) the SVD factors are
+    defined only up to a common rotation; rotate them (Procrustes) so the U
+    block is as close to the identity columns as possible.  Identical
+    subspaces then yield U = V = I.  W and the geodesic are invariant to
+    this choice.
     """
-    b = svals.size
+    b = angles.size
     start = 0
     for end in range(1, b + 1):
-        if end < b and svals[start] - svals[end] <= tol:
+        if end < b and angles[end] - angles[start] <= tol:
             continue
         if end - start > 1:
             cols = slice(start, end)
@@ -191,12 +195,13 @@ def _canonicalize_clusters(U: np.ndarray, V: np.ndarray, svals: np.ndarray,
 def principal_angles(x: SubspaceBasis, z: SubspaceBasis) -> PrincipalDecomposition:
     """Principal angles and coupled rotations between two b-dim subspaces.
 
-    Computes the SVD x^T z = U diag(cos theta_k) V^T (singular values clamped
-    to [0, 1]) and the flow directions B solving
-    ``B diag(sin theta_k) = -(I - x x^T) z V`` with columns for theta_k = 0
-    filled by a deterministic orthonormal completion.  Angles too close to 0
-    for arccos to resolve are recovered from the residual column norms
-    (the sine side), so identical subspaces report exactly zero angles.
+    Angles below pi/4 and their right vectors V come from the SVD of the
+    residual z - x x^T z, whose singular values are their sines; the rest
+    come from the SVD x^T z = U diag(cos theta_k) V^T (Bjorck & Golub 1973,
+    Knyazev & Argentati 2002).  Near 1 the cosines resolve neither the
+    angles nor V, and the sines do.  The flow directions B solve
+    ``B diag(sin theta_k) = -(I - x x^T) z V``; columns whose sine is below
+    DEGENERATE_SIN get angle 0 and a deterministic orthonormal completion.
     """
     if x.dim_ambient != z.dim_ambient:
         raise DimensionMismatch(
@@ -210,43 +215,35 @@ def principal_angles(x: SubspaceBasis, z: SubspaceBasis) -> PrincipalDecompositi
             f"b flow directions orthogonal to x need 2b <= a; a={a}, b={b}")
 
     M = x.basis.T @ z.basis
-    U, svals, Vt = np.linalg.svd(M)
-    V = Vt.T
-    U, V = _canonicalize_clusters(U, V, svals)
+    R = z.basis - x.basis @ M
+    U, cos, Vt = np.linalg.svd(M)
+    _, sin, St = np.linalg.svd(R, full_matrices=False)
+    m = int(np.count_nonzero(sin < SIN_PI_4))   # angles below pi/4
+    sin, St = sin[::-1][:m], St[::-1][:m]
+    degenerate = np.zeros(b, dtype=bool)
+    degenerate[:m] = sin < DEGENERATE_SIN
+    # the sines put the other angles at or above pi/4; clipping keeps that
+    # true in rounding, so the angles stay sorted
+    angles = np.concatenate([np.arcsin(sin),
+                             np.arccos(np.clip(cos[m:], 0.0, SIN_PI_4))])
+    angles[degenerate] = 0.0
+    V = np.hstack([St.T, Vt[m:].T])
+    MV = M @ V[:, :m]
+    U = np.hstack([MV / np.linalg.norm(MV, axis=0), U[:, m:]])
+    U, V = _canonicalize_clusters(U, V, angles)
     U, signs = _fix_signs(U)
     V = V * signs
-    svals = np.clip(svals, 0.0, 1.0)
-    angles = np.arccos(svals)
 
     # flow directions: -(I - x x^T) z V, column k has norm sin(theta_k)
-    ZV = z.basis @ V
-    P = -(ZV - x.basis @ (x.basis.T @ ZV))
-    norms = np.linalg.norm(P, axis=0)
-
-    small = svals > SMALL_ANGLE_SVAL
-    if np.any(small):
-        angles[small] = np.arcsin(np.clip(norms[small], 0.0, 1.0))
-
-    degenerate = norms < DEGENERATE_SIN
-    B = np.zeros_like(P)
+    P = -(R @ V)
     good = ~degenerate
-    B[:, good] = P[:, good] / norms[good]
+    B = np.zeros_like(P)
+    B[:, good] = P[:, good] / np.linalg.norm(P[:, good], axis=0)
     if np.any(degenerate):
-        angles[degenerate] = 0.0
         anchor = np.hstack([x.basis, B[:, good]])
         q, _ = np.linalg.qr(anchor, mode="complete")
         fill = q[:, anchor.shape[1]:anchor.shape[1] + int(degenerate.sum())]
         B[:, degenerate] = _fix_signs(fill)[0]
-
-    # sine-side refinement can reorder angles the SVD could not resolve;
-    # re-sort all coupled factors together so the per-column pairing
-    # (angle, u_k, v_k, B_k) stays exact
-    order = np.argsort(angles, kind="stable")
-    if not np.array_equal(order, np.arange(b)):
-        angles = angles[order]
-        U = U[:, order]
-        V = V[:, order]
-        B = B[:, order]
     return PrincipalDecomposition(
         angles=angles, left_rotation=U, right_rotation=V,
         flow_complement=B)

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import adasel
 from adasel.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,8 +173,12 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # the child imports the same adasel as this process, installed or not
+    src = str(Path(adasel.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-m", "adasel.cli", "--help"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "synth" in result.stdout and "profile" in result.stdout
     assert "select" in result.stdout and "eval" in result.stdout

@@ -276,19 +276,23 @@ def test_kernel_direction_symmetry(rng):
 # properties of the factored distance
 
 @st.composite
-def subspace_pairs(draw, kinds=("random", "identical", "near")):
-    """(x, z, rng): a in [4, 40], b <= a/2; z random, equal to x, or near x."""
+def subspace_pairs(draw):
+    """(x, z, rng): a in [4, 40], b <= a/2; z random, equal to x, or near x.
+
+    A near z is x perturbed by 1e-12 to 1e-4 (log-uniform) and
+    re-orthonormalized.
+    """
     a = draw(st.integers(4, 40))
     b = draw(st.integers(1, a // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = random_subspace(rng, a, b)
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["random", "identical", "near"]))
     if kind == "random":
         z = random_subspace(rng, a, b)
     elif kind == "identical":
         z = x
     else:
-        eps = draw(st.floats(1e-12, 1e-7))
+        eps = 10.0 ** draw(st.floats(-12.0, -4.0))
         q, _ = np.linalg.qr(x.basis + eps * rng.standard_normal((a, b)))
         z = SubspaceBasis(q)
     return x, z, rng
@@ -307,7 +311,7 @@ def test_factored_distance_equals_dense_quadratic_form(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(subspace_pairs(kinds=("random", "identical")))
+@given(subspace_pairs())
 def test_distance_invariant_under_basis_rotation(case):
     x, z, rng = case
     a, b = x.dim_ambient, x.dim_subspace

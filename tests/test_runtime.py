@@ -2,15 +2,20 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adasel.design import SelectionConstraints, build_design_profile
+from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
+                           SelectionConstraints, build_design_profile)
 from adasel.errors import (DegenerateWindow, DimensionMismatch, EmptyStream,
                            TooFewFrames, UnlabeledScenario)
-from adasel.gfk import gfk_kernel
+from adasel.gfk import gfk_kernel, similarity
 from adasel.harness import SyntheticConfig, generate_synthetic
-from adasel.runtime import (build_window, match_scenario, mean_similarity,
-                            run_selection, segment_windows, select_combo)
-from adasel.subspace import principal_angles
+from adasel.runtime import (TimeWindow, _scenario_distances, build_window,
+                            match_scenario, mean_similarity, run_selection,
+                            segment_windows, select_combo)
+from adasel.subspace import SubspaceBasis, principal_angles
+from conftest import random_subspace
 
 OPEN_CONSTRAINTS = SelectionConstraints(
     max_mean_error=float("inf"), required_fps=0.0, max_cost=float("inf"))
@@ -245,6 +250,60 @@ def test_match_ranks_by_distance_beyond_exp_underflow():
         assert sid == profile.scenarios[int(np.argmin(d))].scenario_id
 
 
+@st.composite
+def windows_and_profiles(draw):
+    """A window of effective dimension k <= b and 1-4 scenarios of dim b.
+
+    Each scenario's top k directions are random, span the window's
+    subspace exactly, or span it perturbed by 1e-12 to 1e-4.  k < b is a
+    degraded window.
+    """
+    a = draw(st.integers(4, 40))
+    b = draw(st.integers(1, a // 2))
+    k = draw(st.integers(1, b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = random_subspace(rng, a, k).basis
+    scenarios = []
+    for i, kind in enumerate(draw(st.lists(
+            st.sampled_from(["random", "identical", "near"]),
+            min_size=1, max_size=4))):
+        if kind == "random":
+            x = random_subspace(rng, a, b).basis
+        else:
+            eps = 0.0 if kind == "identical" else \
+                10.0 ** draw(st.floats(-12.0, -4.0))
+            top = z + eps * rng.standard_normal((a, k))
+            x, _ = np.linalg.qr(np.hstack(
+                [top, rng.standard_normal((a, b - k))]))
+        scenarios.append(ScenarioProfile(
+            scenario_id=f"s{i:03d}",
+            representative_feature=10.0 * rng.standard_normal(a),
+            subspace=SubspaceBasis(x), member_count=b + 1))
+    profile = DesignProfile(scenarios=scenarios, combos=[], platforms=[],
+                            performance=[], selected_platform=None,
+                            config=ProfileConfig(a, b, b + 1, 0))
+    window = TimeWindow(window_id=0, frame_features=np.empty((0, a)),
+                        aggregated_feature=rng.standard_normal(a),
+                        subspace=SubspaceBasis(z), degraded=k < b)
+    return window, profile
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows_and_profiles())
+def test_batched_distances_equal_dense_quadratic_form(case):
+    window, profile = case
+    z = window.subspace
+    k = z.dim_subspace
+    d = _scenario_distances(window, profile)
+    for s, ds in zip(profile.scenarios, d):
+        x = SubspaceBasis(s.subspace.basis[:, :k])
+        W = gfk_kernel(principal_angles(x, z), x).matrix
+        delta = s.representative_feature - window.aggregated_feature
+        assert abs(ds - delta @ W @ delta) <= 1e-12 * (delta @ delta)
+    _, sims = match_scenario(window, profile)
+    assert sims.tolist() == [similarity(v) for v in d.tolist()]
+
+
 def test_match_dimension_mismatch(rng):
     dataset = small_dataset()
     profile = profile_for(dataset)
@@ -333,6 +392,19 @@ def test_run_selection_empty_profile(rng):
     profile.scenarios = []
     with pytest.raises(ValueError):
         run_selection(dataset.test_stream, profile, "p1", 12)
+
+
+def test_run_selection_merges_remainder_too_short_for_a_subspace():
+    # 110 frames in windows of 20 leave 10: at least length/2, but fewer
+    # than the b + 1 = 13 frames a 12-dim window subspace needs
+    dataset = small_dataset(dim_ambient=64, dim_subspace=12,
+                            frames_per_scenario=20, n_windows=6)
+    profile = profile_for(dataset)
+    stream = dataset.test_stream[:110]
+    windows = segment_windows(stream, 20, min_frames=13)
+    assert [w.frame_features.shape[0] for w in windows] == [20] * 4 + [30]
+    trace = run_selection(stream, profile, "p1", 20)
+    assert [d.window_id for d in trace.decisions] == list(range(5))
 
 
 def test_run_selection_attaches_window_context(rng):
