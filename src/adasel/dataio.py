@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,33 +42,37 @@ CANONICAL_EXTRAS = ("MT", "ML", "IDS", "FP")
 # binary matrices
 
 def write_matrix(path, matrix) -> None:
-    M = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
+    M = np.ascontiguousarray(matrix, dtype="<f8")
     if M.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-        fh.write(M.astype("<f8").tobytes(order="C"))
+        fh.write(M.data)
 
 
 def read_matrix(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:8] != MATRIX_MAGIC:
-        raise BadMagic(f"{path}: expected magic {MATRIX_MAGIC!r}, "
-                       f"got {data[:8]!r}")
-    if len(data) < 24:
-        raise TruncatedPayload(f"{path}: header truncated")
-    rows, cols = struct.unpack("<QQ", data[8:24])
-    nbytes = rows * cols * 8
-    if nbytes > MAX_PAYLOAD_BYTES:
-        raise DimensionOverflow(
-            f"{path}: {rows} x {cols} matrix exceeds addressable size")
-    payload = data[24:]
-    if len(payload) != nbytes:
-        raise TruncatedPayload(
-            f"{path}: payload is {len(payload)} bytes, "
-            f"header claims {nbytes}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    with open(path, "rb") as fh:
+        header = fh.read(24)
+        if header[:8] != MATRIX_MAGIC:
+            raise BadMagic(f"{path}: expected magic {MATRIX_MAGIC!r}, "
+                           f"got {header[:8]!r}")
+        if len(header) < 24:
+            raise TruncatedPayload(f"{path}: header truncated")
+        rows, cols = struct.unpack("<QQ", header[8:])
+        nbytes = rows * cols * 8
+        if nbytes > MAX_PAYLOAD_BYTES:
+            raise DimensionOverflow(
+                f"{path}: {rows} x {cols} matrix exceeds addressable size")
+        size = os.fstat(fh.fileno()).st_size - 24
+        if size != nbytes:
+            raise TruncatedPayload(
+                f"{path}: payload is {size} bytes, header claims {nbytes}")
+        M = np.empty((rows, cols), dtype="<f8")
+        if (got := fh.readinto(M.data.cast("B"))) != nbytes:
+            raise TruncatedPayload(
+                f"{path}: read {got} payload bytes, header claims {nbytes}")
+    return M
 
 
 # --------------------------------------------------------------------------
@@ -246,13 +251,7 @@ def _profile_doc(profile: DesignProfile, basis_refs) -> dict:
             "constraints": constraints,
         },
         "selected_platform": profile.selected_platform,
-        "combos": [{"id": c.id, "algorithm": c.algorithm, "fps": float(c.fps),
-                    "resolution": [int(v) for v in c.resolution]}
-                   for c in profile.combos],
-        "platforms": [{"id": p.id, "cost": float(p.cost),
-                       "combo_capabilities": {k: float(v) for k, v
-                                              in p.combo_capabilities.items()}}
-                      for p in profile.platforms],
+        **_catalog_doc(profile.combos, profile.platforms),
         "performance": [{"scenario_id": r.scenario_id, "combo_id": r.combo_id,
                          "platform_id": r.platform_id, "error": float(r.error),
                          "extras": {k: float(v) for k, v in r.extras.items()}}
@@ -293,12 +292,7 @@ def read_profile(path) -> DesignProfile:
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
         window_length=cfg["window_length"], seed=cfg["seed"],
         constraints=constraints)
-    combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
-                             fps=c["fps"], resolution=tuple(c["resolution"]))
-              for c in doc["combos"]]
-    platforms = [PlatformSpec(id=p["id"], cost=p["cost"],
-                              combo_capabilities=dict(p["combo_capabilities"]))
-                 for p in doc["platforms"]]
+    combos, platforms = _catalog_from_doc(doc)
     performance = [PerformanceRecord(
         scenario_id=r["scenario_id"], combo_id=r["combo_id"],
         platform_id=r["platform_id"], error=r["error"],
@@ -328,12 +322,12 @@ def profile_digest(profile: DesignProfile) -> str:
 
 
 # --------------------------------------------------------------------------
-# combo/platform capability files (Table-II-shaped)
+# combo/platform capability files (Table-II-shaped); profiles embed the
+# same combos and platforms block
 
-def write_platforms(path, combos: list[AlgoParamCombo],
-                    platforms: list[PlatformSpec]) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
+def _catalog_doc(combos: list[AlgoParamCombo],
+                 platforms: list[PlatformSpec]) -> dict:
+    return {
         "combos": [{"id": c.id, "algorithm": c.algorithm, "fps": float(c.fps),
                     "resolution": [int(v) for v in c.resolution]}
                    for c in combos],
@@ -342,12 +336,9 @@ def write_platforms(path, combos: list[AlgoParamCombo],
                                               in p.combo_capabilities.items()}}
                       for p in platforms],
     }
-    Path(path).write_text(_canonical_json(doc))
 
 
-def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
-    doc = json.loads(Path(path).read_text())
-    _check_version(doc, path)
+def _catalog_from_doc(doc) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
     combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
                              fps=c["fps"], resolution=tuple(c["resolution"]))
               for c in doc["combos"]]
@@ -355,6 +346,19 @@ def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
                               combo_capabilities=dict(p["combo_capabilities"]))
                  for p in doc["platforms"]]
     return combos, platforms
+
+
+def write_platforms(path, combos: list[AlgoParamCombo],
+                    platforms: list[PlatformSpec]) -> None:
+    doc = {"format_version": FORMAT_VERSION,
+           **_catalog_doc(combos, platforms)}
+    Path(path).write_text(_canonical_json(doc))
+
+
+def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
+    doc = json.loads(Path(path).read_text())
+    _check_version(doc, path)
+    return _catalog_from_doc(doc)
 
 
 # --------------------------------------------------------------------------

@@ -220,25 +220,24 @@ def _error_table(performance: list[PerformanceRecord]) -> dict:
             for r in performance}
 
 
-def _best_achievable(platform: PlatformSpec, combos: list[AlgoParamCombo],
-                     scenario_ids: list[str], table: dict,
-                     required_fps: float) -> float:
-    """Mean over scenarios of the min error over feasible combos."""
-    feas = feasible_combos(platform, combos, required_fps)
-    if not feas:
-        return float("inf")
-    total = 0.0
-    for sid in scenario_ids:
-        errors = []
-        for cid in feas:
-            key = (sid, cid, platform.id)
-            if key not in table:
-                raise MissingRecord(
-                    f"no performance record for scenario={sid} "
-                    f"combo={cid} platform={platform.id}")
-            errors.append(table[key])
-        total += min(errors)
-    return total / len(scenario_ids)
+def _best_combo(scenario_id: str, platform: PlatformSpec,
+                combos: list[AlgoParamCombo], table: dict,
+                required_fps: float) -> tuple[float, float, str] | None:
+    """(error, -fps, combo id) of the scenario's best feasible combo.
+
+    Combos rank by error, then higher achievable fps on the platform, then
+    combo id; None when the platform runs no combo at required_fps.
+    Raises MissingRecord if the table lacks a feasible combo's entry.
+    """
+    ranked = []
+    for cid in feasible_combos(platform, combos, required_fps):
+        key = (scenario_id, cid, platform.id)
+        if key not in table:
+            raise MissingRecord(
+                f"no performance record for scenario={scenario_id} "
+                f"combo={cid} platform={platform.id}")
+        ranked.append((table[key], -platform.combo_capabilities[cid], cid))
+    return min(ranked, default=None)
 
 
 def select_platform(platforms: list[PlatformSpec],
@@ -250,16 +249,21 @@ def select_platform(platforms: list[PlatformSpec],
     Best achievable mean error = mean over scenarios of the min error over
     combos feasible at constraints.required_fps.  Ties on cost break by
     lower error, then id order.  Raises NoFeasiblePlatform with per-platform
-    diagnostics when nothing qualifies.
+    diagnostics when nothing qualifies, and MissingRecord when the table has
+    no records or lacks a feasible (scenario, combo, platform) entry.
     """
     scenario_ids = sorted({r.scenario_id for r in performance})
+    if not scenario_ids:
+        raise MissingRecord("performance table has no records")
     table = _error_table(performance)
 
     diagnostics = {}
     candidates = []
     for p in platforms:
-        best = _best_achievable(p, combos, scenario_ids, table,
-                                constraints.required_fps)
+        bests = [_best_combo(sid, p, combos, table, constraints.required_fps)
+                 for sid in scenario_ids]
+        best = (float("inf") if bests[0] is None
+                else sum(b[0] for b in bests) / len(bests))
         cost_ok = p.cost <= constraints.max_cost
         diagnostics[p.id] = {
             "cost": p.cost, "best_mean_error": best, "cost_ok": cost_ok}
@@ -291,18 +295,10 @@ def label_scenarios(profile: DesignProfile) -> DesignProfile:
     for scenario in profile.scenarios:
         labels = {}
         for platform in profile.platforms:
-            feas = feasible_combos(platform, profile.combos, required_fps)
-            ranked = []
-            for cid in feas:
-                key = (scenario.scenario_id, cid, platform.id)
-                if key not in table:
-                    raise MissingRecord(
-                        f"no performance record for scenario="
-                        f"{scenario.scenario_id} combo={cid} platform={platform.id}")
-                fps = platform.combo_capabilities[cid]
-                ranked.append((table[key], -fps, cid))
-            if ranked:
-                labels[platform.id] = min(ranked)[2]
+            best = _best_combo(scenario.scenario_id, platform, profile.combos,
+                               table, required_fps)
+            if best is not None:
+                labels[platform.id] = best[2]
         scenario.labels = labels
     return profile
 

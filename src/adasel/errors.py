@@ -24,6 +24,10 @@ class RankDeficient(AdaselError):
         self.achievable_rank = achievable_rank
 
 
+class NonFiniteFeatures(AdaselError, ValueError):
+    """Feature values include NaN or Inf."""
+
+
 class NotOrthonormal(AdaselError):
     """Matrix expected to have orthonormal columns does not."""
 

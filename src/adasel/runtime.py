@@ -18,10 +18,9 @@ import numpy as np
 
 from .design import DesignProfile
 from .errors import (AdaselError, DegenerateWindow, DimensionMismatch,
-                     EmptyStream, RankDeficient, TooFewFrames,
-                     UnlabeledScenario)
+                     EmptyStream, TooFewFrames, UnlabeledScenario)
 from .gfk import similarity, stacked_distances
-from .subspace import SubspaceBasis, as_feature_matrix, pca_basis
+from .subspace import SubspaceBasis, _principal_directions, as_feature_matrix
 
 
 @dataclass
@@ -74,14 +73,14 @@ def segment_windows(stream, length: int,
 
     A trailing remainder of at least length/2 and at least ``min_frames``
     frames becomes a final short window; a smaller remainder is merged into
-    the previous window.  Every frame lands in exactly one window.
+    the previous window.  Every frame lands in exactly one window.  Frames
+    are checked when their window is built, so an error names the window.
     """
     if length < 2:
         raise ValueError(f"window length must be >= 2, got {length}")
     X = np.asarray(stream, dtype=np.float64)
     if X.size == 0:
         raise EmptyStream("feature stream has no frames")
-    X = as_feature_matrix(X)
     n = X.shape[0]
 
     bounds = list(range(0, n, length))
@@ -95,24 +94,20 @@ def segment_windows(stream, length: int,
 def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
     """Aggregate a window: mean feature + PCA subspace with rank fallback.
 
-    If the frames have rank r < subspace_dim, falls back to an r-dim
-    subspace and flags the window as degraded (subspace None when r = 0).
+    If the frames have rank r < subspace_dim, keeps the r-dim subspace from
+    the same SVD and flags the window as degraded (subspace None when
+    r = 0).
     """
     X = as_feature_matrix(features)
     if X.shape[0] < subspace_dim + 1:
         raise TooFewFrames(
             f"window {window_id} has {X.shape[0]} frames; "
             f"need at least {subspace_dim + 1}")
-    aggregated = X.mean(axis=0)
-    try:
-        basis = pca_basis(X, subspace_dim)
-        degraded = False
-    except RankDeficient as exc:
-        degraded = True
-        basis = pca_basis(X, exc.achievable_rank) if exc.achievable_rank >= 1 else None
+    directions, rank = _principal_directions(X, subspace_dim)
     return TimeWindow(window_id=window_id, frame_features=X,
-                      aggregated_feature=aggregated, subspace=basis,
-                      degraded=degraded)
+                      aggregated_feature=X.mean(axis=0),
+                      subspace=SubspaceBasis(directions) if rank else None,
+                      degraded=rank < subspace_dim)
 
 
 def _scenario_distances(window: TimeWindow,
@@ -189,8 +184,7 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
             scenario_id, sims = match_scenario(built, profile)
             combo = select_combo(scenario_id, platform_id, profile)
         except AdaselError as exc:
-            raise type(exc)(
-                f"window {w.window_id}: {exc}", *_extra_args(exc)) from exc
+            raise type(exc)(f"window {w.window_id}: {exc}") from exc
         timing_ms.append((time.perf_counter() - t0) * 1000.0)
         decisions.append(SelectionDecision(
             window_id=w.window_id, matched_scenario_id=scenario_id,
@@ -199,13 +193,6 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
     return SelectionTrace(decisions=decisions,
                           profile_reference=profile_digest(profile),
                           timing_ms=timing_ms)
-
-
-def _extra_args(exc: AdaselError) -> tuple:
-    """Constructor args beyond the message, for re-raising with context."""
-    if isinstance(exc, RankDeficient):
-        return (exc.achievable_rank,)
-    return ()
 
 
 def mean_similarity(trace: SelectionTrace) -> float:

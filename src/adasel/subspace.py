@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrthonormal, RankDeficient
+from .errors import (DimensionMismatch, NonFiniteFeatures, NotOrthonormal,
+                     RankDeficient)
 
 ORTHO_TOL = 1e-8
 # Sine below which a principal angle is treated as exactly zero and its flow
@@ -36,7 +37,7 @@ def as_feature_vector(values) -> np.ndarray:
     if v.size < 2:
         raise DimensionMismatch(f"feature dimension must be >= 2, got {v.size}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("feature vector contains NaN or Inf")
+        raise NonFiniteFeatures("feature vector contains NaN or Inf")
     return v
 
 
@@ -55,7 +56,7 @@ def as_feature_matrix(samples) -> np.ndarray:
     if X.shape[1] < 2:
         raise DimensionMismatch(f"feature dimension must be >= 2, got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
-        raise ValueError("samples contain NaN or Inf")
+        raise NonFiniteFeatures("samples contain NaN or Inf")
     return X
 
 
@@ -133,6 +134,15 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
         above max(n, a) * eps * ||X||_F, the rounding left by centering the
         frames, so a window of identical frames has rank 0.
     """
+    directions, rank = _principal_directions(samples, b)
+    if rank < b:
+        raise RankDeficient(
+            f"centered sample matrix has rank {rank} < requested b={b}", rank)
+    return SubspaceBasis(basis=directions)
+
+
+def _principal_directions(samples, b: int) -> tuple[np.ndarray, int]:
+    """pca_basis's top min(b, rank) directions and the rank, from one SVD."""
     X = as_feature_matrix(samples)
     n, a = X.shape
     if n < 2:
@@ -143,11 +153,8 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     tol = max(n, a) * np.finfo(np.float64).eps * np.linalg.norm(X)
     rank = int(np.count_nonzero(svals > tol))
-    if rank < b:
-        raise RankDeficient(
-            f"centered sample matrix has rank {rank} < requested b={b}", rank)
-    basis, _ = _fix_signs(Vt[:b].T)
-    return SubspaceBasis(basis=basis)
+    directions, _ = _fix_signs(Vt[:min(b, rank)].T)
+    return directions, rank
 
 
 def orthogonal_complement(basis: np.ndarray) -> np.ndarray:

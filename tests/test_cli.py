@@ -110,6 +110,26 @@ def test_profile_invalid_scenario_count_exits_1(tmp_path, capsys):
     assert "InvalidM" in capsys.readouterr().err
 
 
+def test_profile_empty_performance_table_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    header = (out / "performance.csv").read_text().splitlines()[0]
+    (out / "empty.csv").write_text(header + "\n")
+    rc = main([
+        "profile",
+        "--train", str(out / "train_manifest.json"),
+        "--perf", str(out / "empty.csv"),
+        "--platforms", str(out / "platforms.json"),
+        "--scenarios", "3", "--subspace-dim", "3",
+        "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
+        "--out", str(out / "p.json"),
+    ])
+    assert rc == 1
+    assert "MissingRecord: performance table has no records" in (
+        capsys.readouterr().err)
+
+
 def test_profile_infeasible_constraints_exit_2(tmp_path, capsys):
     out = run_pipeline(tmp_path)
     rc = main([

@@ -51,6 +51,17 @@ def test_matrix_layout_is_exactly_specified(tmp_path):
     assert raw[24:] == struct.pack("<dd", 1.5, -2.0)
 
 
+def test_matrix_bytes_independent_of_byte_order_and_layout(tmp_path):
+    M = np.arange(12, dtype="<f8").reshape(3, 4) / 7.0
+    dataio.write_matrix(tmp_path / "c.mat", M)
+    expected = (tmp_path / "c.mat").read_bytes()
+    for twin in (M.astype(">f8"), np.asfortranarray(M),
+                 np.asfortranarray(M.astype(">f8"))):
+        dataio.write_matrix(tmp_path / "twin.mat", twin)
+        assert (tmp_path / "twin.mat").read_bytes() == expected
+    assert np.array_equal(dataio.read_matrix(tmp_path / "c.mat"), M)
+
+
 def test_matrix_bad_magic(tmp_path):
     path = tmp_path / "m.mat"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
                            SelectionConstraints, build_design_profile)
-from adasel.errors import (DegenerateWindow, DimensionMismatch, EmptyStream,
-                           TooFewFrames, UnlabeledScenario)
+from adasel.errors import (AdaselError, DegenerateWindow, DimensionMismatch,
+                           EmptyStream, NonFiniteFeatures, TooFewFrames,
+                           UnlabeledScenario)
 from adasel.gfk import gfk_kernel, similarity
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import (TimeWindow, _scenario_distances, build_window,
                             match_scenario, mean_similarity, run_selection,
                             segment_windows, select_combo)
-from adasel.subspace import SubspaceBasis, principal_angles
+from adasel.subspace import SubspaceBasis, pca_basis, principal_angles
 from conftest import random_subspace
 
 OPEN_CONSTRAINTS = SelectionConstraints(
@@ -104,6 +105,23 @@ def test_build_window_partial_rank_falls_back(rng):
     w = build_window(frames, 2)
     assert w.degraded
     assert w.subspace is not None and w.subspace.dim_subspace == 1
+    assert np.array_equal(w.subspace.basis, pca_basis(frames, 1).basis)
+
+
+def test_degraded_window_costs_one_svd(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    frames = np.outer(rng.standard_normal(10), rng.standard_normal(6))
+    frames += rng.standard_normal(6)
+    w = build_window(frames, 3)
+    assert w.degraded and w.subspace.dim_subspace == 1
+    assert calls == [(10, 6)]
 
 
 def test_build_window_invariants(rng):
@@ -392,6 +410,19 @@ def test_run_selection_empty_profile(rng):
     profile.scenarios = []
     with pytest.raises(ValueError):
         run_selection(dataset.test_stream, profile, "p1", 12)
+
+
+def test_run_selection_names_window_of_first_non_finite_frame():
+    dataset = small_dataset()
+    profile = profile_for(dataset)
+    stream = dataset.test_stream.copy()
+    stream[29, 4] = np.nan   # window 2 holds frames 24-35
+    stream[70, 0] = np.inf
+    with pytest.raises(NonFiniteFeatures) as exc:
+        run_selection(stream, profile, "p1", 12)
+    assert isinstance(exc.value, AdaselError)
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value).startswith("window 2: ")
 
 
 def test_run_selection_merges_remainder_too_short_for_a_subspace():
