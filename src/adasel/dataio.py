@@ -25,9 +25,9 @@ import numpy as np
 from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                      PlatformSpec, ProfileConfig, ScenarioProfile,
                      SelectionConstraints)
-from .errors import (BadMagic, DimensionOverflow, DuplicateKey, MalformedRow,
-                     ManifestInvalid, NegativeError, TruncatedPayload,
-                     UnsupportedVersion)
+from .errors import (BadMagic, DimensionMismatch, DimensionOverflow,
+                     DuplicateKey, MalformedRow, ManifestInvalid,
+                     NegativeError, TruncatedPayload, UnsupportedVersion)
 from .subspace import SubspaceBasis
 
 MATRIX_MAGIC = b"ADSLMAT1"
@@ -131,7 +131,10 @@ def read_stream(manifest_path) -> FeatureStream:
     _check_version(doc, manifest_path)
     parts = [read_matrix(manifest_path.parent / name)
              for name in doc["matrices"]]
-    X = np.vstack(parts) if parts else np.empty((0, doc["dim"]))
+    if len(parts) == 1:
+        X = parts[0]  # read_matrix's array as it is, not a copy
+    else:
+        X = np.vstack(parts) if parts else np.empty((0, doc["dim"]))
     if X.shape[1] != doc["dim"]:
         raise ManifestInvalid(
             f"{manifest_path}: matrix has {X.shape[1]} columns, "
@@ -297,13 +300,24 @@ def read_profile(path) -> DesignProfile:
         scenario_id=r["scenario_id"], combo_id=r["combo_id"],
         platform_id=r["platform_id"], error=r["error"],
         extras=dict(r.get("extras", {}))) for r in doc["performance"]]
+    shape = (config.dim_ambient, config.dim_subspace)
     scenarios = []
     for s in doc["scenarios"]:
-        subspace = SubspaceBasis(read_matrix(path.parent / s["basis_file"]))
+        basis_path = path.parent / s["basis_file"]
+        subspace = SubspaceBasis(read_matrix(basis_path))
+        if subspace.basis.shape != shape:
+            raise DimensionMismatch(
+                f"{basis_path}: basis has shape {subspace.basis.shape}; "
+                f"the profile config needs {shape}")
         subspace.validate(tol=1e-8)
+        feature = np.asarray(s["representative_feature"], dtype=np.float64)
+        if feature.shape != shape[:1]:
+            raise DimensionMismatch(
+                f"{path}: scenario {s['scenario_id']} representative_feature "
+                f"has shape {feature.shape}; the profile config needs "
+                f"{shape[:1]}")
         scenarios.append(ScenarioProfile(
-            scenario_id=s["scenario_id"],
-            representative_feature=np.asarray(s["representative_feature"]),
+            scenario_id=s["scenario_id"], representative_feature=feature,
             subspace=subspace, member_count=s["member_count"],
             labels=dict(s["labels"])))
     return DesignProfile(scenarios=scenarios, combos=combos,
@@ -312,12 +326,20 @@ def read_profile(path) -> DesignProfile:
                          config=config)
 
 
+def _array_sha256(values) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
 def profile_digest(profile: DesignProfile) -> str:
-    """Content hash of a profile, independent of where its files live."""
-    hashes = {s.scenario_id: hashlib.sha256(
-        np.ascontiguousarray(s.subspace.basis, dtype="<f8").tobytes()
-    ).hexdigest() for s in profile.scenarios}
-    doc = _profile_doc(profile, hashes)
+    """Content hash of a profile, independent of where its files live: the
+    sha256 of its canonical JSON with each basis and each representative
+    feature replaced by the sha256 of its ``<f8`` bytes."""
+    doc = _profile_doc(profile, {s.scenario_id: _array_sha256(s.subspace.basis)
+                                 for s in profile.scenarios})
+    for entry, s in zip(doc["scenarios"], profile.scenarios):
+        entry["representative_feature"] = _array_sha256(
+            s.representative_feature)
     return hashlib.sha256(_canonical_json(doc).encode()).hexdigest()
 
 
@@ -370,7 +392,7 @@ def write_trace(path, trace) -> None:
         "kind": "adasel-trace",
         "profile_reference": trace.profile_reference,
     }, sort_keys=True)]
-    for d, ms in zip(trace.decisions, trace.timing_ms):
+    for d, ms in zip(trace.decisions, trace.timing_ms, strict=True):
         lines.append(json.dumps({
             "window_id": d.window_id,
             "matched_scenario_id": d.matched_scenario_id,

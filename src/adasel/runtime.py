@@ -110,27 +110,34 @@ def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
                       degraded=rank < subspace_dim)
 
 
-def _scenario_distances(window: TimeWindow,
-                        profile: DesignProfile) -> np.ndarray:
+def _stack_scenarios(profile: DesignProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The profile's bases (M, a, b) and means (M, a), in profile order."""
+    return (np.stack([s.subspace.basis for s in profile.scenarios]),
+            np.stack([s.representative_feature for s in profile.scenarios]))
+
+
+def _scenario_distances(window: TimeWindow, profile: DesignProfile,
+                        stacked=None) -> np.ndarray:
     """Kernel distance d to every profile scenario, in profile order.
 
     Both sides are compared at the effective dimension: the top
     min(window dim, profile dim) directions of each basis.
     """
+    bases, means = stacked or _stack_scenarios(profile)
     k = min(window.subspace.dim_subspace, profile.config.dim_subspace)
-    bases = np.stack([s.subspace.basis[:, :k] for s in profile.scenarios])
-    means = np.stack([s.representative_feature for s in profile.scenarios])
-    return stacked_distances(bases, means, window.subspace.basis[:, :k],
+    return stacked_distances(bases[:, :, :k], means,
+                             window.subspace.basis[:, :k],
                              window.aggregated_feature)
 
 
-def match_scenario(window: TimeWindow,
-                   profile: DesignProfile) -> tuple[str, np.ndarray]:
+def match_scenario(window: TimeWindow, profile: DesignProfile,
+                   stacked=None) -> tuple[str, np.ndarray]:
     """Nearest training scenario by kernel distance (ties: lowest id).
 
     Returns (scenario_id, similarities) with one similarity exp(-d) per
     profile scenario, in profile order.  The ranking uses d itself, so it
-    stays right where every exp(-d) underflows to 0.
+    stays right where every exp(-d) underflows to 0.  A pass over many
+    windows passes ``stacked = _stack_scenarios(profile)``, built once.
     """
     if not profile.scenarios:
         raise ValueError("profile has no scenarios")
@@ -146,7 +153,7 @@ def match_scenario(window: TimeWindow,
             f"window {window.window_id} has zero variance; "
             "no subspace comparison is possible")
 
-    distances = _scenario_distances(window, profile).tolist()
+    distances = _scenario_distances(window, profile, stacked).tolist()
     best = min(zip(distances, (s.scenario_id for s in profile.scenarios)))
     return best[1], np.array([similarity(d) for d in distances])
 
@@ -174,6 +181,7 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
 
     windows = segment_windows(stream, window_length,
                               min_frames=profile.config.dim_subspace + 1)
+    stacked = _stack_scenarios(profile)
     decisions = []
     timing_ms = []
     for w in windows:
@@ -181,9 +189,11 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
         try:
             built = build_window(w.frame_features,
                                  profile.config.dim_subspace, w.window_id)
-            scenario_id, sims = match_scenario(built, profile)
+            scenario_id, sims = match_scenario(built, profile, stacked)
             combo = select_combo(scenario_id, platform_id, profile)
         except AdaselError as exc:
+            if str(exc).startswith(f"window {w.window_id} "):
+                raise  # the message already names the window
             raise type(exc)(f"window {w.window_id}: {exc}") from exc
         timing_ms.append((time.perf_counter() - t0) * 1000.0)
         decisions.append(SelectionDecision(

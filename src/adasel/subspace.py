@@ -150,10 +150,14 @@ def _principal_directions(samples, b: int) -> tuple[np.ndarray, int]:
     if not (1 <= b < a):
         raise DimensionMismatch(f"need 1 <= b < a={a}, got b={b}")
     centered = X - X.mean(axis=0)
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+    # gesdd runs about twice as fast on the tall orientation (a x n if n < a)
+    tall = n < a
+    U, svals, Vt = np.linalg.svd(centered.T if tall else centered,
+                                 full_matrices=False)
+    V = U if tall else Vt.T
     tol = max(n, a) * np.finfo(np.float64).eps * np.linalg.norm(X)
     rank = int(np.count_nonzero(svals > tol))
-    directions, _ = _fix_signs(Vt[:min(b, rank)].T)
+    directions, _ = _fix_signs(V[:, :min(b, rank)])
     return directions, rank
 
 

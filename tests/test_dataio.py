@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from adasel import dataio
 from adasel.design import (PerformanceRecord, SelectionConstraints,
                            build_design_profile)
-from adasel.errors import (BadMagic, DimensionOverflow, DuplicateKey,
-                           MalformedRow, ManifestInvalid, NegativeError,
-                           TruncatedPayload, UnsupportedVersion)
+from adasel.errors import (BadMagic, DimensionMismatch, DimensionOverflow,
+                           DuplicateKey, MalformedRow, ManifestInvalid,
+                           NegativeError, TruncatedPayload, UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
-from adasel.runtime import run_selection
+from adasel.runtime import SelectionTrace, run_selection
 
 OPEN = SelectionConstraints(max_mean_error=float("inf"), required_fps=0.0,
                             max_cost=float("inf"))
@@ -142,6 +143,34 @@ def test_stream_manifest_future_version_rejected(tmp_path, rng):
         dataio.read_stream(path)
 
 
+def test_stream_single_matrix_is_loaded_once(tmp_path, rng):
+    frames = rng.standard_normal((500, 1000))
+    path = tmp_path / "stream_manifest.json"
+    dataio.write_stream(path, frames)
+    tracemalloc.start()
+    try:
+        stream = dataio.read_stream(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stream.frames, frames)
+    assert peak < 1.25 * frames.nbytes
+
+
+def test_stream_multi_part_manifest_concatenates(tmp_path, rng):
+    frames = rng.standard_normal((7, 5))
+    path = tmp_path / "stream_manifest.json"
+    dataio.write_stream(path, frames, labels=[f"g{i}" for i in range(7)])
+    dataio.write_matrix(tmp_path / "head.mat", frames[:3])
+    dataio.write_matrix(tmp_path / "tail.mat", frames[3:])
+    doc = json.loads(path.read_text())
+    doc["matrices"] = ["head.mat", "tail.mat"]
+    path.write_text(json.dumps(doc))
+    stream = dataio.read_stream(path)
+    assert np.array_equal(stream.frames, frames)
+    assert stream.labels == [f"g{i}" for i in range(7)]
+
+
 # --------------------------------------------------------------------------
 # performance tables
 
@@ -270,6 +299,28 @@ def test_profile_v1_ignores_missing_complement_sidecars(tmp_path):
     assert dataio.profile_digest(back) == dataio.profile_digest(profile)
 
 
+def test_profile_rejects_basis_of_wrong_shape(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.basis.mat"
+    dataio.write_matrix(sidecar, profile.scenarios[1].subspace.basis[:, :-1])
+    with pytest.raises(DimensionMismatch, match=sidecar.name):
+        dataio.read_profile(path)
+
+
+def test_profile_rejects_representative_feature_of_wrong_length(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["scenarios"][1]["representative_feature"].pop()
+    path.write_text(json.dumps(doc))
+    scenario_id = profile.scenarios[1].scenario_id
+    with pytest.raises(DimensionMismatch, match=f"scenario {scenario_id} "):
+        dataio.read_profile(path)
+
+
 def test_profile_digest_tracks_content(tmp_path):
     _, profile = pipeline_profile()
     d1 = dataio.profile_digest(profile)
@@ -279,6 +330,14 @@ def test_profile_digest_tracks_content(tmp_path):
     assert dataio.profile_digest(dataio.read_profile(path)) == d1
     profile.scenarios[0].labels["p1"] = "c01" \
         if profile.scenarios[0].labels["p1"] != "c01" else "c00"
+    assert dataio.profile_digest(profile) != d1
+
+
+def test_profile_digest_sees_one_ulp_of_a_representative_feature():
+    _, profile = pipeline_profile()
+    d1 = dataio.profile_digest(profile)
+    feature = profile.scenarios[0].representative_feature
+    feature[3] = np.nextafter(feature[3], np.inf)
     assert dataio.profile_digest(profile) != d1
 
 
@@ -314,6 +373,18 @@ def test_trace_round_trip(tmp_path):
         assert d1.chosen_combo_id == d2.chosen_combo_id
         assert d1.platform_id == d2.platform_id
         assert np.array_equal(d1.all_similarities, d2.all_similarities)
+
+
+def test_trace_without_timings_is_not_written(tmp_path):
+    dataset, profile = pipeline_profile()
+    trace = run_selection(dataset.test_stream, profile, "p1",
+                          dataset.config.frames_per_scenario)
+    untimed = SelectionTrace(decisions=trace.decisions,
+                             profile_reference=trace.profile_reference)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError):
+        dataio.write_trace(path, untimed)
+    assert not path.exists()
 
 
 def test_trace_reference_matches_profile_digest(tmp_path):

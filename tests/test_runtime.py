@@ -124,6 +124,12 @@ def test_degraded_window_costs_one_svd(rng, monkeypatch):
     assert calls == [(10, 6)]
 
 
+def test_window_repeating_five_frames_degrades_to_dim_4(rng):
+    distinct = rng.standard_normal((5, 1288))
+    w = build_window(np.resize(distinct, (30, 1288)), 20)
+    assert w.degraded and w.subspace.dim_subspace == 4
+
+
 def test_build_window_invariants(rng):
     frames = rng.standard_normal((30, 20))
     w = build_window(frames, 5, window_id=3)
@@ -445,7 +451,35 @@ def test_run_selection_attaches_window_context(rng):
                         np.tile(np.arange(16.0), (12, 1))])
     with pytest.raises(DegenerateWindow) as exc:
         run_selection(stream, profile, "p1", 12)
-    assert "window 2" in str(exc.value)
+    assert str(exc.value).count("window 2") == 1
+
+
+def test_run_selection_names_a_short_window_once():
+    dataset = small_dataset()
+    profile = profile_for(dataset)
+    with pytest.raises(TooFewFrames) as exc:
+        run_selection(dataset.test_stream[:3], profile, "p1", 12)
+    assert str(exc.value) == "window 0 has 3 frames; need at least 4"
+
+
+def test_run_selection_equals_matching_each_window_alone(rng):
+    dataset = small_dataset(n_windows=6)
+    profile = profile_for(dataset)
+    stream = dataset.test_stream.copy()
+    stream[12:24] = np.resize(stream[12:14], (12, 16))   # rank 1 of 3
+    stream[36:48] = np.resize(stream[36:39], (12, 16))   # rank 2 of 3
+    trace = run_selection(stream, profile, "p1", 12)
+    degraded = []
+    for d in trace.decisions:
+        w = build_window(stream[12 * d.window_id:12 * (d.window_id + 1)],
+                         3, d.window_id)
+        degraded.append(w.degraded)
+        scenario_id, sims = match_scenario(w, profile)
+        assert d.matched_scenario_id == scenario_id
+        assert d.all_similarities.tobytes() == sims.tobytes()
+        assert d.similarity == sims.max()
+        assert d.chosen_combo_id == select_combo(scenario_id, "p1", profile)
+    assert degraded == [False, True, False, True, False, False]
 
 
 def test_mean_similarity(rng):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from adasel.errors import DimensionMismatch, NotOrthonormal, RankDeficient
-from adasel.subspace import (SubspaceBasis, orthogonal_complement, pca_basis,
+from adasel.subspace import (SubspaceBasis, _principal_directions,
+                             orthogonal_complement, pca_basis,
                              principal_angles)
-from conftest import random_subspace
+from conftest import max_sine_angle, random_subspace
 
 
 # --------------------------------------------------------------------------
@@ -69,6 +70,28 @@ def test_pca_deterministic(rng):
     s1 = pca_basis(samples, 3)
     s2 = pca_basis(samples.copy(), 3)
     assert np.array_equal(s1.basis, s2.basis)
+
+
+@pytest.mark.parametrize("n, a, factors", [(30, 200, 30), (30, 200, 7),
+                                           (300, 40, 40), (300, 40, 6)])
+def test_principal_directions_agree_with_the_wide_svd(rng, n, a, factors):
+    X = rng.standard_normal((n, factors)) @ rng.standard_normal((factors, a))
+    X += rng.standard_normal(a)
+    b = 12
+    directions, got_rank = _principal_directions(X, b)
+
+    # reference: the SVD of the n x a centered frames as they come
+    centered = X - X.mean(axis=0)
+    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+    tol = max(n, a) * np.finfo(np.float64).eps * np.linalg.norm(X)
+    expect_rank = int(np.count_nonzero(svals > tol))
+    assert got_rank == expect_rank
+    k = min(b, expect_rank)
+    assert directions.shape == (a, k)
+    assert np.abs(directions.T @ directions - np.eye(k)).max() < 1e-12
+    assert max_sine_angle(directions, Vt[:k].T) < 1e-12
+    peak = directions[np.argmax(np.abs(directions), axis=0), np.arange(k)]
+    assert np.all(peak > 0)
 
 
 # --------------------------------------------------------------------------
