@@ -29,23 +29,33 @@ log = logging.getLogger("adasel")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42,
-                        help="seed for all randomized steps (default 42)")
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
+
+
+def _index_pair(key: str) -> tuple[int, int]:
+    try:
+        i, h = (int(part) for part in key.split(","))
+    except ValueError:
+        raise ConfigInvalid(
+            f"error_model key {key!r} is not 'scenario,combo'") from None
+    return i, h
 
 
 def load_synth_config(path, default_seed: int) -> SyntheticConfig:
     """SyntheticConfig from a JSON file; unknown keys are rejected."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{path}: expected a JSON object")
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
     unknown = set(doc) - known
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    if "error_model" in doc and doc["error_model"] is not None:
-        doc["error_model"] = {
-            (int(k.split(",")[0]), int(k.split(",")[1])): v
-            for k, v in doc["error_model"].items()}
+    model = doc.get("error_model")
+    if model is not None:
+        if not isinstance(model, dict):
+            raise ConfigInvalid("error_model must be a JSON object")
+        doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
     doc.setdefault("seed", default_seed)
     return SyntheticConfig(**doc)
 
@@ -124,6 +134,8 @@ def cmd_select(args) -> int:
 def cmd_eval(args) -> int:
     trace = dataio.read_trace(args.trace)
     truth = harness.read_window_truth(args.truth)
+    log.debug("%d trace windows, %d ground-truth windows",
+              len(trace.decisions), len(truth))
     report = evaluate_regret(trace, truth)
     out = Path(args.out)
     out.write_text(harness.emit_report(report, "csv"))
@@ -149,6 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--config", help="JSON file of generator settings")
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--seed", type=int, default=42,
+                   help="generator seed unless the config sets one "
+                        "(default 42)")
     _common_flags(p)
     p.set_defaults(func=cmd_synth)
 
@@ -171,6 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-length", type=int, default=30,
                    help="default runtime window length stored in the profile")
     p.add_argument("--out", required=True, help="profile JSON output path")
+    p.add_argument("--seed", type=int, default=42,
+                   help="k-means seed (default 42)")
     _common_flags(p)
     p.set_defaults(func=cmd_profile)
 

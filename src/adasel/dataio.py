@@ -405,20 +405,40 @@ def write_trace(path, trace) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_DECISION_FIELDS = ("window_id", "matched_scenario_id", "similarity",
+                    "all_similarities", "chosen_combo_id", "platform_id",
+                    "elapsed_ms")
+
+
+def _trace_record(path, lineno: int, line: str, fields) -> dict:
+    """One trace line as a JSON object holding ``fields``."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRow(f"{path}:{lineno}: not JSON ({exc.msg})") from None
+    if not isinstance(rec, dict):
+        raise MalformedRow(f"{path}:{lineno}: expected a JSON object")
+    missing = [f for f in fields if f not in rec]
+    if missing:
+        raise MalformedRow(f"{path}:{lineno}: missing field {missing[0]!r}")
+    return rec
+
+
 def read_trace(path):
+    """Parse a trace; a bad line raises MalformedRow naming ``path:line``."""
     from .runtime import SelectionDecision, SelectionTrace
 
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise MalformedRow(f"{path}: empty trace")
-    header = json.loads(lines[0])
+    header = _trace_record(path, 1, lines[0], ("profile_reference",))
     _check_version(header, path)
     decisions = []
     timing_ms = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        rec = _trace_record(path, lineno, line, _DECISION_FIELDS)
         decisions.append(SelectionDecision(
             window_id=rec["window_id"],
             matched_scenario_id=rec["matched_scenario_id"],

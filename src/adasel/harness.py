@@ -18,17 +18,27 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
                      cluster_scenarios)
-from .errors import ConfigInvalid, MalformedRow, Misaligned
+from .errors import ConfigInvalid, DuplicateKey, MalformedRow, Misaligned
 from .runtime import SelectionTrace
 
 REPORT_VERSION = 1
+
+MIN_SEPARATION = 0.2  # floor on the smallest angle between scenario subspaces
+STAY_PROB = 0.6  # chance that a test window keeps the previous one's scenario
+ERROR_NOISE = 0.5  # half-width of the uniform noise on a window's true errors
+
+
+def _is_number(value, kind) -> bool:
+    """isinstance for numbers, with bool (a subclass of int) excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -37,9 +47,7 @@ class SyntheticConfig:
 
     ``error_model`` maps (scenario index, combo index) to a mean error;
     when None, a model is generated in which scenario i's best combo is
-    combo i mod n_combos.  Extra generator knobs (mean_scale, separation,
-    stay_prob, error_noise) have fixed defaults and stay deterministic
-    under ``seed``.
+    combo i mod n_combos.
     """
 
     dim_ambient: int = 64
@@ -52,11 +60,16 @@ class SyntheticConfig:
     seed: int = 42
     error_model: dict[tuple[int, int], float] | None = None
     mean_scale: float = 4.0
-    min_separation: float = 0.2
-    stay_prob: float = 0.6
-    error_noise: float = 0.5
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and not _is_number(value, Integral):
+                raise ConfigInvalid(
+                    f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is float and not _is_number(value, Real):
+                raise ConfigInvalid(
+                    f"{f.name} must be a number, got {value!r}")
         checks = [
             (self.dim_ambient >= 2, "dim_ambient must be >= 2"),
             (self.dim_subspace >= 1, "dim_subspace must be >= 1"),
@@ -68,8 +81,6 @@ class SyntheticConfig:
              "frames_per_scenario must exceed dim_subspace"),
             (self.n_windows >= 1, "n_windows must be >= 1"),
             (self.noise_sigma >= 0.0, "noise_sigma must be >= 0"),
-            (0.0 < self.stay_prob <= 1.0, "stay_prob must be in (0, 1]"),
-            (self.error_noise >= 0.0, "error_noise must be >= 0"),
         ]
         for ok, reason in checks:
             if not ok:
@@ -139,7 +150,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     M, H = config.n_scenarios, config.n_combos
     rng = np.random.default_rng(config.seed)
 
-    bases = _random_subspaces(rng, a, b, M, config.min_separation)
+    bases = _random_subspaces(rng, a, b, M, MIN_SEPARATION)
     means = _separated_means(rng, a, M, config.mean_scale)
     amps = np.linspace(1.2, 0.6, b)
 
@@ -159,7 +170,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     state = int(rng.integers(M))
     for _ in range(config.n_windows):
         states.append(state)
-        if M > 1 and rng.random() > config.stay_prob:
+        if M > 1 and rng.random() > STAY_PROB:
             others = [s for s in range(M) if s != state]
             state = others[int(rng.integers(M - 1))]
     test_stream = np.vstack([
@@ -173,9 +184,11 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
                 if (i, h) not in mean_err:
                     raise ConfigInvalid(
                         f"error_model lacks entry for scenario {i}, combo {h}")
-                if mean_err[(i, h)] < 0.0:
+                value = mean_err[(i, h)]
+                if not _is_number(value, Real) or value < 0.0:
                     raise ConfigInvalid(
-                        f"error_model[{i}, {h}] is negative")
+                        f"error_model[{i}, {h}] must be a number >= 0, "
+                        f"got {value!r}")
     else:
         mean_err = {(i, h): 2.0 if h == i % H else float(rng.uniform(5.0, 9.0))
                     for i in range(M) for h in range(H)}
@@ -204,7 +217,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     if len(set(gen_to_cluster.values())) != M:
         raise ConfigInvalid(
             "clustering did not separate the generated scenarios; "
-            "lower noise_sigma or raise mean_scale/min_separation")
+            "lower noise_sigma or raise mean_scale")
 
     performance = [
         PerformanceRecord(scenario_id=gen_to_cluster[gen_ids[i]],
@@ -215,7 +228,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     window_truth = []
     test_labels = []
     for w, s in enumerate(states):
-        noise = rng.uniform(-config.error_noise, config.error_noise, size=H)
+        noise = rng.uniform(-ERROR_NOISE, ERROR_NOISE, size=H)
         errors = {combos[h].id: float(max(0.0, mean_err[(s, h)] + noise[h]))
                   for h in range(H)}
         window_truth.append(WindowTruth(
@@ -280,6 +293,10 @@ def evaluate_regret(trace: SelectionTrace,
     have_truth_ids = all(t.true_scenario_id is not None for t in window_truth)
 
     for decision, truth in zip(trace.decisions, window_truth):
+        if decision.window_id != truth.window_id:
+            raise Misaligned(
+                f"trace window {decision.window_id} is paired with "
+                f"ground-truth window {truth.window_id}")
         if sorted(truth.errors) != combo_ids:
             raise Misaligned(
                 f"window {truth.window_id}: ground-truth combos differ "
@@ -381,6 +398,7 @@ def read_window_truth(path) -> list[WindowTruth]:
             raise MalformedRow(
                 f"{path}: header must start with window_id,combo_id,error")
         by_window: dict[int, WindowTruth] = {}
+        seen: dict[tuple[int, str], int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -392,9 +410,15 @@ def read_window_truth(path) -> list[WindowTruth]:
             except ValueError:
                 raise MalformedRow(
                     f"{path}:{lineno}: bad window_id or error") from None
+            key = (wid, row[1].strip())
+            if key in seen:
+                raise DuplicateKey(
+                    f"{path}:{lineno}: duplicate (window, combo) {key} "
+                    f"(first seen at line {seen[key]})")
+            seen[key] = lineno
             sid = row[3].strip() if len(row) > 3 and row[3].strip() else None
             truth = by_window.setdefault(
                 wid, WindowTruth(window_id=wid, true_scenario_id=sid,
                                  errors={}))
-            truth.errors[row[1].strip()] = error
+            truth.errors[key[1]] = error
     return [by_window[w] for w in sorted(by_window)]

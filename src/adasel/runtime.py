@@ -25,7 +25,7 @@ from .subspace import SubspaceBasis, _principal_directions, as_feature_matrix
 
 @dataclass
 class TimeWindow:
-    """A contiguous block of frames with its aggregated feature and subspace.
+    """A built window: its frames' aggregated feature and subspace.
 
     ``degraded`` marks windows whose frames had rank < the configured
     subspace dimension; ``subspace`` then holds the largest achievable
@@ -33,10 +33,9 @@ class TimeWindow:
     """
 
     window_id: int
-    frame_features: np.ndarray
-    aggregated_feature: np.ndarray | None = None
-    subspace: SubspaceBasis | None = None
-    degraded: bool = False
+    aggregated_feature: np.ndarray
+    subspace: SubspaceBasis | None
+    degraded: bool
 
 
 @dataclass
@@ -68,13 +67,14 @@ class SelectionTrace:
 
 
 def segment_windows(stream, length: int,
-                    min_frames: int = 1) -> list[TimeWindow]:
-    """Split a stream into consecutive non-overlapping windows of ``length``.
+                    min_frames: int = 1) -> list[np.ndarray]:
+    """Split a stream into consecutive non-overlapping frame blocks.
 
-    A trailing remainder of at least length/2 and at least ``min_frames``
-    frames becomes a final short window; a smaller remainder is merged into
-    the previous window.  Every frame lands in exactly one window.  Frames
-    are checked when their window is built, so an error names the window.
+    Blocks hold ``length`` frames and are views of the stream.  A trailing
+    remainder of at least length/2 and at least ``min_frames`` frames
+    becomes a final short block; a smaller remainder is merged into the
+    previous block.  Every frame lands in exactly one block.  Frames are
+    checked when their window is built, so an error names the window.
     """
     if length < 2:
         raise ValueError(f"window length must be >= 2, got {length}")
@@ -87,8 +87,7 @@ def segment_windows(stream, length: int,
     if len(bounds) > 1 and n - bounds[-1] < max(length / 2, min_frames):
         bounds.pop()  # merge short remainder into the previous window
     bounds.append(n)
-    return [TimeWindow(window_id=i, frame_features=X[lo:hi])
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    return [X[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
@@ -104,8 +103,7 @@ def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
             f"window {window_id} has {X.shape[0]} frames; "
             f"need at least {subspace_dim + 1}")
     directions, rank = _principal_directions(X, subspace_dim)
-    return TimeWindow(window_id=window_id, frame_features=X,
-                      aggregated_feature=X.mean(axis=0),
+    return TimeWindow(window_id=window_id, aggregated_feature=X.mean(axis=0),
                       subspace=SubspaceBasis(directions) if rank else None,
                       degraded=rank < subspace_dim)
 
@@ -141,8 +139,6 @@ def match_scenario(window: TimeWindow, profile: DesignProfile,
     """
     if not profile.scenarios:
         raise ValueError("profile has no scenarios")
-    if window.aggregated_feature is None:
-        raise ValueError("window was not built (no aggregated feature)")
     a = profile.config.dim_ambient
     if window.aggregated_feature.shape[0] != a:
         raise DimensionMismatch(
@@ -184,20 +180,19 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
     stacked = _stack_scenarios(profile)
     decisions = []
     timing_ms = []
-    for w in windows:
+    for i, frames in enumerate(windows):
         t0 = time.perf_counter()
         try:
-            built = build_window(w.frame_features,
-                                 profile.config.dim_subspace, w.window_id)
-            scenario_id, sims = match_scenario(built, profile, stacked)
+            window = build_window(frames, profile.config.dim_subspace, i)
+            scenario_id, sims = match_scenario(window, profile, stacked)
             combo = select_combo(scenario_id, platform_id, profile)
         except AdaselError as exc:
-            if str(exc).startswith(f"window {w.window_id} "):
+            if str(exc).startswith(f"window {i} "):
                 raise  # the message already names the window
-            raise type(exc)(f"window {w.window_id}: {exc}") from exc
+            raise type(exc)(f"window {i}: {exc}") from exc
         timing_ms.append((time.perf_counter() - t0) * 1000.0)
         decisions.append(SelectionDecision(
-            window_id=w.window_id, matched_scenario_id=scenario_id,
+            window_id=i, matched_scenario_id=scenario_id,
             similarity=float(sims.max()), all_similarities=sims,
             chosen_combo_id=combo, platform_id=platform_id))
     return SelectionTrace(decisions=decisions,

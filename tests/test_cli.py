@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import adasel
 from adasel.cli import main
 
@@ -190,6 +192,88 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
     rc = main(["synth", "--config", str(cfg2),
                "--out-dir", str(tmp_path / "y")])
     assert rc == 1
+
+
+def test_synth_config_naming_a_fixed_setting_exits_1(tmp_path, capsys):
+    for name in ["min_separation", "stay_prob", "error_noise"]:
+        cfg = write_config(tmp_path, **{name: 0.5})
+        rc = main(["synth", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ConfigInvalid: unknown config keys" in err and name in err
+
+
+def test_synth_config_bad_error_model_key_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, error_model={"1": 2.0})
+    rc = main(["synth", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert "error: ConfigInvalid: error_model key '1'" in \
+        capsys.readouterr().err
+
+
+def test_synth_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    for text in ["[]", json.dumps(dict(SMALL_CONFIG, error_model=[1]))]:
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(text)
+        rc = main(["synth", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: ConfigInvalid: " in capsys.readouterr().err
+
+
+def test_synth_config_string_dimension_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, dim_ambient="16")
+    rc = main(["synth", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert "error: ConfigInvalid: dim_ambient" in capsys.readouterr().err
+
+
+def test_select_and_eval_take_no_seed(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    for argv in (["select", "--profile", str(out / "profile.json"),
+                  "--stream", str(out / "test_manifest.json"),
+                  "--out", str(out / "t2.jsonl")],
+                 ["eval", "--trace", str(out / "trace.jsonl"),
+                  "--truth", str(out / "window_truth.csv"),
+                  "--out", str(out / "r2.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_eval_malformed_trace_exits_1_naming_the_line(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    first = json.loads(lines[1])
+    del first["elapsed_ms"]
+    bad = out / "bad_trace.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(first)] + lines[2:]))
+    rc = main(["eval", "--trace", str(bad),
+               "--truth", str(out / "window_truth.csv"),
+               "--out", str(out / "r2.csv")])
+    assert rc == 1
+    assert (f"error: MalformedRow: {bad}:2: missing field 'elapsed_ms'"
+            in capsys.readouterr().err)
+
+
+def test_eval_verbose_logs_a_debug_line(tmp_path):
+    out = run_pipeline(tmp_path)
+    src = str(Path(adasel.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "adasel.cli", "eval", "--verbose",
+         "--trace", str(out / "trace.jsonl"),
+         "--truth", str(out / "window_truth.csv"),
+         "--out", str(out / "r2.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0
+    assert "DEBUG adasel: 12 trace windows, 12 ground-truth windows" in \
+        result.stderr
 
 
 def test_console_script_help():

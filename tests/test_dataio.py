@@ -387,6 +387,32 @@ def test_trace_without_timings_is_not_written(tmp_path):
     assert not path.exists()
 
 
+def test_trace_bad_lines_raise_malformed_row_naming_the_line(tmp_path):
+    dataset, profile = pipeline_profile()
+    trace = run_selection(dataset.test_stream, profile, "p1",
+                          dataset.config.frames_per_scenario)
+    path = tmp_path / "trace.jsonl"
+    dataio.write_trace(path, trace)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["profile_reference"]
+    first = json.loads(lines[1])
+    del first["elapsed_ms"]
+    cases = [
+        (0, json.dumps(header), ":1: missing field 'profile_reference'"),
+        (1, json.dumps(first), ":2: missing field 'elapsed_ms'"),
+        (2, "{not json", ":3: not JSON"),
+        (2, "[1, 2]", ":3: expected a JSON object"),
+    ]
+    for index, replacement, message in cases:
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:index] + [replacement]
+                                 + lines[index + 1:]) + "\n")
+        with pytest.raises(MalformedRow) as exc:
+            dataio.read_trace(bad)
+        assert str(exc.value).startswith(f"{bad}{message}")
+
+
 def test_trace_reference_matches_profile_digest(tmp_path):
     dataset, profile = pipeline_profile()
     trace = run_selection(dataset.test_stream, profile, "p1",

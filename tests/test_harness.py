@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adasel.design import SelectionConstraints, build_design_profile
-from adasel.errors import ConfigInvalid, Misaligned
+from adasel.errors import ConfigInvalid, DuplicateKey, Misaligned
 from adasel.harness import (RegretReport, SyntheticConfig, WindowTruth,
                             emit_report, evaluate_regret, generate_synthetic,
                             parse_report, read_window_truth,
@@ -114,6 +114,17 @@ def test_config_validation():
         SyntheticConfig(n_windows=0).validate()
 
 
+def test_config_rejects_values_that_are_not_numbers():
+    for field, value in [("dim_ambient", "16"), ("n_windows", 2.5),
+                         ("seed", True), ("noise_sigma", None)]:
+        with pytest.raises(ConfigInvalid, match=field):
+            generate_synthetic(tiny_config(**{field: value}))
+    model = {(i, h): 1.0 for i in range(3) for h in range(3)}
+    model[(2, 0)] = "1.0"
+    with pytest.raises(ConfigInvalid, match=r"error_model\[2, 0\]"):
+        generate_synthetic(tiny_config(error_model=model))
+
+
 def test_custom_error_model_must_be_complete():
     with pytest.raises(ConfigInvalid):
         generate_synthetic(tiny_config(error_model={(0, 0): 1.0}))
@@ -198,6 +209,13 @@ def test_misaligned_window_counts():
         evaluate_regret(fake_trace(["c00"]), truth_grid())
 
 
+def test_misaligned_window_ids():
+    truth = [WindowTruth(t.window_id + 1, t.true_scenario_id, t.errors)
+             for t in truth_grid()]
+    with pytest.raises(Misaligned, match="trace window 0 .* window 1"):
+        evaluate_regret(fake_trace(["c00", "c01", "c00"]), truth)
+
+
 def test_misaligned_combo_sets():
     truth = truth_grid()
     truth[1] = WindowTruth(1, "s001", {"c00": 5.0})
@@ -269,3 +287,15 @@ def test_window_truth_without_scenario_ids(tmp_path):
     path = tmp_path / "truth.csv"
     write_window_truth(path, truths)
     assert read_window_truth(path) == truths
+
+
+def test_window_truth_duplicate_pair_reports_both_lines(tmp_path):
+    path = tmp_path / "truth.csv"
+    write_window_truth(path, truth_grid())
+    with open(path, "a") as fh:
+        fh.write("0,c00,0.0,s000\n")
+    with pytest.raises(DuplicateKey) as exc:
+        read_window_truth(path)
+    # header, then two rows per window: the pair first appeared on line 2
+    assert f"{path}:8:" in str(exc.value)
+    assert "first seen at line 2" in str(exc.value)

@@ -49,33 +49,32 @@ def profile_for(dataset):
 
 def test_segment_exact_multiple(rng):
     windows = segment_windows(rng.standard_normal((90, 4)), 30)
-    assert [w.frame_features.shape[0] for w in windows] == [30, 30, 30]
-    assert [w.window_id for w in windows] == [0, 1, 2]
+    assert [w.shape[0] for w in windows] == [30, 30, 30]
 
 
 def test_segment_small_remainder_merged(rng):
     windows = segment_windows(rng.standard_normal((95, 4)), 30)
-    assert [w.frame_features.shape[0] for w in windows] == [30, 30, 35]
+    assert [w.shape[0] for w in windows] == [30, 30, 35]
 
 
 def test_segment_large_remainder_kept(rng):
     windows = segment_windows(rng.standard_normal((50, 4)), 30)
-    assert [w.frame_features.shape[0] for w in windows] == [30, 20]
+    assert [w.shape[0] for w in windows] == [30, 20]
 
 
 def test_segment_short_stream_single_window(rng):
     windows = segment_windows(rng.standard_normal((7, 4)), 30)
-    assert [w.frame_features.shape[0] for w in windows] == [7]
+    assert [w.shape[0] for w in windows] == [7]
 
 
 def test_segment_covers_every_frame_once(rng):
     for n in [10, 29, 30, 31, 44, 45, 59, 60, 100]:
         stream = rng.standard_normal((n, 3))
         windows = segment_windows(stream, 30)
-        assert sum(w.frame_features.shape[0] for w in windows) == n
-        rebuilt = np.vstack([w.frame_features for w in windows])
+        assert sum(w.shape[0] for w in windows) == n
+        rebuilt = np.vstack(windows)
         assert np.array_equal(rebuilt, stream)
-        assert [w.window_id for w in windows] == list(range(len(windows)))
+        assert all(np.shares_memory(w, stream) for w in windows)
 
 
 def test_segment_empty_stream():
@@ -306,7 +305,7 @@ def windows_and_profiles(draw):
     profile = DesignProfile(scenarios=scenarios, combos=[], platforms=[],
                             performance=[], selected_platform=None,
                             config=ProfileConfig(a, b, b + 1, 0))
-    window = TimeWindow(window_id=0, frame_features=np.empty((0, a)),
+    window = TimeWindow(window_id=0,
                         aggregated_feature=rng.standard_normal(a),
                         subspace=SubspaceBasis(z), degraded=k < b)
     return window, profile
@@ -439,7 +438,7 @@ def test_run_selection_merges_remainder_too_short_for_a_subspace():
     profile = profile_for(dataset)
     stream = dataset.test_stream[:110]
     windows = segment_windows(stream, 20, min_frames=13)
-    assert [w.frame_features.shape[0] for w in windows] == [20] * 4 + [30]
+    assert [w.shape[0] for w in windows] == [20] * 4 + [30]
     trace = run_selection(stream, profile, "p1", 20)
     assert [d.window_id for d in trace.decisions] == list(range(5))
 
