@@ -5,8 +5,9 @@ layout (magic ``ADSLMAT1``, u64 rows, u64 cols, row-major f64 payload);
 JSON documents are written with sorted keys and repr-exact floats so that
 identical inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
-Version 2 profiles store only each scenario's basis; the complement sidecars
-a version 1 profile names are ignored.
+Version 3 profiles store only what selection reads.  Versions 1 and 2 still
+load; their complement sidecars, performance table, catalog, seed and
+constraints are not read.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
-                     PlatformSpec, ProfileConfig, ScenarioProfile,
-                     SelectionConstraints)
+                     PlatformSpec, ProfileConfig, ScenarioProfile)
 from .errors import (BadMagic, DimensionMismatch, DimensionOverflow,
                      DuplicateKey, MalformedRow, ManifestInvalid,
                      NegativeError, TruncatedPayload, UnsupportedVersion)
 from .subspace import SubspaceBasis
 
 MATRIX_MAGIC = b"ADSLMAT1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
 
@@ -235,35 +235,21 @@ def read_performance_table(path) -> list[PerformanceRecord]:
 # --------------------------------------------------------------------------
 # design profiles (JSON + matrix sidecars)
 
-def _profile_doc(profile: DesignProfile, basis_refs) -> dict:
+def _profile_doc(profile: DesignProfile, basis_refs, feature_refs) -> dict:
     cfg = profile.config
-    constraints = None
-    if cfg.constraints is not None:
-        constraints = {
-            "max_mean_error": float(cfg.constraints.max_mean_error),
-            "required_fps": float(cfg.constraints.required_fps),
-            "max_cost": float(cfg.constraints.max_cost),
-        }
     return {
         "format_version": FORMAT_VERSION,
         "config": {
             "dim_ambient": int(cfg.dim_ambient),
             "dim_subspace": int(cfg.dim_subspace),
             "window_length": int(cfg.window_length),
-            "seed": int(cfg.seed),
-            "constraints": constraints,
         },
         "selected_platform": profile.selected_platform,
-        **_catalog_doc(profile.combos, profile.platforms),
-        "performance": [{"scenario_id": r.scenario_id, "combo_id": r.combo_id,
-                         "platform_id": r.platform_id, "error": float(r.error),
-                         "extras": {k: float(v) for k, v in r.extras.items()}}
-                        for r in profile.performance],
         "scenarios": [{
             "scenario_id": s.scenario_id,
             "member_count": int(s.member_count),
             "labels": s.labels,
-            "representative_feature": s.representative_feature.tolist(),
+            "representative_feature": feature_refs[s.scenario_id],
             "basis_file": basis_refs[s.scenario_id],
         } for s in profile.scenarios],
     }
@@ -277,7 +263,10 @@ def write_profile(path, profile: DesignProfile) -> None:
         basis_file = f"{stem}.{s.scenario_id}.basis.mat"
         write_matrix(path.parent / basis_file, s.subspace.basis)
         basis_files[s.scenario_id] = basis_file
-    path.write_text(_canonical_json(_profile_doc(profile, basis_files)))
+    features = {s.scenario_id: s.representative_feature.tolist()
+                for s in profile.scenarios}
+    path.write_text(_canonical_json(
+        _profile_doc(profile, basis_files, features)))
 
 
 def read_profile(path) -> DesignProfile:
@@ -285,21 +274,9 @@ def read_profile(path) -> DesignProfile:
     doc = json.loads(path.read_text())
     _check_version(doc, path)
     cfg = doc["config"]
-    constraints = None
-    if cfg.get("constraints") is not None:
-        c = cfg["constraints"]
-        constraints = SelectionConstraints(
-            max_mean_error=c["max_mean_error"],
-            required_fps=c["required_fps"], max_cost=c["max_cost"])
     config = ProfileConfig(
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
-        window_length=cfg["window_length"], seed=cfg["seed"],
-        constraints=constraints)
-    combos, platforms = _catalog_from_doc(doc)
-    performance = [PerformanceRecord(
-        scenario_id=r["scenario_id"], combo_id=r["combo_id"],
-        platform_id=r["platform_id"], error=r["error"],
-        extras=dict(r.get("extras", {}))) for r in doc["performance"]]
+        window_length=cfg["window_length"])
     shape = (config.dim_ambient, config.dim_subspace)
     scenarios = []
     for s in doc["scenarios"]:
@@ -320,8 +297,7 @@ def read_profile(path) -> DesignProfile:
             scenario_id=s["scenario_id"], representative_feature=feature,
             subspace=subspace, member_count=s["member_count"],
             labels=dict(s["labels"])))
-    return DesignProfile(scenarios=scenarios, combos=combos,
-                         platforms=platforms, performance=performance,
+    return DesignProfile(scenarios=scenarios,
                          selected_platform=doc.get("selected_platform"),
                          config=config)
 
@@ -335,21 +311,22 @@ def profile_digest(profile: DesignProfile) -> str:
     """Content hash of a profile, independent of where its files live: the
     sha256 of its canonical JSON with each basis and each representative
     feature replaced by the sha256 of its ``<f8`` bytes."""
-    doc = _profile_doc(profile, {s.scenario_id: _array_sha256(s.subspace.basis)
-                                 for s in profile.scenarios})
-    for entry, s in zip(doc["scenarios"], profile.scenarios):
-        entry["representative_feature"] = _array_sha256(
-            s.representative_feature)
+    doc = _profile_doc(
+        profile,
+        {s.scenario_id: _array_sha256(s.subspace.basis)
+         for s in profile.scenarios},
+        {s.scenario_id: _array_sha256(s.representative_feature)
+         for s in profile.scenarios})
     return hashlib.sha256(_canonical_json(doc).encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------
-# combo/platform capability files (Table-II-shaped); profiles embed the
-# same combos and platforms block
+# combo/platform capability files (Table-II-shaped)
 
-def _catalog_doc(combos: list[AlgoParamCombo],
-                 platforms: list[PlatformSpec]) -> dict:
-    return {
+def write_platforms(path, combos: list[AlgoParamCombo],
+                    platforms: list[PlatformSpec]) -> None:
+    doc = {
+        "format_version": FORMAT_VERSION,
         "combos": [{"id": c.id, "algorithm": c.algorithm, "fps": float(c.fps),
                     "resolution": [int(v) for v in c.resolution]}
                    for c in combos],
@@ -358,9 +335,12 @@ def _catalog_doc(combos: list[AlgoParamCombo],
                                               in p.combo_capabilities.items()}}
                       for p in platforms],
     }
+    Path(path).write_text(_canonical_json(doc))
 
 
-def _catalog_from_doc(doc) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
+def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
+    doc = json.loads(Path(path).read_text())
+    _check_version(doc, path)
     combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
                              fps=c["fps"], resolution=tuple(c["resolution"]))
               for c in doc["combos"]]
@@ -368,19 +348,6 @@ def _catalog_from_doc(doc) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
                               combo_capabilities=dict(p["combo_capabilities"]))
                  for p in doc["platforms"]]
     return combos, platforms
-
-
-def write_platforms(path, combos: list[AlgoParamCombo],
-                    platforms: list[PlatformSpec]) -> None:
-    doc = {"format_version": FORMAT_VERSION,
-           **_catalog_doc(combos, platforms)}
-    Path(path).write_text(_canonical_json(doc))
-
-
-def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
-    doc = json.loads(Path(path).read_text())
-    _check_version(doc, path)
-    return _catalog_from_doc(doc)
 
 
 # --------------------------------------------------------------------------

@@ -79,8 +79,6 @@ class ProfileConfig:
     dim_ambient: int
     dim_subspace: int
     window_length: int
-    seed: int
-    constraints: SelectionConstraints | None = None
 
 
 @dataclass
@@ -88,9 +86,6 @@ class DesignProfile:
     """Everything the runtime selector needs, built offline."""
 
     scenarios: list[ScenarioProfile]
-    combos: list[AlgoParamCombo]
-    platforms: list[PlatformSpec]
-    performance: list[PerformanceRecord]
     selected_platform: str | None
     config: ProfileConfig
 
@@ -282,25 +277,26 @@ def select_platform(platforms: list[PlatformSpec],
     return candidates[0][2]
 
 
-def label_scenarios(profile: DesignProfile) -> DesignProfile:
+def label_scenarios(scenarios: list[ScenarioProfile],
+                    combos: list[AlgoParamCombo],
+                    platforms: list[PlatformSpec],
+                    performance: list[PerformanceRecord],
+                    required_fps: float) -> None:
     """Fill labels[platform] = best feasible combo per scenario; idempotent.
 
     Best = minimal error; ties break by higher achievable fps on that
     platform, then lexicographic combo id.  Raises MissingRecord if the
     table lacks a feasible (scenario, combo, platform) entry.
     """
-    constraints = profile.config.constraints
-    required_fps = constraints.required_fps if constraints else 0.0
-    table = _error_table(profile.performance)
-    for scenario in profile.scenarios:
+    table = _error_table(performance)
+    for scenario in scenarios:
         labels = {}
-        for platform in profile.platforms:
-            best = _best_combo(scenario.scenario_id, platform, profile.combos,
-                               table, required_fps)
+        for platform in platforms:
+            best = _best_combo(scenario.scenario_id, platform, combos, table,
+                               required_fps)
             if best is not None:
                 labels[platform.id] = best[2]
         scenario.labels = labels
-    return profile
 
 
 def build_design_profile(frames, combos: list[AlgoParamCombo],
@@ -312,12 +308,10 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
     """Run the full offline phase: cluster, select platform, label."""
     X = as_feature_matrix(frames)
     scenarios = cluster_scenarios(X, n_scenarios, subspace_dim, seed)
-    config = ProfileConfig(
-        dim_ambient=X.shape[1], dim_subspace=subspace_dim,
-        window_length=window_length, seed=seed, constraints=constraints)
-    profile = DesignProfile(
-        scenarios=scenarios, combos=list(combos), platforms=list(platforms),
-        performance=list(performance), selected_platform=None, config=config)
-    profile.selected_platform = select_platform(
-        platforms, performance, constraints, combos)
-    return label_scenarios(profile)
+    selected = select_platform(platforms, performance, constraints, combos)
+    label_scenarios(scenarios, combos, platforms, performance,
+                    constraints.required_fps)
+    return DesignProfile(
+        scenarios=scenarios, selected_platform=selected,
+        config=ProfileConfig(dim_ambient=X.shape[1], dim_subspace=subspace_dim,
+                             window_length=window_length))

@@ -45,9 +45,9 @@ def _is_number(value, kind) -> bool:
 class SyntheticConfig:
     """Knobs for the synthetic scenario/stream generator.
 
-    ``error_model`` maps (scenario index, combo index) to a mean error;
-    when None, a model is generated in which scenario i's best combo is
-    combo i mod n_combos.
+    ``error_model`` maps each (scenario index, combo index) pair, and no
+    other key, to a mean error; when None, a model is generated in which
+    scenario i's best combo is combo i mod n_combos.
     """
 
     dim_ambient: int = 64
@@ -179,6 +179,11 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     # scenario-conditional error means
     if config.error_model is not None:
         mean_err = dict(config.error_model)
+        grid = {(i, h) for i in range(M) for h in range(H)}
+        for key in mean_err:
+            if key not in grid:
+                raise ConfigInvalid(f"error_model key {key!r} is outside "
+                                    f"{M} scenarios x {H} combos")
         for i in range(M):
             for h in range(H):
                 if (i, h) not in mean_err:
@@ -399,6 +404,7 @@ def read_window_truth(path) -> list[WindowTruth]:
                 f"{path}: header must start with window_id,combo_id,error")
         by_window: dict[int, WindowTruth] = {}
         seen: dict[tuple[int, str], int] = {}
+        first_line: dict[int, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -420,5 +426,11 @@ def read_window_truth(path) -> list[WindowTruth]:
             truth = by_window.setdefault(
                 wid, WindowTruth(window_id=wid, true_scenario_id=sid,
                                  errors={}))
+            first_line.setdefault(wid, lineno)
+            if sid != truth.true_scenario_id:
+                raise Misaligned(
+                    f"{path}:{lineno}: window {wid} has true_scenario_id "
+                    f"{sid!r}, but line {first_line[wid]} gave "
+                    f"{truth.true_scenario_id!r}")
             truth.errors[key[1]] = error
     return [by_window[w] for w in sorted(by_window)]

@@ -56,11 +56,6 @@ class SelectionTrace:
     profile_reference: str
     timing_ms: list[float] = field(default_factory=list)
 
-    @property
-    def timing(self) -> list[float]:
-        """Per-window wall-clock seconds."""
-        return [ms / 1000.0 for ms in self.timing_ms]
-
     def switch_count(self) -> int:
         combos = [d.chosen_combo_id for d in self.decisions]
         return sum(1 for prev, cur in zip(combos, combos[1:]) if prev != cur)

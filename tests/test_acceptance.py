@@ -191,23 +191,22 @@ def _random_instance(rng):
         PerformanceRecord(s.scenario_id, c.id, p.id,
                           float(np.round(rng.uniform(0, 10), 3)))
         for s in scenarios for c in combos for p in platforms]
-    config = ProfileConfig(
-        dim_ambient=a, dim_subspace=b, window_length=b + 3, seed=0,
-        constraints=SelectionConstraints(float("inf"), 10.0, float("inf")))
-    profile = DesignProfile(scenarios=scenarios, combos=combos,
-                            platforms=platforms, performance=performance,
-                            selected_platform="p1", config=config)
-    label_scenarios(profile)
+    label_scenarios(scenarios, combos, platforms, performance, 10.0)
+    profile = DesignProfile(
+        scenarios=scenarios, selected_platform="p1",
+        config=ProfileConfig(dim_ambient=a, dim_subspace=b,
+                             window_length=b + 3))
     origin = int(rng.integers(M))
     frames = (scenarios[origin].representative_feature
               + rng.standard_normal((b + 3, b))
               @ scenarios[origin].subspace.basis.T
               + 0.05 * rng.standard_normal((b + 3, a)))
     window = build_window(frames, b)
-    return profile, window
+    return profile, window, (combos, platforms, performance)
 
 
-def _brute_force_two_step(profile, window, platform_id):
+def _brute_force_two_step(profile, window, platform_id, design_inputs):
+    combos, platforms, performance = design_inputs
     # step 1: independent composition of the primitives, explicit argmax
     sims = []
     for s in profile.scenarios:
@@ -220,11 +219,10 @@ def _brute_force_two_step(profile, window, platform_id):
                    key=lambda i: (-sims[i], profile.scenarios[i].scenario_id))
     matched = profile.scenarios[order[0]].scenario_id
     # step 2: explicit scan of the performance table over feasible combos
-    platform = next(p for p in profile.platforms if p.id == platform_id)
-    feas = feasible_combos(platform, profile.combos,
-                           profile.config.constraints.required_fps)
+    platform = next(p for p in platforms if p.id == platform_id)
+    feas = feasible_combos(platform, combos, 10.0)
     table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in profile.performance}
+             for r in performance}
     best = min(feas, key=lambda cid: (table[(matched, cid, platform_id)],
                                       -platform.combo_capabilities[cid], cid))
     return matched, best
@@ -234,12 +232,12 @@ def test_criterion_5_two_step_matches_brute_force():
     rng = np.random.default_rng(505)
     agree = 0
     for trial in range(500):
-        profile, window = _random_instance(rng)
+        profile, window, design_inputs = _random_instance(rng)
         platform_id = ["p1", "p2"][trial % 2]
         matched, sims = match_scenario(window, profile)
         chosen = select_combo(matched, platform_id, profile)
         bf_matched, bf_chosen = _brute_force_two_step(
-            profile, window, platform_id)
+            profile, window, platform_id, design_inputs)
         assert matched == bf_matched, f"trial {trial}: scenario mismatch"
         assert chosen == bf_chosen, f"trial {trial}: combo mismatch"
         agree += 1
@@ -328,16 +326,13 @@ def test_criterion_7_platform_selection():
     scenarios = [ScenarioProfile(sid, rng.standard_normal(8),
                                  random_subspace(rng, 8, 2), 5)
                  for sid in scenario_ids]
-    profile = DesignProfile(
-        scenarios=scenarios, combos=combos, platforms=platforms,
-        performance=records, selected_platform="platform2",
-        config=ProfileConfig(8, 2, 10, 0, strict))
-    label_scenarios(profile)
-    p2_labels = [s.labels["platform2"] for s in profile.scenarios]
+    label_scenarios(scenarios, combos, platforms, records,
+                    strict.required_fps)
+    p2_labels = [s.labels["platform2"] for s in scenarios]
     high_res = sum(1 for lab in p2_labels if lab == "ACF-480x640")
     assert high_res >= 12
     assert all(lab != "ACF-480x640" for lab in
-               (s.labels["platform1"] for s in profile.scenarios))
+               (s.labels["platform1"] for s in scenarios))
     _pass(7, f"loose constraint -> platform1 (cheaper), strict -> platform2; "
              f"{high_res}/15 platform2 labels on ACF-480x640")
 
@@ -356,10 +351,8 @@ def test_criterion_8_latency():
             representative_feature=rng.standard_normal(a),
             subspace=SubspaceBasis(q, orthogonal_complement(q)),
             member_count=40))
-    profile = DesignProfile(
-        scenarios=scenarios, combos=[], platforms=[], performance=[],
-        selected_platform=None,
-        config=ProfileConfig(a, b, 30, 0, None))
+    profile = DesignProfile(scenarios=scenarios, selected_platform=None,
+                            config=ProfileConfig(a, b, 30))
     window = build_window(rng.standard_normal((30, a)), b)
     # small warm-up so BLAS thread pools do not count against the window
     small = generate_synthetic(SyntheticConfig(

@@ -240,9 +240,6 @@ def test_profile_round_trip(tmp_path):
     back = dataio.read_profile(path)
 
     assert back.selected_platform == profile.selected_platform
-    assert back.combos == profile.combos
-    assert back.platforms == profile.platforms
-    assert back.performance == profile.performance
     assert back.config == profile.config
     for s1, s2 in zip(profile.scenarios, back.scenarios):
         assert s1.scenario_id == s2.scenario_id
@@ -281,17 +278,43 @@ def test_profile_future_version_rejected(tmp_path):
         dataio.read_profile(path)
 
 
-def test_profile_v1_ignores_missing_complement_sidecars(tmp_path):
-    # version 1 profiles also named a complement sidecar per scenario;
-    # the reader never opens it, so a v1 profile loads without those files
+def test_profile_holds_only_what_selection_reads(tmp_path):
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 1
-    for s in doc["scenarios"]:
-        s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
-        assert not (tmp_path / s["complement_file"]).exists()
+    assert set(doc) == {"format_version", "config", "selected_platform",
+                        "scenarios"}
+    assert set(doc["config"]) == {"dim_ambient", "dim_subspace",
+                                  "window_length"}
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
+    # versions 1 and 2 also stored the design inputs (performance table,
+    # catalog, seed, constraints), and version 1 named a complement sidecar
+    # per scenario; the reader reads none of it and opens no such file
+    dataset, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    dataio.write_platforms(tmp_path / "platforms.json", dataset.combos,
+                           dataset.platforms)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    doc["config"]["seed"] = dataset.config.seed
+    doc["config"]["constraints"] = {
+        "max_mean_error": OPEN.max_mean_error,
+        "required_fps": OPEN.required_fps, "max_cost": OPEN.max_cost}
+    catalog = json.loads((tmp_path / "platforms.json").read_text())
+    doc["combos"], doc["platforms"] = catalog["combos"], catalog["platforms"]
+    doc["performance"] = [
+        {"scenario_id": r.scenario_id, "combo_id": r.combo_id,
+         "platform_id": r.platform_id, "error": r.error, "extras": r.extras}
+        for r in dataset.performance]
+    if version == 1:
+        for s in doc["scenarios"]:
+            s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
+            assert not (tmp_path / s["complement_file"]).exists()
     path.write_text(json.dumps(doc))
     back = dataio.read_profile(path)
     for s1, s2 in zip(profile.scenarios, back.scenarios):
@@ -443,7 +466,7 @@ def test_trace_future_version_rejected(tmp_path):
     dataio.write_trace(path, trace)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    header["format_version"] = 3
+    header["format_version"] = dataio.FORMAT_VERSION + 1
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(UnsupportedVersion):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from adasel.design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
-                           PlatformSpec, ProfileConfig, ScenarioProfile,
-                           SelectionConstraints, build_design_profile,
-                           cluster_scenarios, feasible_combos, label_scenarios,
-                           select_platform)
+from adasel.design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
+                           ScenarioProfile, SelectionConstraints,
+                           build_design_profile, cluster_scenarios,
+                           feasible_combos, label_scenarios, select_platform)
 from adasel.errors import (InvalidM, MissingRecord, NoFeasiblePlatform,
                            TooFewSamples)
 from conftest import random_subspace
@@ -255,23 +254,16 @@ def test_no_feasible_platform_reports_diagnostics():
 # --------------------------------------------------------------------------
 # label_scenarios
 
-def make_profile(rng, performance, combos=None, platforms=None,
-                 scenario_ids=("s000", "s001"), required_fps=5.0):
-    combos = combos or table_ii_combos()
-    platforms = platforms or table_ii_platforms()
-    scenarios = []
-    for sid in scenario_ids:
-        sub = random_subspace(rng, 8, 2)
-        scenarios.append(ScenarioProfile(
-            scenario_id=sid, representative_feature=rng.standard_normal(8),
-            subspace=sub, member_count=5))
-    config = ProfileConfig(
-        dim_ambient=8, dim_subspace=2, window_length=10, seed=0,
-        constraints=SelectionConstraints(
-            max_mean_error=np.inf, required_fps=required_fps, max_cost=np.inf))
-    return DesignProfile(scenarios=scenarios, combos=combos,
-                         platforms=platforms, performance=performance,
-                         selected_platform=None, config=config)
+def labeled_scenarios(rng, performance, scenario_ids=("s000", "s001"),
+                      required_fps=5.0):
+    """Random scenarios labeled against the Table-II combos and platforms."""
+    scenarios = [ScenarioProfile(
+        scenario_id=sid, representative_feature=rng.standard_normal(8),
+        subspace=random_subspace(rng, 8, 2), member_count=5)
+        for sid in scenario_ids]
+    label_scenarios(scenarios, table_ii_combos(), table_ii_platforms(),
+                    performance, required_fps)
+    return scenarios
 
 
 def test_label_picks_argmin(rng):
@@ -280,8 +272,7 @@ def test_label_picks_argmin(rng):
          "ACF-480x640": 7.0},
         {"HOG-240x320": 9.0, "HOG-480x640": 5.0, "ACF-240x320": 3.0,
          "ACF-480x640": 7.0})
-    profile = label_scenarios(make_profile(rng, perf))
-    for s in profile.scenarios:
+    for s in labeled_scenarios(rng, perf):
         assert s.labels["platform1"] == "ACF-240x320"
         assert s.labels["platform2"] == "ACF-240x320"
 
@@ -293,8 +284,8 @@ def test_label_tie_breaks_on_higher_fps(rng):
          "ACF-480x640": 7.0},
         {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 3.0,
          "ACF-480x640": 7.0})
-    profile = label_scenarios(make_profile(rng, perf))
-    assert profile.scenarios[0].labels["platform1"] == "HOG-240x320"
+    scenarios = labeled_scenarios(rng, perf)
+    assert scenarios[0].labels["platform1"] == "HOG-240x320"
 
 
 def test_labels_match_brute_force_on_full_table(rng):
@@ -309,9 +300,9 @@ def test_labels_match_brute_force_on_full_table(rng):
                 e = float(np.round(rng.uniform(0.0, 10.0), 3))
                 errors[(sid, c.id, p.id)] = e
                 records.append(PerformanceRecord(sid, c.id, p.id, e))
-    profile = label_scenarios(make_profile(
-        rng, records, scenario_ids=scenario_ids, required_fps=5.0))
-    for s in profile.scenarios:
+    scenarios = labeled_scenarios(rng, records, scenario_ids=scenario_ids,
+                                  required_fps=5.0)
+    for s in scenarios:
         for p in platforms:
             feas = feasible_combos(p, combos, 5.0)
             best = min(feas, key=lambda cid: (
@@ -330,7 +321,7 @@ def test_label_missing_record_raises(rng):
         r.scenario_id == "s001" and r.combo_id == "ACF-240x320"
         and r.platform_id == "platform2")]
     with pytest.raises(MissingRecord) as exc:
-        label_scenarios(make_profile(rng, perf))
+        labeled_scenarios(rng, perf)
     assert "s001" in str(exc.value) and "ACF-240x320" in str(exc.value)
 
 
@@ -340,11 +331,11 @@ def test_label_idempotent(rng):
          "ACF-480x640": 7.0},
         {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 2.0,
          "ACF-480x640": 7.0})
-    profile = make_profile(rng, perf)
-    once = {s.scenario_id: dict(s.labels)
-            for s in label_scenarios(profile).scenarios}
-    twice = {s.scenario_id: dict(s.labels)
-             for s in label_scenarios(profile).scenarios}
+    scenarios = labeled_scenarios(rng, perf)
+    once = {s.scenario_id: dict(s.labels) for s in scenarios}
+    label_scenarios(scenarios, table_ii_combos(), table_ii_platforms(), perf,
+                    5.0)
+    twice = {s.scenario_id: dict(s.labels) for s in scenarios}
     assert once == twice
 
 
@@ -359,8 +350,9 @@ def test_build_design_profile_end_to_end(rng):
          "ACF-480x640": 9.0},
         {"HOG-240x320": 2.0, "HOG-480x640": 2.5, "ACF-240x320": 1.5,
          "ACF-480x640": 1.0})
+    platforms = table_ii_platforms()
     profile = build_design_profile(
-        frames, combos, table_ii_platforms(), perf,
+        frames, combos, platforms, perf,
         SelectionConstraints(max_mean_error=3.5, required_fps=8.0,
                              max_cost=10.0),
         n_scenarios=2, subspace_dim=2, window_length=10, seed=3)
@@ -368,9 +360,9 @@ def test_build_design_profile_end_to_end(rng):
     assert all(s.labels for s in profile.scenarios)
     # label optimality: no feasible combo beats the labeled one
     table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in profile.performance}
+             for r in perf}
     for s in profile.scenarios:
-        for p in profile.platforms:
+        for p in platforms:
             labeled = table[(s.scenario_id, s.labels[p.id], p.id)]
-            for cid in feasible_combos(p, profile.combos, 8.0):
+            for cid in feasible_combos(p, combos, 8.0):
                 assert table[(s.scenario_id, cid, p.id)] >= labeled

@@ -130,6 +130,13 @@ def test_custom_error_model_must_be_complete():
         generate_synthetic(tiny_config(error_model={(0, 0): 1.0}))
 
 
+def test_custom_error_model_rejects_keys_outside_the_grid():
+    model = {(i, h): 1.0 for i in range(3) for h in range(3)}
+    model[(7, 7)] = 0.0
+    with pytest.raises(ConfigInvalid, match=r"\(7, 7\)"):
+        generate_synthetic(tiny_config(error_model=model))
+
+
 def test_custom_error_model_rejects_negative_means():
     model = {(i, h): 1.0 for i in range(3) for h in range(3)}
     model[(1, 2)] = -0.5
@@ -299,3 +306,16 @@ def test_window_truth_duplicate_pair_reports_both_lines(tmp_path):
     # header, then two rows per window: the pair first appeared on line 2
     assert f"{path}:8:" in str(exc.value)
     assert "first seen at line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("second_id", ["s001", ""], ids=["other", "blank"])
+def test_window_truth_rows_of_a_window_must_agree_on_its_scenario(
+        tmp_path, second_id):
+    path = tmp_path / "truth.csv"
+    path.write_text("window_id,combo_id,error,true_scenario_id\n"
+                    "0,c00,1.0,s000\n"
+                    f"0,c01,2.0,{second_id}\n")
+    with pytest.raises(Misaligned) as exc:
+        read_window_truth(path)
+    assert f"{path}:3:" in str(exc.value)
+    assert "line 2" in str(exc.value)

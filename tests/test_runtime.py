@@ -302,9 +302,8 @@ def windows_and_profiles(draw):
             scenario_id=f"s{i:03d}",
             representative_feature=10.0 * rng.standard_normal(a),
             subspace=SubspaceBasis(x), member_count=b + 1))
-    profile = DesignProfile(scenarios=scenarios, combos=[], platforms=[],
-                            performance=[], selected_platform=None,
-                            config=ProfileConfig(a, b, b + 1, 0))
+    profile = DesignProfile(scenarios=scenarios, selected_platform=None,
+                            config=ProfileConfig(a, b, b + 1))
     window = TimeWindow(window_id=0,
                         aggregated_feature=rng.standard_normal(a),
                         subspace=SubspaceBasis(z), degraded=k < b)
@@ -398,14 +397,14 @@ def test_trace_decisions_internally_consistent(rng):
     trace = run_selection(dataset.test_stream, profile, "p2",
                           dataset.config.frames_per_scenario)
     table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in profile.performance}
+             for r in dataset.performance}
     for d in trace.decisions:
         assert d.similarity == d.all_similarities.max()
         scenario = profile.scenario(d.matched_scenario_id)
         assert d.chosen_combo_id == scenario.labels["p2"]
         # two-step consistency: chosen combo minimizes the table error
         errors = {c.id: table[(d.matched_scenario_id, c.id, "p2")]
-                  for c in profile.combos}
+                  for c in dataset.combos}
         assert errors[d.chosen_combo_id] == min(errors.values())
 
 
@@ -489,10 +488,3 @@ def test_mean_similarity(rng):
     m = mean_similarity(trace)
     assert 0.0 < m <= 1.0
 
-
-def test_trace_timing_property_is_seconds(rng):
-    dataset = small_dataset(n_windows=5)
-    profile = profile_for(dataset)
-    trace = run_selection(dataset.test_stream, profile, "p1",
-                          dataset.config.frames_per_scenario)
-    assert trace.timing == [ms / 1000.0 for ms in trace.timing_ms]
