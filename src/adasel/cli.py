@@ -119,7 +119,8 @@ def cmd_select(args) -> int:
     platform_id = args.platform or profile.selected_platform
     if platform_id is None:
         raise AdaselError("profile has no selected platform; pass --platform")
-    window_length = args.window_length or profile.config.window_length
+    window_length = (profile.config.window_length if args.window_length is None
+                     else args.window_length)
     log.debug("matching %d frames on platform %s, window length %d",
               stream.frames.shape[0], platform_id, window_length)
     trace = run_selection(stream.frames, profile, platform_id, window_length)

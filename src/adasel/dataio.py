@@ -92,6 +92,21 @@ def _check_version(doc, path) -> None:
             f"({FORMAT_VERSION})")
 
 
+def _read_doc(path, keys) -> dict:
+    """The versioned JSON object in ``path``; it must hold every key in keys."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestInvalid(f"{path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ManifestInvalid(f"{path}: expected a JSON object")
+    _check_version(doc, path)
+    for key in keys:
+        if key not in doc:
+            raise ManifestInvalid(f"{path}: missing key {key!r}")
+    return doc
+
+
 # --------------------------------------------------------------------------
 # feature stream manifests
 
@@ -127,8 +142,7 @@ def write_stream(manifest_path, frames, source: str = "",
 
 def read_stream(manifest_path) -> FeatureStream:
     manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
-    _check_version(doc, manifest_path)
+    doc = _read_doc(manifest_path, ("dim", "frame_count", "matrices"))
     parts = [read_matrix(manifest_path.parent / name)
              for name in doc["matrices"]]
     if len(parts) == 1:
@@ -271,8 +285,7 @@ def write_profile(path, profile: DesignProfile) -> None:
 
 def read_profile(path) -> DesignProfile:
     path = Path(path)
-    doc = json.loads(path.read_text())
-    _check_version(doc, path)
+    doc = _read_doc(path, ("config", "scenarios"))
     cfg = doc["config"]
     config = ProfileConfig(
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
@@ -339,8 +352,7 @@ def write_platforms(path, combos: list[AlgoParamCombo],
 
 
 def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
-    doc = json.loads(Path(path).read_text())
-    _check_version(doc, path)
+    doc = _read_doc(path, ("combos", "platforms"))
     combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
                              fps=c["fps"], resolution=tuple(c["resolution"]))
               for c in doc["combos"]]
@@ -359,7 +371,7 @@ def write_trace(path, trace) -> None:
         "kind": "adasel-trace",
         "profile_reference": trace.profile_reference,
     }, sort_keys=True)]
-    for d, ms in zip(trace.decisions, trace.timing_ms, strict=True):
+    for d in trace.decisions:
         lines.append(json.dumps({
             "window_id": d.window_id,
             "matched_scenario_id": d.matched_scenario_id,
@@ -367,7 +379,7 @@ def write_trace(path, trace) -> None:
             "all_similarities": [float(v) for v in d.all_similarities],
             "chosen_combo_id": d.chosen_combo_id,
             "platform_id": d.platform_id,
-            "elapsed_ms": float(ms),
+            "elapsed_ms": float(d.elapsed_ms),
         }, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -401,7 +413,6 @@ def read_trace(path):
     header = _trace_record(path, 1, lines[0], ("profile_reference",))
     _check_version(header, path)
     decisions = []
-    timing_ms = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -412,11 +423,9 @@ def read_trace(path):
             similarity=rec["similarity"],
             all_similarities=np.asarray(rec["all_similarities"]),
             chosen_combo_id=rec["chosen_combo_id"],
-            platform_id=rec["platform_id"]))
-        timing_ms.append(rec["elapsed_ms"])
+            platform_id=rec["platform_id"], elapsed_ms=rec["elapsed_ms"]))
     return SelectionTrace(decisions=decisions,
-                          profile_reference=header["profile_reference"],
-                          timing_ms=timing_ms)
+                          profile_reference=header["profile_reference"])
 
 
 def write_trace_csv(path, trace) -> None:

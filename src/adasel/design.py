@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidM, MissingRecord, NoFeasiblePlatform, TooFewSamples
+from .errors import (InvalidM, MissingRecord, NoFeasiblePlatform, TooFewFrames,
+                     TooFewSamples)
 from .subspace import SubspaceBasis, as_feature_matrix, pca_basis
 
 KMEANS_MAX_ITER = 300
@@ -99,6 +100,12 @@ class DesignProfile:
 def _canonical_order(X: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (first column primary)."""
     return np.lexsort(X.T[::-1])
+
+
+def scenario_ids(means) -> list[str]:
+    """Id of each scenario mean (row): "s" + its rank in canonical order."""
+    rank = np.argsort(_canonical_order(np.asarray(means)))
+    return [f"s{r:03d}" for r in rank]
 
 
 def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,12 +192,12 @@ def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
 
     means = np.stack([Xs[assign == j].mean(axis=0)
                       for j in range(n_scenarios)])
-    by_mean = _canonical_order(means)
+    ids = scenario_ids(means)
 
     scenarios = []
-    for rank, j in enumerate(by_mean):
+    for j in _canonical_order(means):
         members = Xs[assign == j]
-        sid = f"s{rank:03d}"
+        sid = ids[j]
         if members.shape[0] < subspace_dim + 1:
             raise TooFewSamples(
                 f"scenario {sid} has {members.shape[0]} members; "
@@ -305,7 +312,15 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
                          constraints: SelectionConstraints,
                          n_scenarios: int, subspace_dim: int,
                          window_length: int, seed: int) -> DesignProfile:
-    """Run the full offline phase: cluster, select platform, label."""
+    """Run the full offline phase: cluster, select platform, label.
+
+    Raises TooFewFrames up front if a window of window_length frames is
+    too short to build a subspace_dim-dim subspace at runtime.
+    """
+    if window_length < subspace_dim + 1:
+        raise TooFewFrames(
+            f"window_length {window_length} is too short for subspace_dim "
+            f"{subspace_dim}; a window needs at least {subspace_dim + 1} frames")
     X = as_feature_matrix(frames)
     scenarios = cluster_scenarios(X, n_scenarios, subspace_dim, seed)
     selected = select_platform(platforms, performance, constraints, combos)

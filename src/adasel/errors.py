@@ -126,4 +126,4 @@ class MalformedRow(DataFormatError):
 
 
 class ManifestInvalid(DataFormatError):
-    """Feature-stream manifest is inconsistent with its matrix files."""
+    """JSON document is malformed, or inconsistent with its matrix files."""

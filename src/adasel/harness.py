@@ -8,9 +8,10 @@ selection trace against the hindsight oracle (per-window best combo) and
 against every static single-combo policy.
 
 Everything is deterministic given the config seed.  The performance table
-is keyed by the scenario ids that deterministic re-clustering of the
-training frames produces, so the generated files feed the design-time
-pipeline unmodified.
+is keyed by the ids that design gives each generating scenario when it
+recovers that scenario's training block (:func:`adasel.design.scenario_ids`
+of the block means), so the generated files feed the design-time pipeline
+unmodified.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
-                     cluster_scenarios)
+                     scenario_ids)
 from .errors import ConfigInvalid, DuplicateKey, MalformedRow, Misaligned
 from .runtime import SelectionTrace
 
@@ -107,7 +108,7 @@ class SyntheticDataset:
     combos: list[AlgoParamCombo]
     platforms: list[PlatformSpec]
     performance: list[PerformanceRecord]
-    scenario_map: dict[str, str]  # generating id -> clustered scenario id
+    scenario_map: dict[str, str]  # generating id -> id design gives it
 
 
 def _random_subspaces(rng, a, b, count, min_separation):
@@ -208,24 +209,12 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
                      combo_capabilities={c.id: 2.0 * c.fps for c in combos}),
     ]
 
-    # key the table by the scenario ids the design-time clustering will assign
-    clusters = cluster_scenarios(training_frames, M, b, config.seed)
-    reps = np.stack([c.representative_feature for c in clusters])
-    gen_to_cluster: dict[str, str] = {}
-    for i in range(M):
-        block = training_frames[i * config.frames_per_scenario:
-                                (i + 1) * config.frames_per_scenario]
-        d2 = ((block[:, None, :] - reps[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argmin(d2, axis=1)
-        majority = int(np.bincount(nearest, minlength=M).argmax())
-        gen_to_cluster[gen_ids[i]] = clusters[majority].scenario_id
-    if len(set(gen_to_cluster.values())) != M:
-        raise ConfigInvalid(
-            "clustering did not separate the generated scenarios; "
-            "lower noise_sigma or raise mean_scale")
+    # key the table by the ids design gives the training blocks it recovers
+    ids = scenario_ids(training_frames.reshape(
+        M, config.frames_per_scenario, a).mean(axis=1))
 
     performance = [
-        PerformanceRecord(scenario_id=gen_to_cluster[gen_ids[i]],
+        PerformanceRecord(scenario_id=ids[i],
                           combo_id=combos[h].id, platform_id=p.id,
                           error=mean_err[(i, h)])
         for p in platforms for i in range(M) for h in range(H)]
@@ -237,16 +226,15 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         errors = {combos[h].id: float(max(0.0, mean_err[(s, h)] + noise[h]))
                   for h in range(H)}
         window_truth.append(WindowTruth(
-            window_id=w, true_scenario_id=gen_to_cluster[gen_ids[s]],
-            errors=errors))
-        test_labels += [gen_to_cluster[gen_ids[s]]] * config.frames_per_scenario
+            window_id=w, true_scenario_id=ids[s], errors=errors))
+        test_labels += [ids[s]] * config.frames_per_scenario
 
     return SyntheticDataset(
         config=config, training_frames=training_frames,
         training_labels=training_labels, test_stream=test_stream,
         test_labels=test_labels, window_truth=window_truth, combos=combos,
         platforms=platforms, performance=performance,
-        scenario_map=gen_to_cluster)
+        scenario_map=dict(zip(gen_ids, ids)))
 
 
 # --------------------------------------------------------------------------

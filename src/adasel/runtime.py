@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +46,15 @@ class SelectionDecision:
     all_similarities: np.ndarray
     chosen_combo_id: str
     platform_id: str
+    elapsed_ms: float  # wall time to build, match and select this window
 
 
 @dataclass
 class SelectionTrace:
-    """Ordered runtime decisions plus provenance and per-window timing."""
+    """Ordered runtime decisions plus the digest of the profile they used."""
 
     decisions: list[SelectionDecision]
     profile_reference: str
-    timing_ms: list[float] = field(default_factory=list)
 
     def switch_count(self) -> int:
         combos = [d.chosen_combo_id for d in self.decisions]
@@ -174,7 +174,6 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
                               min_frames=profile.config.dim_subspace + 1)
     stacked = _stack_scenarios(profile)
     decisions = []
-    timing_ms = []
     for i, frames in enumerate(windows):
         t0 = time.perf_counter()
         try:
@@ -185,14 +184,13 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
             if str(exc).startswith(f"window {i} "):
                 raise  # the message already names the window
             raise type(exc)(f"window {i}: {exc}") from exc
-        timing_ms.append((time.perf_counter() - t0) * 1000.0)
         decisions.append(SelectionDecision(
             window_id=i, matched_scenario_id=scenario_id,
             similarity=float(sims.max()), all_similarities=sims,
-            chosen_combo_id=combo, platform_id=platform_id))
+            chosen_combo_id=combo, platform_id=platform_id,
+            elapsed_ms=(time.perf_counter() - t0) * 1000.0))
     return SelectionTrace(decisions=decisions,
-                          profile_reference=profile_digest(profile),
-                          timing_ms=timing_ms)
+                          profile_reference=profile_digest(profile))
 
 
 def mean_similarity(trace: SelectionTrace) -> float:

@@ -397,3 +397,61 @@ def test_select_with_explicit_platform(tmp_path):
     ]) == 0
     line = (out / "p2_trace.jsonl").read_text().splitlines()[1]
     assert json.loads(line)["platform_id"] == "p2"
+
+
+def test_select_window_length_zero_exits_1(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    capsys.readouterr()
+    rc = main([
+        "select",
+        "--profile", str(out / "profile.json"),
+        "--stream", str(out / "test_manifest.json"),
+        "--window-length", "0",
+        "--out", str(out / "t0.jsonl"),
+    ])
+    assert rc == 1
+    assert "window length must be >= 2, got 0" in capsys.readouterr().err
+    assert not (out / "t0.jsonl").exists()
+
+
+def test_profile_window_shorter_than_subspace_exits_1(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    rc = main([
+        "profile",
+        "--train", str(out / "train_manifest.json"),
+        "--perf", str(out / "performance.csv"),
+        "--platforms", str(out / "platforms.json"),
+        "--scenarios", "3", "--subspace-dim", "5", "--window-length", "4",
+        "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
+        "--out", str(out / "short.json"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "TooFewFrames: window_length 4" in err
+    assert "subspace_dim 5" in err
+    assert not (out / "short.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--profile", "--train", "--platforms"])
+def test_json_input_that_is_not_an_object_exits_1_naming_the_file(
+        tmp_path, capsys, flag):
+    out = run_pipeline(tmp_path)
+    bad = out / "bad.json"
+    bad.write_text("[1, 2]\n")
+    if flag == "--profile":
+        argv = ["select", "--profile", str(bad),
+                "--stream", str(out / "test_manifest.json"),
+                "--out", str(out / "t2.jsonl")]
+    else:
+        inputs = {"--train": out / "train_manifest.json",
+                  "--platforms": out / "platforms.json", flag: bad}
+        argv = ["profile", "--train", str(inputs["--train"]),
+                "--perf", str(out / "performance.csv"),
+                "--platforms", str(inputs["--platforms"]),
+                "--scenarios", "3", "--subspace-dim", "3",
+                "--max-error", "3.5", "--required-fps", "1.0",
+                "--max-cost", "10.0", "--out", str(out / "p2.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert (f"error: ManifestInvalid: {bad}: expected a JSON object"
+            in capsys.readouterr().err)

@@ -12,7 +12,7 @@ from adasel.errors import (BadMagic, DimensionMismatch, DimensionOverflow,
                            DuplicateKey, MalformedRow, ManifestInvalid,
                            NegativeError, TruncatedPayload, UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
-from adasel.runtime import SelectionTrace, run_selection
+from adasel.runtime import run_selection
 
 OPEN = SelectionConstraints(max_mean_error=float("inf"), required_fps=0.0,
                             max_cost=float("inf"))
@@ -376,6 +376,25 @@ def test_platforms_round_trip(tmp_path):
     assert platforms == dataset.platforms
 
 
+@pytest.mark.parametrize("reader, key", [
+    (dataio.read_stream, "dim"),
+    (dataio.read_profile, "config"),
+    (dataio.read_platforms, "combos"),
+])
+def test_malformed_json_document_raises_manifest_invalid_naming_the_file(
+        tmp_path, reader, key):
+    path = tmp_path / "doc.json"
+    for text, message in [
+            ("[1, 2]", "expected a JSON object"),
+            ("{not json", "not JSON"),
+            ("", "not JSON"),
+            ('{"format_version": 3}', f"missing key '{key}'")]:
+        path.write_text(text)
+        with pytest.raises(ManifestInvalid) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+
 # --------------------------------------------------------------------------
 # traces
 
@@ -387,27 +406,15 @@ def test_trace_round_trip(tmp_path):
     dataio.write_trace(path, trace)
     back = dataio.read_trace(path)
     assert back.profile_reference == trace.profile_reference
-    assert back.timing_ms == trace.timing_ms
     assert len(back.decisions) == len(trace.decisions)
     for d1, d2 in zip(trace.decisions, back.decisions):
+        assert d1.elapsed_ms == d2.elapsed_ms
         assert d1.window_id == d2.window_id
         assert d1.matched_scenario_id == d2.matched_scenario_id
         assert d1.similarity == d2.similarity
         assert d1.chosen_combo_id == d2.chosen_combo_id
         assert d1.platform_id == d2.platform_id
         assert np.array_equal(d1.all_similarities, d2.all_similarities)
-
-
-def test_trace_without_timings_is_not_written(tmp_path):
-    dataset, profile = pipeline_profile()
-    trace = run_selection(dataset.test_stream, profile, "p1",
-                          dataset.config.frames_per_scenario)
-    untimed = SelectionTrace(decisions=trace.decisions,
-                             profile_reference=trace.profile_reference)
-    path = tmp_path / "trace.jsonl"
-    with pytest.raises(ValueError):
-        dataio.write_trace(path, untimed)
-    assert not path.exists()
 
 
 def test_trace_bad_lines_raise_malformed_row_naming_the_line(tmp_path):

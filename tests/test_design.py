@@ -4,9 +4,10 @@ import pytest
 from adasel.design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
                            ScenarioProfile, SelectionConstraints,
                            build_design_profile, cluster_scenarios,
-                           feasible_combos, label_scenarios, select_platform)
+                           feasible_combos, label_scenarios, scenario_ids,
+                           select_platform)
 from adasel.errors import (InvalidM, MissingRecord, NoFeasiblePlatform,
-                           TooFewSamples)
+                           TooFewFrames, TooFewSamples)
 from conftest import random_subspace
 
 
@@ -99,6 +100,24 @@ def test_cluster_too_few_members_reports_scenario(rng):
     with pytest.raises(TooFewSamples) as exc:
         cluster_scenarios(frames, 3, 3, seed=1)
     assert "s" in str(exc.value) and "members" in str(exc.value)
+
+
+def test_scenario_ids_permute_with_the_rows_of_means(rng):
+    means = rng.standard_normal((12, 5))
+    ids = scenario_ids(means)
+    assert sorted(ids) == [f"s{k:03d}" for k in range(12)]
+    assert ids[int(np.argmin(means[:, 0]))] == "s000"
+    for _ in range(5):
+        perm = rng.permutation(12)
+        assert scenario_ids(means[perm]) == [ids[j] for j in perm]
+
+
+def test_cluster_ids_are_scenario_ids_of_the_cluster_means(rng):
+    means = [rng.normal(scale=15.0, size=8) for _ in range(6)]
+    frames, _ = gaussian_blobs(rng, means, per_cluster=10, sigma=0.4)
+    scenarios = cluster_scenarios(frames, 6, 3, seed=4)
+    reps = np.stack([s.representative_feature for s in scenarios])
+    assert scenario_ids(reps) == [s.scenario_id for s in scenarios]
 
 
 def test_invalid_scenario_counts(rng):
@@ -366,3 +385,12 @@ def test_build_design_profile_end_to_end(rng):
             labeled = table[(s.scenario_id, s.labels[p.id], p.id)]
             for cid in feasible_combos(p, combos, 8.0):
                 assert table[(s.scenario_id, cid, p.id)] >= labeled
+
+
+def test_build_design_profile_rejects_windows_too_short_for_the_subspace(rng):
+    # raised up front, before the frames are clustered or the table is read
+    with pytest.raises(TooFewFrames, match="window_length 4 .*subspace_dim 5"):
+        build_design_profile(rng.standard_normal((20, 8)), [], [], [],
+                             SelectionConstraints(1.0, 1.0, 1.0),
+                             n_scenarios=2, subspace_dim=5, window_length=4,
+                             seed=3)

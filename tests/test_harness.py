@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adasel.design import SelectionConstraints, build_design_profile
+from adasel.design import (SelectionConstraints, build_design_profile,
+                           cluster_scenarios)
 from adasel.errors import ConfigInvalid, DuplicateKey, Misaligned
 from adasel.harness import (RegretReport, SyntheticConfig, WindowTruth,
                             emit_report, evaluate_regret, generate_synthetic,
@@ -37,10 +38,9 @@ def fake_trace(choices, matched=None):
     decisions = [SelectionDecision(
         window_id=i, matched_scenario_id=(matched[i] if matched else "s000"),
         similarity=1.0, all_similarities=np.array([1.0]),
-        chosen_combo_id=c, platform_id="p1")
+        chosen_combo_id=c, platform_id="p1", elapsed_ms=0.0)
         for i, c in enumerate(choices)]
-    return SelectionTrace(decisions=decisions, profile_reference="x" * 64,
-                          timing_ms=[0.0] * len(choices))
+    return SelectionTrace(decisions=decisions, profile_reference="x" * 64)
 
 
 # --------------------------------------------------------------------------
@@ -78,6 +78,36 @@ def test_training_labels_align_with_blocks():
     assert dataset.training_labels[-1] == f"g{cfg.n_scenarios - 1:03d}"
     assert set(dataset.scenario_map.values()) == \
         {f"s{k:03d}" for k in range(cfg.n_scenarios)}
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_scenario_map_matches_clustering_and_majority_vote(seed):
+    cfg = SyntheticConfig(seed=seed)
+    dataset = generate_synthetic(cfg)
+    # the rule the generator used to follow: design's k-means, then for each
+    # generating block the cluster whose mean most of its frames are nearest
+    M, F = cfg.n_scenarios, cfg.frames_per_scenario
+    clusters = cluster_scenarios(dataset.training_frames, M,
+                                 cfg.dim_subspace, cfg.seed)
+    reps = np.stack([c.representative_feature for c in clusters])
+    expected = {}
+    for i in range(M):
+        block = dataset.training_frames[i * F:(i + 1) * F]
+        nearest = ((block[:, None, :] - reps[None]) ** 2).sum(axis=2).argmin(1)
+        majority = int(np.bincount(nearest, minlength=M).argmax())
+        expected[f"g{i:03d}"] = clusters[majority].scenario_id
+    assert dataset.scenario_map == expected
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_reference_dimension_synth_names_every_scenario_once(seed):
+    dataset = generate_synthetic(SyntheticConfig(
+        dim_ambient=1288, dim_subspace=20, n_scenarios=15,
+        frames_per_scenario=40, n_windows=3, seed=seed))
+    assert sorted(dataset.scenario_map.values()) == \
+        [f"s{k:03d}" for k in range(15)]
+    assert {r.scenario_id for r in dataset.performance} == \
+        set(dataset.scenario_map.values())
 
 
 def test_test_labels_align_with_window_truth():
