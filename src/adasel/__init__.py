@@ -13,8 +13,7 @@ from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                      SelectionConstraints, build_design_profile,
                      cluster_scenarios, feasible_combos, label_scenarios,
                      select_platform)
-from .gfk import (FlowPoint, GeodesicKernel, geodesic_flow, gfk_kernel,
-                  kernel_distance, kernel_integral_oracle, similarity)
+from .gfk import gfk_kernel, kernel_integral_oracle, similarity
 from .harness import (RegretReport, SyntheticConfig, SyntheticDataset,
                       WindowTruth, evaluate_regret, emit_report,
                       generate_synthetic, parse_report)
@@ -22,22 +21,21 @@ from .runtime import (SelectionDecision, SelectionTrace, TimeWindow,
                       build_window, match_scenario, run_selection,
                       segment_windows, select_combo)
 from .subspace import (PrincipalDecomposition, SubspaceBasis,
-                       as_feature_matrix, as_feature_vector,
-                       orthogonal_complement, pca_basis, principal_angles)
+                       as_feature_matrix, orthogonal_complement, pca_basis,
+                       principal_angles)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgoParamCombo", "DesignProfile", "FlowPoint", "GeodesicKernel",
-    "PerformanceRecord", "PlatformSpec", "PrincipalDecomposition",
-    "ProfileConfig", "RegretReport", "ScenarioProfile", "SelectionConstraints",
-    "SelectionDecision", "SelectionTrace", "SubspaceBasis", "SyntheticConfig",
-    "SyntheticDataset", "TimeWindow", "WindowTruth", "as_feature_matrix",
-    "as_feature_vector", "build_design_profile",
+    "AlgoParamCombo", "DesignProfile", "PerformanceRecord", "PlatformSpec",
+    "PrincipalDecomposition", "ProfileConfig", "RegretReport",
+    "ScenarioProfile", "SelectionConstraints", "SelectionDecision",
+    "SelectionTrace", "SubspaceBasis", "SyntheticConfig", "SyntheticDataset",
+    "TimeWindow", "WindowTruth", "as_feature_matrix", "build_design_profile",
     "build_window", "cluster_scenarios", "emit_report", "evaluate_regret",
-    "feasible_combos", "generate_synthetic", "geodesic_flow", "gfk_kernel",
-    "kernel_distance", "kernel_integral_oracle", "label_scenarios",
-    "match_scenario", "orthogonal_complement", "parse_report", "pca_basis",
-    "principal_angles", "run_selection", "segment_windows", "select_combo",
-    "select_platform", "similarity",
+    "feasible_combos", "generate_synthetic", "gfk_kernel",
+    "kernel_integral_oracle", "label_scenarios", "match_scenario",
+    "orthogonal_complement", "parse_report", "pca_basis", "principal_angles",
+    "run_selection", "segment_windows", "select_combo", "select_platform",
+    "similarity",
 ]

@@ -7,66 +7,28 @@ The flow from a source subspace x to a target z on the Grassmann manifold is
 with U the left rotation and B the flow directions from
 :func:`adasel.subspace.principal_angles`.  The kernel W is the exact
 integral of theta(y) theta(y)^T over y in [0, 1]: an a x a symmetric PSD
-matrix of rank <= 2b.  It is kept as its a x b factors, so a distance costs
-O(ab); the dense W is formed only on request.  A trapezoidal integrator
-over actual flow samples serves as the independent verification oracle.
+matrix of rank <= 2b.  A trapezoidal integrator over actual flow samples
+serves as its independent verification oracle.
 
-The runtime does not use the flow factors: :func:`stacked_distances` writes
-the same distance in b-dimensional quantities for many sources at once.
-The factored kernel (``principal_angles``, ``gfk_kernel``,
-``geodesic_flow``, ``kernel_distance``) and ``kernel_integral_oracle``
-remain the reference path that tests and oracles check it against.
+The runtime never forms the flow or W: :func:`stacked_distances` returns,
+for many sources at once, the distance delta^T W delta with delta = t - r,
+written in b-dimensional quantities.  The dense W of :func:`gfk_kernel`,
+checked against ``kernel_integral_oracle``, is the reference that tests
+and oracles check those distances against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
-from .subspace import PrincipalDecomposition, SubspaceBasis, as_feature_vector
+from .subspace import PrincipalDecomposition, SubspaceBasis
 
 # Below this angle the closed-form lambda expressions hit 0/0 cancellation
 # and the 4th-order series is exact to ~1e-21.
 SERIES_ANGLE = 1e-4
-
-
-@dataclass
-class FlowPoint:
-    """One point theta(y) on the geodesic: a x b with orthonormal columns."""
-
-    y: float
-    matrix: np.ndarray
-
-
-@dataclass
-class GeodesicKernel:
-    """Closed-form geodesic flow kernel in factored form.
-
-    W = [A, B] [[L1, L2], [L2, L3]] [A, B]^T with ``start`` = A = x U (the
-    flow at y=0), ``flow`` = B and the diagonals ``lambda1``-``lambda3``.
-    """
-
-    start: np.ndarray
-    flow: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda3: np.ndarray
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.start.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense a x a kernel W, symmetrized."""
-        A, B = self.start, self.flow
-        GM = np.hstack([A * self.lambda1 + B * self.lambda2,
-                        A * self.lambda2 + B * self.lambda3])
-        W = GM @ np.hstack([A, B]).T
-        return (W + W.T) / 2.0
 
 
 def _lambda_coeffs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,9 +77,10 @@ def stacked_distances(bases: np.ndarray, means: np.ndarray,
 
     ``bases`` (M, a, k) holds each source basis x_s, ``means`` (M, a) each
     source feature t_s; z (a, k) and r (a,) are the target's.  Entry s is
-    what ``kernel_distance(t_s, r, gfk_kernel(principal_angles(x_s, z), x_s))``
-    returns, in k-dim quantities only.  With delta = t_s - r, g = x^T delta,
-    h = z^T delta and x^T z = U diag(cos theta) V^T, let p = U^T g and
+    delta^T W delta with delta = t_s - r and the dense
+    W = ``gfk_kernel(principal_angles(x_s, z), x_s)``, computed in k-dim
+    quantities only.  With g = x^T delta, h = z^T delta and
+    x^T z = U diag(cos theta) V^T, let p = U^T g and
     w = V^T (h - (x^T z)^T g) = -sin(theta) B^T delta.  Then
 
         d = sum lambda1 p^2 - 2 (lambda2/sin theta) p w
@@ -147,20 +110,6 @@ def _flow_factors(dec: PrincipalDecomposition,
     return x.basis @ dec.left_rotation, dec.flow_complement
 
 
-def geodesic_flow(dec: PrincipalDecomposition, x: SubspaceBasis,
-                  y: float) -> FlowPoint:
-    """Point theta(y) on the geodesic from x's subspace to the target's.
-
-    At y=0 the matrix is x U (spans x's subspace); at y=1 it spans the
-    target subspace.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise OutOfRange(f"flow parameter must be in [0, 1], got {y}")
-    A, B = _flow_factors(dec, x)
-    return FlowPoint(y=y, matrix=A * np.cos(y * dec.angles)
-                     - B * np.sin(y * dec.angles))
-
-
 def flow_samples(dec: PrincipalDecomposition, x: SubspaceBasis,
                  ys: np.ndarray) -> np.ndarray:
     """theta(y) for a batch of y values, stacked as (len(ys), a, b)."""
@@ -173,11 +122,17 @@ def flow_samples(dec: PrincipalDecomposition, x: SubspaceBasis,
     return A[None, :, :] * C[:, None, :] - B[None, :, :] * S[:, None, :]
 
 
-def gfk_kernel(dec: PrincipalDecomposition, x: SubspaceBasis) -> GeodesicKernel:
-    """Closed-form kernel W = [xU, B] [[L1, L2], [L2, L3]] [xU, B]^T."""
+def gfk_kernel(dec: PrincipalDecomposition, x: SubspaceBasis) -> np.ndarray:
+    """Closed-form dense kernel W = [xU, B] [[L1, L2], [L2, L3]] [xU, B]^T.
+
+    The a x a W is symmetrized; it is the reference the runtime's
+    :func:`stacked_distances` is checked against.
+    """
     A, B = _flow_factors(dec, x)
     l1, l2, l3 = _lambda_coeffs(dec.angles)
-    return GeodesicKernel(start=A, flow=B, lambda1=l1, lambda2=l2, lambda3=l3)
+    GM = np.hstack([A * l1 + B * l2, A * l2 + B * l3])
+    W = GM @ np.hstack([A, B]).T
+    return (W + W.T) / 2.0
 
 
 def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
@@ -202,27 +157,6 @@ def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
         G2 = Fw.transpose(1, 0, 2).reshape(a, -1)
         W += G2 @ G1.T
     return (W + W.T) / 2.0
-
-
-def kernel_distance(t, r, kernel: GeodesicKernel) -> float:
-    """Kernel-induced squared distance (t - r)^T W (t - r), from the factors.
-
-    With delta = t - r, p = A^T delta and q = B^T delta this is
-    p^T L1 p + 2 p^T L2 q + q^T L3 q.  Tiny negatives from rounding (W is
-    PSD only to floating-point tolerance) are clamped to zero.
-    """
-    t = as_feature_vector(t)
-    r = as_feature_vector(r)
-    a = kernel.dim_ambient
-    if t.shape != (a,) or r.shape != (a,):
-        raise DimensionMismatch(
-            f"features must have shape ({a},), got {t.shape} and {r.shape}")
-    delta = t - r
-    p = kernel.start.T @ delta
-    q = kernel.flow.T @ delta
-    d = float(p @ (kernel.lambda1 * p + 2.0 * kernel.lambda2 * q)
-              + q @ (kernel.lambda3 * q))
-    return d if d > 0.0 else 0.0
 
 
 def similarity(d: float) -> float:

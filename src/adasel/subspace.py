@@ -29,18 +29,6 @@ CLUSTER_TOL = 1e-13
 SIN_PI_4 = np.sqrt(0.5)
 
 
-def as_feature_vector(values) -> np.ndarray:
-    """Validate and return a feature vector as a float64 1-D array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"feature vector must be 1-D, got shape {v.shape}")
-    if v.size < 2:
-        raise DimensionMismatch(f"feature dimension must be >= 2, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteFeatures("feature vector contains NaN or Inf")
-    return v
-
-
 def as_feature_matrix(samples) -> np.ndarray:
     """Stack samples into an (n, a) float64 matrix, checking consistency."""
     if isinstance(samples, np.ndarray) and samples.ndim == 2:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adasel.gfk import stacked_distances
 from adasel.subspace import SubspaceBasis, _fix_signs, orthogonal_complement
 
 
@@ -9,6 +10,11 @@ def random_subspace(rng, a, b):
     q, _ = np.linalg.qr(rng.standard_normal((a, b)))
     q, _ = _fix_signs(q)
     return SubspaceBasis(basis=q, complement=orthogonal_complement(q))
+
+
+def runtime_distance(t, r, x, z):
+    """The runtime's distance from source (x, t) to target (z, r)."""
+    return stacked_distances(x.basis[None], t[None], z.basis, r)[0]
 
 
 def max_sine_angle(F, basis):

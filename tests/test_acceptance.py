@@ -19,15 +19,14 @@ from adasel.design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                            SelectionConstraints, build_design_profile,
                            feasible_combos, label_scenarios, select_platform)
 from adasel.errors import BadMagic, DuplicateKey, TruncatedPayload
-from adasel.gfk import (gfk_kernel, kernel_distance, kernel_integral_oracle,
-                        similarity)
+from adasel.gfk import gfk_kernel, kernel_integral_oracle, similarity
 from adasel.harness import SyntheticConfig, emit_report, evaluate_regret, \
     generate_synthetic
 from adasel.runtime import build_window, match_scenario, run_selection, \
     select_combo
 from adasel.subspace import SubspaceBasis, orthogonal_complement, \
     principal_angles
-from conftest import random_subspace
+from conftest import random_subspace, runtime_distance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,7 +50,7 @@ def test_criterion_1_kernel_oracle_equivalence():
         x = random_subspace(rng, a, b)
         z = random_subspace(rng, a, b)
         dec = principal_angles(x, z)
-        W = gfk_kernel(dec, x).matrix
+        W = gfk_kernel(dec, x)
         Wo = kernel_integral_oracle(dec, x, steps=100_000)
         rel = np.linalg.norm(W - Wo) / np.linalg.norm(W)
         worst = max(worst, rel)
@@ -72,7 +71,7 @@ def test_criterion_2_planar_analytic():
         z = np.array([[np.cos(alpha)], [np.sin(alpha)]])
         sx = SubspaceBasis(x, orthogonal_complement(x))
         sz = SubspaceBasis(z, orthogonal_complement(z))
-        W = gfk_kernel(principal_angles(sx, sz), sx).matrix
+        W = gfk_kernel(principal_angles(sx, sz), sx)
         off = (1.0 - np.cos(2 * alpha)) / (4 * alpha)
         analytic = np.array([
             [0.5 + np.sin(2 * alpha) / (4 * alpha), off],
@@ -94,22 +93,20 @@ def test_criterion_3_psd_and_metric_properties():
         b = int(rng.integers(1, a // 2 + 1))
         x = random_subspace(rng, a, b)
         z = random_subspace(rng, a, b)
-        k = gfk_kernel(principal_angles(x, z), x)
-        W = k.matrix
+        W = gfk_kernel(principal_angles(x, z), x)
         assert np.abs(W - W.T).max() < 1e-10
         eigs = np.linalg.eigvalsh(W)
         assert eigs.min() >= -1e-8 * (np.trace(W) / a)
         assert np.sum(eigs > 1e-9) <= 2 * b
         t = rng.standard_normal(a)
         r = rng.standard_normal(a)
-        d = kernel_distance(t, r, k)
+        d = runtime_distance(t, r, x, z)
         assert d >= 0.0
         s = similarity(d)
         assert 0.0 < s <= 1.0
         # under identical subspaces: zero distance iff equal features
-        k_same = gfk_kernel(principal_angles(x, x), x)
-        assert kernel_distance(t, t, k_same) == 0.0
-        assert kernel_distance(t, r, k_same) > 0.0
+        assert runtime_distance(t, t, x, x) == 0.0
+        assert runtime_distance(t, r, x, x) > 0.0
         cases += 1
     _pass(3, f"{cases} random cases: W symmetric PSD (rank <= 2b), "
              "distances nonnegative, similarity in (0, 1]")
@@ -127,16 +124,16 @@ def test_criterion_4_invariance_suite():
         x, z = random_subspace(rng, a, b), random_subspace(rng, a, b)
         q, _ = np.linalg.qr(rng.standard_normal((b, b)))
         xq = SubspaceBasis(x.basis @ q, orthogonal_complement(x.basis @ q))
-        W1 = gfk_kernel(principal_angles(x, z), x).matrix
-        W2 = gfk_kernel(principal_angles(xq, z), xq).matrix
+        W1 = gfk_kernel(principal_angles(x, z), x)
+        W2 = gfk_kernel(principal_angles(xq, z), xq)
         worst_rot = max(worst_rot, np.linalg.norm(W1 - W2))
         assert worst_rot < 1e-9
     # direction symmetry
     worst_sym = 0.0
     for _ in range(20):
         x, z = random_subspace(rng, 16, 4), random_subspace(rng, 16, 4)
-        Wf = gfk_kernel(principal_angles(x, z), x).matrix
-        Wr = gfk_kernel(principal_angles(z, x), z).matrix
+        Wf = gfk_kernel(principal_angles(x, z), x)
+        Wr = gfk_kernel(principal_angles(z, x), z)
         worst_sym = max(worst_sym, np.linalg.norm(Wf - Wr))
         assert worst_sym < 1e-8
     # argmax invariance of match_scenario under uniform positive scaling
@@ -210,11 +207,10 @@ def _brute_force_two_step(profile, window, platform_id, design_inputs):
     # step 1: independent composition of the primitives, explicit argmax
     sims = []
     for s in profile.scenarios:
-        dec = principal_angles(s.subspace, window.subspace)
-        k = gfk_kernel(dec, s.subspace)
-        d = kernel_distance(s.representative_feature,
-                            window.aggregated_feature, k)
-        sims.append(similarity(d))
+        W = gfk_kernel(principal_angles(s.subspace, window.subspace),
+                       s.subspace)
+        delta = s.representative_feature - window.aggregated_feature
+        sims.append(similarity(max(float(delta @ W @ delta), 0.0)))
     order = sorted(range(len(sims)),
                    key=lambda i: (-sims[i], profile.scenarios[i].scenario_id))
     matched = profile.scenarios[order[0]].scenario_id

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasel.errors import DimensionMismatch, OutOfRange
-from adasel.gfk import (GeodesicKernel, flow_samples, geodesic_flow,
-                        gfk_kernel, kernel_distance, kernel_integral_oracle,
-                        similarity)
+from adasel.errors import OutOfRange
+from adasel.gfk import (_lambda_coeffs, flow_samples, gfk_kernel,
+                        kernel_integral_oracle, similarity)
 from adasel.subspace import SubspaceBasis, orthogonal_complement, principal_angles
-from conftest import max_sine_angle, random_subspace
+from conftest import max_sine_angle, random_subspace, runtime_distance
 
 
 def planar_pair(alpha):
@@ -28,31 +27,29 @@ def planar_analytic_kernel(alpha):
 
 
 # --------------------------------------------------------------------------
-# geodesic_flow
+# flow_samples
 
 def test_flow_endpoints(rng):
     for a, b in [(10, 2), (20, 5), (50, 10)]:
         x, z = random_subspace(rng, a, b), random_subspace(rng, a, b)
         dec = principal_angles(x, z)
-        start = geodesic_flow(dec, x, 0.0).matrix
+        start, end = flow_samples(dec, x, [0.0, 1.0])
         assert np.allclose(start, x.basis @ dec.left_rotation, atol=1e-12)
         assert max_sine_angle(start, x.basis) < 1e-8
-        end = geodesic_flow(dec, x, 1.0).matrix
         assert max_sine_angle(end, z.basis) < 1e-8
 
 
 def test_flow_columns_orthonormal_along_path(rng):
     x, z = random_subspace(rng, 16, 4), random_subspace(rng, 16, 4)
     dec = principal_angles(x, z)
-    for y in [0.0, 0.2, 0.5, 0.8, 1.0]:
-        m = geodesic_flow(dec, x, y).matrix
+    for m in flow_samples(dec, x, [0.0, 0.2, 0.5, 0.8, 1.0]):
         assert np.abs(m.T @ m - np.eye(4)).max() < 1e-8
 
 
 def test_flow_planar_midpoint():
     sx, sz = planar_pair(0.7)
     dec = principal_angles(sx, sz)
-    mid = geodesic_flow(dec, sx, 0.5).matrix
+    mid = flow_samples(dec, sx, [0.5])[0]
     expect = np.array([[np.cos(0.35)], [np.sin(0.35)]])
     assert (np.abs(mid - expect).max() < 1e-12
             or np.abs(mid + expect).max() < 1e-12)
@@ -69,40 +66,16 @@ def test_flow_endpoints_for_nearly_identical_subspaces(rng):
             z = SubspaceBasis(q1, orthogonal_complement(q1))
             dec = principal_angles(x, z)
             assert np.all(np.diff(dec.angles) >= 0.0)
-            end = geodesic_flow(dec, x, 1.0).matrix
+            end = flow_samples(dec, x, [1.0])[0]
             assert max_sine_angle(end, z.basis) < 1e-8
 
 
 def test_flow_rejects_out_of_range(rng):
     x, z = random_subspace(rng, 8, 2), random_subspace(rng, 8, 2)
     dec = principal_angles(x, z)
-    for y in [-0.1, 1.1]:
+    for ys in [[-0.1], [1.1], [0.0, 1.2]]:
         with pytest.raises(OutOfRange):
-            geodesic_flow(dec, x, y)
-
-
-def test_flow_samples_match_single_evaluations(rng):
-    x, z = random_subspace(rng, 12, 3), random_subspace(rng, 12, 3)
-    dec = principal_angles(x, z)
-    ys = np.array([0.0, 0.13, 0.5, 0.99, 1.0])
-    batch = flow_samples(dec, x, ys)
-    for i, y in enumerate(ys):
-        assert np.array_equal(batch[i], geodesic_flow(dec, x, float(y)).matrix)
-
-
-def test_flow_samples_reject_out_of_range(rng):
-    x, z = random_subspace(rng, 8, 2), random_subspace(rng, 8, 2)
-    dec = principal_angles(x, z)
-    with pytest.raises(OutOfRange):
-        flow_samples(dec, x, np.array([0.0, 1.2]))
-
-
-def test_distance_rejects_non_finite_features(rng):
-    x = random_subspace(rng, 8, 2)
-    k = gfk_kernel(principal_angles(x, x), x)
-    bad = np.full(8, np.nan)
-    with pytest.raises(ValueError):
-        kernel_distance(bad, np.zeros(8), k)
+            flow_samples(dec, x, ys)
 
 
 # --------------------------------------------------------------------------
@@ -110,24 +83,26 @@ def test_distance_rejects_non_finite_features(rng):
 
 def test_kernel_identical_subspaces_is_projector(rng):
     x = random_subspace(rng, 12, 3)
-    k = gfk_kernel(principal_angles(x, x), x)
-    assert np.abs(k.matrix - x.basis @ x.basis.T).max() < 1e-12
-    assert np.allclose(k.lambda1, 1.0, atol=1e-12)
-    assert np.allclose(k.lambda2, 0.0, atol=1e-12)
-    assert np.allclose(k.lambda3, 0.0, atol=1e-12)
+    dec = principal_angles(x, x)
+    W = gfk_kernel(dec, x)
+    assert np.abs(W - x.basis @ x.basis.T).max() < 1e-12
+    l1, l2, l3 = _lambda_coeffs(dec.angles)
+    assert np.allclose(l1, 1.0, atol=1e-12)
+    assert np.allclose(l2, 0.0, atol=1e-12)
+    assert np.allclose(l3, 0.0, atol=1e-12)
 
 
 def test_kernel_planar_analytic():
     for alpha in [0.1, 0.7, np.pi / 2]:
         sx, sz = planar_pair(alpha)
-        k = gfk_kernel(principal_angles(sx, sz), sx)
-        assert np.abs(k.matrix - planar_analytic_kernel(alpha)).max() < 1e-12
+        W = gfk_kernel(principal_angles(sx, sz), sx)
+        assert np.abs(W - planar_analytic_kernel(alpha)).max() < 1e-12
 
 
 def test_kernel_matches_oracle(rng):
     x, z = random_subspace(rng, 20, 5), random_subspace(rng, 20, 5)
     dec = principal_angles(x, z)
-    W = gfk_kernel(dec, x).matrix
+    W = gfk_kernel(dec, x)
     Wo = kernel_integral_oracle(dec, x, steps=100_000)
     rel = np.linalg.norm(W - Wo) / np.linalg.norm(W)
     assert rel <= 1e-8
@@ -135,7 +110,7 @@ def test_kernel_matches_oracle(rng):
 
 def test_kernel_symmetric_psd_low_rank(rng):
     x, z = random_subspace(rng, 15, 4), random_subspace(rng, 15, 4)
-    W = gfk_kernel(principal_angles(x, z), x).matrix
+    W = gfk_kernel(principal_angles(x, z), x)
     assert np.abs(W - W.T).max() < 1e-10
     eigs = np.linalg.eigvalsh(W)
     assert eigs.min() >= -1e-8 * (np.trace(W) / 15)
@@ -154,7 +129,7 @@ def test_kernel_small_angle_series_consistent(rng):
     x = SubspaceBasis(basis, orthogonal_complement(basis))
     z = SubspaceBasis(zcols, orthogonal_complement(zcols))
     dec = principal_angles(x, z)
-    W = gfk_kernel(dec, x).matrix
+    W = gfk_kernel(dec, x)
     Wo = kernel_integral_oracle(dec, x, steps=100_000)
     assert np.abs(W - Wo).max() < 1e-10
 
@@ -179,7 +154,7 @@ def test_oracle_planar_matches_analytic():
 def test_oracle_second_order_convergence(rng):
     x, z = random_subspace(rng, 16, 4), random_subspace(rng, 16, 4)
     dec = principal_angles(x, z)
-    W = gfk_kernel(dec, x).matrix
+    W = gfk_kernel(dec, x)
     e1 = np.linalg.norm(kernel_integral_oracle(dec, x, steps=10_000) - W)
     e2 = np.linalg.norm(kernel_integral_oracle(dec, x, steps=5_000) - W)
     assert 3.5 < e2 / e1 < 4.5
@@ -193,46 +168,18 @@ def test_oracle_rejects_too_few_steps(rng):
 
 
 # --------------------------------------------------------------------------
-# kernel_distance / similarity
+# stacked_distances / similarity
 
 def test_distance_zero_for_equal_features(rng):
     x, z = random_subspace(rng, 10, 3), random_subspace(rng, 10, 3)
-    k = gfk_kernel(principal_angles(x, z), x)
     t = rng.standard_normal(10)
-    assert kernel_distance(t, t, k) == 0.0
-
-
-def test_distance_with_identity_kernel_is_squared_euclidean(rng):
-    # a = 2b and L1 = L3 = 1, L2 = 0: W = A A^T + B B^T = I
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    k = GeodesicKernel(start=q[:, :3], flow=q[:, 3:], lambda1=np.ones(3),
-                       lambda2=np.zeros(3), lambda3=np.ones(3))
-    assert np.abs(k.matrix - np.eye(6)).max() < 1e-12
-    t, r = rng.standard_normal(6), rng.standard_normal(6)
-    assert abs(kernel_distance(t, r, k) - np.sum((t - r) ** 2)) < 1e-12
+    assert runtime_distance(t, t, x, z) == 0.0
 
 
 def test_distance_planar_right_angle_value():
     sx, sz = planar_pair(np.pi / 2)
-    k = gfk_kernel(principal_angles(sx, sz), sx)
-    d = kernel_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]), k)
+    d = runtime_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]), sx, sz)
     assert abs(d - (1.0 - 2.0 / np.pi)) < 1e-12
-
-
-def test_distance_equals_three_term_expansion(rng):
-    x, z = random_subspace(rng, 12, 3), random_subspace(rng, 12, 3)
-    k = gfk_kernel(principal_angles(x, z), x)
-    t, r = rng.standard_normal(12), rng.standard_normal(12)
-    W = k.matrix
-    three_term = t @ W @ t + r @ W @ r - 2.0 * (t @ W @ r)
-    assert abs(kernel_distance(t, r, k) - three_term) < 1e-10
-
-
-def test_distance_dimension_mismatch(rng):
-    x = random_subspace(rng, 8, 2)
-    k = gfk_kernel(principal_angles(x, x), x)
-    with pytest.raises(DimensionMismatch):
-        kernel_distance(np.zeros(7), np.zeros(8), k)
 
 
 def test_similarity_reference_points():
@@ -260,20 +207,20 @@ def test_kernel_invariant_under_basis_rotation(rng):
     x, z = random_subspace(rng, 14, 4), random_subspace(rng, 14, 4)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     xq = SubspaceBasis(x.basis @ q, orthogonal_complement(x.basis @ q))
-    W1 = gfk_kernel(principal_angles(x, z), x).matrix
-    W2 = gfk_kernel(principal_angles(xq, z), xq).matrix
+    W1 = gfk_kernel(principal_angles(x, z), x)
+    W2 = gfk_kernel(principal_angles(xq, z), xq)
     assert np.linalg.norm(W1 - W2) < 1e-9
 
 
 def test_kernel_direction_symmetry(rng):
     x, z = random_subspace(rng, 14, 4), random_subspace(rng, 14, 4)
-    W_fwd = gfk_kernel(principal_angles(x, z), x).matrix
-    W_rev = gfk_kernel(principal_angles(z, x), z).matrix
+    W_fwd = gfk_kernel(principal_angles(x, z), x)
+    W_rev = gfk_kernel(principal_angles(z, x), z)
     assert np.linalg.norm(W_fwd - W_rev) < 1e-8
 
 
 # --------------------------------------------------------------------------
-# properties of the factored distance
+# properties of the runtime distance
 
 @st.composite
 def subspace_pairs(draw):
@@ -300,18 +247,6 @@ def subspace_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(subspace_pairs())
-def test_factored_distance_equals_dense_quadratic_form(case):
-    x, z, rng = case
-    k = gfk_kernel(principal_angles(x, z), x)
-    t = 10.0 * rng.standard_normal(x.dim_ambient)
-    r = rng.standard_normal(x.dim_ambient)
-    delta = t - r
-    dense = delta @ k.matrix @ delta
-    assert abs(kernel_distance(t, r, k) - dense) <= 1e-12 * (delta @ delta)
-
-
-@settings(max_examples=300, deadline=None)
-@given(subspace_pairs())
 def test_distance_invariant_under_basis_rotation(case):
     x, z, rng = case
     a, b = x.dim_ambient, x.dim_subspace
@@ -319,6 +254,6 @@ def test_distance_invariant_under_basis_rotation(case):
     q1, _ = np.linalg.qr(rng.standard_normal((b, b)))
     q2, _ = np.linalg.qr(rng.standard_normal((b, b)))
     xq, zq = SubspaceBasis(x.basis @ q1), SubspaceBasis(z.basis @ q2)
-    d = kernel_distance(t, r, gfk_kernel(principal_angles(x, z), x))
-    dq = kernel_distance(t, r, gfk_kernel(principal_angles(xq, zq), xq))
+    d = runtime_distance(t, r, x, z)
+    dq = runtime_distance(t, r, xq, zq)
     assert abs(d - dq) <= 1e-12 * ((t - r) @ (t - r))

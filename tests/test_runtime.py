@@ -265,7 +265,7 @@ def test_match_ranks_by_distance_beyond_exp_underflow():
         d = []
         for s in profile.scenarios:
             W = gfk_kernel(principal_angles(s.subspace, w.subspace),
-                           s.subspace).matrix
+                           s.subspace)
             delta = s.representative_feature - w.aggregated_feature
             d.append(delta @ W @ delta)
         sid, sims = match_scenario(w, profile)
@@ -319,7 +319,7 @@ def test_batched_distances_equal_dense_quadratic_form(case):
     d = _scenario_distances(window, profile)
     for s, ds in zip(profile.scenarios, d):
         x = SubspaceBasis(s.subspace.basis[:, :k])
-        W = gfk_kernel(principal_angles(x, z), x).matrix
+        W = gfk_kernel(principal_angles(x, z), x)
         delta = s.representative_feature - window.aggregated_feature
         assert abs(ds - delta @ W @ delta) <= 1e-12 * (delta @ delta)
     _, sims = match_scenario(window, profile)
