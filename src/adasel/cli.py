@@ -44,7 +44,10 @@ def _index_pair(key: str) -> tuple[int, int]:
 
 def load_synth_config(path, default_seed: int) -> SyntheticConfig:
     """SyntheticConfig from a JSON file; unknown keys are rejected."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"{path}: expected a JSON object")
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
@@ -223,11 +226,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except NoFeasiblePlatform as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("platform diagnostics:", file=sys.stderr)
-        for pid, d in exc.diagnostics.items():
-            print(f"  {pid}: cost={d['cost']} "
-                  f"best_mean_error={d['best_mean_error']:.6g} "
-                  f"within_budget={d['cost_ok']}", file=sys.stderr)
         return 2
     except (AdaselError, OSError, ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

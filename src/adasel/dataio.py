@@ -92,19 +92,33 @@ def _check_version(doc, path) -> None:
             f"({FORMAT_VERSION})")
 
 
+def _require(entry, keys, where) -> dict:
+    """``entry``, a JSON object holding every key in keys; errors name where."""
+    if not isinstance(entry, dict):
+        raise ManifestInvalid(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise ManifestInvalid(f"{where}: missing key {key!r}")
+    return entry
+
+
+def _entries(doc, name, keys, path) -> list[dict]:
+    """The list ``doc[name]``; each entry must hold every key in keys."""
+    if not isinstance(doc[name], list):
+        raise ManifestInvalid(f"{path}: {name}: expected a JSON list")
+    return [_require(entry, keys, f"{path}: {name}[{i}]")
+            for i, entry in enumerate(doc[name])]
+
+
 def _read_doc(path, keys) -> dict:
     """The versioned JSON object in ``path``; it must hold every key in keys."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ManifestInvalid(f"{path}: not JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ManifestInvalid(f"{path}: expected a JSON object")
+    _require(doc, (), path)
     _check_version(doc, path)
-    for key in keys:
-        if key not in doc:
-            raise ManifestInvalid(f"{path}: missing key {key!r}")
-    return doc
+    return _require(doc, keys, path)
 
 
 # --------------------------------------------------------------------------
@@ -286,13 +300,17 @@ def write_profile(path, profile: DesignProfile) -> None:
 def read_profile(path) -> DesignProfile:
     path = Path(path)
     doc = _read_doc(path, ("config", "scenarios"))
-    cfg = doc["config"]
+    cfg = _require(doc["config"],
+                   ("dim_ambient", "dim_subspace", "window_length"),
+                   f"{path}: config")
     config = ProfileConfig(
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
         window_length=cfg["window_length"])
     shape = (config.dim_ambient, config.dim_subspace)
     scenarios = []
-    for s in doc["scenarios"]:
+    for s in _entries(doc, "scenarios",
+                      ("scenario_id", "basis_file", "representative_feature",
+                       "member_count", "labels"), path):
         basis_path = path.parent / s["basis_file"]
         subspace = SubspaceBasis(read_matrix(basis_path))
         if subspace.basis.shape != shape:
@@ -355,10 +373,12 @@ def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
     doc = _read_doc(path, ("combos", "platforms"))
     combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
                              fps=c["fps"], resolution=tuple(c["resolution"]))
-              for c in doc["combos"]]
+              for c in _entries(doc, "combos",
+                                ("id", "algorithm", "fps", "resolution"), path)]
     platforms = [PlatformSpec(id=p["id"], cost=p["cost"],
                               combo_capabilities=dict(p["combo_capabilities"]))
-                 for p in doc["platforms"]]
+                 for p in _entries(doc, "platforms",
+                                   ("id", "cost", "combo_capabilities"), path)]
     return combos, platforms
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import adasel
+from adasel import dataio
 from adasel.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,8 +146,11 @@ def test_profile_infeasible_constraints_exit_2(tmp_path, capsys):
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "platform diagnostics" in err
-    assert "best_mean_error" in err
+    _, platforms = dataio.read_platforms(out / "platforms.json")
+    # each platform's cost and best mean error are printed exactly once
+    for p in platforms:
+        assert err.count(f"{p.id}: cost={p.cost}") == 1
+    assert err.count("best mean error=") == len(platforms)
 
 
 def test_select_dimension_mismatch_exits_1(tmp_path, capsys):
@@ -221,6 +225,17 @@ def test_synth_config_that_is_not_an_object_exits_1(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "error: ConfigInvalid: " in capsys.readouterr().err
+
+
+def test_synth_config_that_is_not_json_exits_1_naming_the_file(
+        tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text("{not json")
+    rc = main(["synth", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert (f"error: ConfigInvalid: {cfg}: not JSON"
+            in capsys.readouterr().err)
 
 
 def test_synth_config_string_dimension_exits_1(tmp_path, capsys):
@@ -455,3 +470,17 @@ def test_json_input_that_is_not_an_object_exits_1_naming_the_file(
     assert main(argv) == 1
     assert (f"error: ManifestInvalid: {bad}: expected a JSON object"
             in capsys.readouterr().err)
+
+
+def test_profile_config_without_a_key_exits_1_naming_the_file(
+        tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    bad = out / "bad.json"
+    bad.write_text(json.dumps({"format_version": 3, "config": {},
+                               "scenarios": []}))
+    capsys.readouterr()
+    assert main(["select", "--profile", str(bad),
+                 "--stream", str(out / "test_manifest.json"),
+                 "--out", str(out / "t2.jsonl")]) == 1
+    assert (f"error: ManifestInvalid: {bad}: config: missing key "
+            "'dim_ambient'" in capsys.readouterr().err)

@@ -395,6 +395,45 @@ def test_malformed_json_document_raises_manifest_invalid_naming_the_file(
         assert str(exc.value).startswith(f"{path}: {message}")
 
 
+def test_profile_scenario_without_a_key_raises_manifest_invalid(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    del doc["scenarios"][1]["basis_file"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == f"{path}: scenarios[1]: missing key 'basis_file'"
+
+
+def test_platforms_combo_without_a_key_raises_manifest_invalid(tmp_path):
+    dataset, _ = pipeline_profile()
+    path = tmp_path / "platforms.json"
+    dataio.write_platforms(path, dataset.combos, dataset.platforms)
+    doc = json.loads(path.read_text())
+    del doc["combos"][0]["algorithm"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_platforms(path)
+    assert str(exc.value) == f"{path}: combos[0]: missing key 'algorithm'"
+
+
+@pytest.mark.parametrize("reader, name", [
+    (dataio.read_profile, "scenarios"),
+    (dataio.read_platforms, "combos"),
+])
+def test_entry_list_that_is_not_a_list_raises_manifest_invalid(
+        tmp_path, reader, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "format_version": 3, "scenarios": 5, "combos": 5, "platforms": [],
+        "config": {"dim_ambient": 4, "dim_subspace": 1, "window_length": 3}}))
+    with pytest.raises(ManifestInvalid) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}: {name}: expected a JSON list"
+
+
 # --------------------------------------------------------------------------
 # traces
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from adasel.design import (SelectionConstraints, build_design_profile,
-                           cluster_scenarios)
+from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
+                           SelectionConstraints, build_design_profile,
+                           cluster_scenarios, label_scenarios)
 from adasel.errors import ConfigInvalid, DuplicateKey, Misaligned
 from adasel.harness import (RegretReport, SyntheticConfig, WindowTruth,
                             emit_report, evaluate_regret, generate_synthetic,
                             parse_report, read_window_truth,
                             write_window_truth)
 from adasel.runtime import SelectionDecision, SelectionTrace, run_selection
+from adasel.subspace import pca_basis
 
 OPEN = SelectionConstraints(max_mean_error=float("inf"), required_fps=0.0,
                             max_cost=float("inf"))
@@ -349,3 +351,47 @@ def test_window_truth_rows_of_a_window_must_agree_on_its_scenario(
         read_window_truth(path)
     assert f"{path}:3:" in str(exc.value)
     assert "line 2" in str(exc.value)
+
+
+def labeled_profile(dataset):
+    """The design profile with one scenario per generating block.
+
+    Each scenario is the mean and ``pca_basis`` of its own training block,
+    named by ``scenario_map``, so no clustering step can merge or split
+    blocks.
+    """
+    cfg = dataset.config
+    labels = np.array(dataset.training_labels)
+    scenarios = []
+    for gen_id, sid in sorted(dataset.scenario_map.items(),
+                              key=lambda item: item[1]):
+        block = dataset.training_frames[labels == gen_id]
+        scenarios.append(ScenarioProfile(
+            scenario_id=sid, representative_feature=block.mean(axis=0),
+            subspace=pca_basis(block, cfg.dim_subspace),
+            member_count=len(block)))
+    label_scenarios(scenarios, dataset.combos, dataset.platforms,
+                    dataset.performance, OPEN.required_fps)
+    return DesignProfile(
+        scenarios=scenarios, selected_platform="p1",
+        config=ProfileConfig(cfg.dim_ambient, cfg.dim_subspace,
+                             cfg.frames_per_scenario))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decision_quality_sweep_over_mean_scale(seed):
+    # scenario-match accuracy as the scenario means move apart, with
+    # scenarios taken from the generating blocks; at mean_scale 0 to 2 the
+    # kernel distance matches at or below chance, so only the trend and
+    # the default-scale end point are asserted
+    accuracy, regret = [], []
+    for scale in [0.0, 0.5, 1.0, 2.0, 4.0]:
+        dataset = generate_synthetic(SyntheticConfig(
+            seed=seed, n_windows=100, mean_scale=scale))
+        trace = run_selection(dataset.test_stream, labeled_profile(dataset),
+                              "p1", dataset.config.frames_per_scenario)
+        report = evaluate_regret(trace, dataset.window_truth)
+        accuracy.append(report.scenario_match_accuracy)
+        regret.append(report.regret)
+    assert accuracy[-1] == 1.0 and regret[-1] == 0.0
+    assert all(lo <= hi for lo, hi in zip(accuracy, accuracy[1:])), accuracy
