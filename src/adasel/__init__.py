@@ -15,8 +15,7 @@ from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                      select_platform)
 from .gfk import gfk_kernel, kernel_integral_oracle, similarity
 from .harness import (RegretReport, SyntheticConfig, SyntheticDataset,
-                      WindowTruth, evaluate_regret, emit_report,
-                      generate_synthetic, parse_report)
+                      WindowTruth, evaluate_regret, generate_synthetic)
 from .runtime import (SelectionDecision, SelectionTrace, TimeWindow,
                       build_window, match_scenario, run_selection,
                       segment_windows, select_combo)
@@ -32,10 +31,10 @@ __all__ = [
     "ScenarioProfile", "SelectionConstraints", "SelectionDecision",
     "SelectionTrace", "SubspaceBasis", "SyntheticConfig", "SyntheticDataset",
     "TimeWindow", "WindowTruth", "as_feature_matrix", "build_design_profile",
-    "build_window", "cluster_scenarios", "emit_report", "evaluate_regret",
+    "build_window", "cluster_scenarios", "evaluate_regret",
     "feasible_combos", "generate_synthetic", "gfk_kernel",
     "kernel_integral_oracle", "label_scenarios", "match_scenario",
-    "orthogonal_complement", "parse_report", "pca_basis", "principal_angles",
+    "orthogonal_complement", "pca_basis", "principal_angles",
     "run_selection", "segment_windows", "select_combo", "select_platform",
     "similarity",
 ]

@@ -19,7 +19,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import dataio, harness
+from . import dataio
 from .design import SelectionConstraints, build_design_profile
 from .errors import AdaselError, ConfigInvalid, NoFeasiblePlatform
 from .harness import SyntheticConfig, evaluate_regret, generate_synthetic
@@ -81,8 +81,7 @@ def cmd_synth(args) -> int:
                         labels=dataset.test_labels)
     dataio.write_performance_table(out / "performance.csv",
                                    dataset.performance)
-    harness.write_window_truth(out / "window_truth.csv",
-                               dataset.window_truth)
+    dataio.write_window_truth(out / "window_truth.csv", dataset.window_truth)
     dataio.write_platforms(out / "platforms.json", dataset.combos,
                            dataset.platforms)
     print(f"wrote synthetic dataset to {out}: "
@@ -105,7 +104,8 @@ def cmd_profile(args) -> int:
         max_cost=args.max_cost)
     profile = build_design_profile(
         stream.frames, combos, platforms, performance, constraints,
-        n_scenarios=args.scenarios, subspace_dim=args.subspace_dim,
+        n_scenarios=len({r.scenario_id for r in performance}),
+        subspace_dim=args.subspace_dim,
         window_length=args.window_length, seed=args.seed)
     dataio.write_profile(args.out, profile)
     print(f"selected platform: {profile.selected_platform}")
@@ -137,13 +137,11 @@ def cmd_select(args) -> int:
 
 def cmd_eval(args) -> int:
     trace = dataio.read_trace(args.trace)
-    truth = harness.read_window_truth(args.truth)
+    truth = dataio.read_window_truth(args.truth)
     log.debug("%d trace windows, %d ground-truth windows",
               len(trace.decisions), len(truth))
     report = evaluate_regret(trace, truth)
-    out = Path(args.out)
-    out.write_text(harness.emit_report(report, "csv"))
-    out.with_suffix(".json").write_text(harness.emit_report(report, "json"))
+    dataio.write_report(args.out, report)
     accuracy = ("n/a" if report.scenario_match_accuracy is None
                 else f"{report.scenario_match_accuracy:.4f}")
     print(f"selected total {report.selected_sum:.4f}, "
@@ -177,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perf", required=True, help="performance table CSV")
     p.add_argument("--platforms", required=True,
                    help="combo/platform capability JSON")
-    p.add_argument("--scenarios", type=int, default=15, metavar="M",
-                   help="number of unique scenarios (default 15)")
     p.add_argument("--subspace-dim", type=int, default=20, metavar="B",
                    help="subspace dimension (default 20)")
     p.add_argument("--max-error", type=float, required=True,

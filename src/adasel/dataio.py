@@ -1,9 +1,13 @@
-"""File formats: binary matrices, stream manifests, tables, profiles, traces.
+"""File formats: every file adasel reads or writes is read or written here.
 
-All formats round-trip exactly.  Matrices use a fixed little-endian binary
-layout (magic ``ADSLMAT1``, u64 rows, u64 cols, row-major f64 payload);
-JSON documents are written with sorted keys and repr-exact floats so that
-identical inputs produce byte-identical files.  Versioned documents carry
+Binary matrices, stream manifests, performance tables, platforms files,
+design profiles, selection traces, per-window ground truth and regret
+reports; no other module opens a file, except the CLI's reader of the
+synth settings.  All formats but the output-only regret report round-trip
+exactly.  Matrices use a fixed little-endian binary layout (magic
+``ADSLMAT1``, u64 rows, u64 cols, row-major f64 payload); JSON documents
+are written with sorted keys and repr-exact floats so that identical
+inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
 Version 3 profiles store only what selection reads.  Versions 1 and 2 still
 load; their complement sidecars, performance table, catalog, seed and
@@ -13,6 +17,7 @@ constraints are not read.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,12 +31,15 @@ import numpy as np
 from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                      PlatformSpec, ProfileConfig, ScenarioProfile)
 from .errors import (BadMagic, DimensionMismatch, DimensionOverflow,
-                     DuplicateKey, MalformedRow, ManifestInvalid,
+                     DuplicateKey, MalformedRow, ManifestInvalid, Misaligned,
                      NegativeError, TruncatedPayload, UnsupportedVersion)
+from .harness import RegretReport, WindowRegret, WindowTruth
+from .runtime import SelectionDecision, SelectionTrace
 from .subspace import SubspaceBasis
 
 MATRIX_MAGIC = b"ADSLMAT1"
 FORMAT_VERSION = 3
+REPORT_VERSION = 1
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
 
@@ -92,33 +100,98 @@ def _check_version(doc, path) -> None:
             f"({FORMAT_VERSION})")
 
 
-def _require(entry, keys, where) -> dict:
-    """``entry``, a JSON object holding every key in keys; errors name where."""
+# the exact JSON types a key may hold; json.loads gives bool, never int, for
+# true, so an exact type check also keeps booleans out of numeric fields
+_INT, _NUMBER, _STR = (int,), (int, float), (str,)
+_LIST, _OBJECT = (list,), (dict,)
+_EXPECTED = {_INT: "an integer", _NUMBER: "a number", _STR: "a string",
+             _LIST: "a JSON list", _OBJECT: "a JSON object"}
+
+_STREAM_KEYS = {"dim": _INT, "frame_count": _INT, "matrices": _LIST}
+_PROFILE_KEYS = {"config": _OBJECT, "scenarios": _LIST}
+_CONFIG_KEYS = {"dim_ambient": _INT, "dim_subspace": _INT,
+                "window_length": _INT}
+_SCENARIO_KEYS = {"scenario_id": _STR, "basis_file": _STR,
+                  "representative_feature": _LIST, "member_count": _INT,
+                  "labels": _OBJECT}
+_PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
+_COMBO_KEYS = {"id": _STR, "algorithm": _STR, "fps": _NUMBER,
+               "resolution": _LIST}
+_PLATFORM_KEYS = {"id": _STR, "cost": _NUMBER, "combo_capabilities": _OBJECT}
+
+
+def _require(entry, spec, where) -> dict:
+    """``entry``, a JSON object holding each key of spec with a value of one
+    of its types; errors name where and the key."""
     if not isinstance(entry, dict):
         raise ManifestInvalid(f"{where}: expected a JSON object")
-    for key in keys:
+    for key, types in spec.items():
         if key not in entry:
             raise ManifestInvalid(f"{where}: missing key {key!r}")
+        if type(entry[key]) not in types:
+            raise ManifestInvalid(
+                f"{where}: {key}: expected {_EXPECTED[types]}")
     return entry
 
 
-def _entries(doc, name, keys, path) -> list[dict]:
-    """The list ``doc[name]``; each entry must hold every key in keys."""
-    if not isinstance(doc[name], list):
-        raise ManifestInvalid(f"{path}: {name}: expected a JSON list")
-    return [_require(entry, keys, f"{path}: {name}[{i}]")
+def _entries(doc, name, spec, path) -> list[dict]:
+    """The entries of the list ``doc[name]``, each checked against spec."""
+    return [_require(entry, spec, f"{path}: {name}[{i}]")
             for i, entry in enumerate(doc[name])]
 
 
-def _read_doc(path, keys) -> dict:
-    """The versioned JSON object in ``path``; it must hold every key in keys."""
+def _read_doc(path, spec) -> dict:
+    """The versioned JSON object in ``path``, checked against spec."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ManifestInvalid(f"{path}: not JSON ({exc})") from None
-    _require(doc, (), path)
+    _require(doc, {}, path)
     _check_version(doc, path)
-    return _require(doc, keys, path)
+    return _require(doc, spec, path)
+
+
+# --------------------------------------------------------------------------
+# CSV helpers
+
+def _write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue())
+
+
+def _csv_rows(path, required) -> tuple[list[str], list[tuple[int, list]]]:
+    """The stripped header of the CSV file ``path`` and its non-blank rows,
+    each with its line number; the header must start with ``required``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise MalformedRow(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if header[:len(required)] != required:
+        raise MalformedRow(
+            f"{path}: header must start with {','.join(required)}")
+    return header, [(lineno, row) for lineno, row in enumerate(rows[1:], 2)
+                    if len(row) > 1 or (row and row[0].strip())]
+
+
+def _cell(kind, text, name, path, lineno):
+    """``kind(text)``; a cell it cannot parse raises MalformedRow."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise MalformedRow(
+            f"{path}:{lineno}: bad {name} value {text!r}") from None
+
+
+def _first_seen(seen: dict, key, what, path, lineno) -> None:
+    """Record the line of key's first row; a repeat raises DuplicateKey."""
+    if key in seen:
+        raise DuplicateKey(f"{path}:{lineno}: duplicate {what} {key} "
+                           f"(first seen at line {seen[key]})")
+    seen[key] = lineno
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +229,7 @@ def write_stream(manifest_path, frames, source: str = "",
 
 def read_stream(manifest_path) -> FeatureStream:
     manifest_path = Path(manifest_path)
-    doc = _read_doc(manifest_path, ("dim", "frame_count", "matrices"))
+    doc = _read_doc(manifest_path, _STREAM_KEYS)
     parts = [read_matrix(manifest_path.parent / name)
              for name in doc["matrices"]]
     if len(parts) == 1:
@@ -189,16 +262,13 @@ def write_performance_table(path, records: list[PerformanceRecord]) -> None:
     other = sorted({k for r in records for k in r.extras}
                    - set(CANONICAL_EXTRAS))
     extra_keys += other
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario_id", "combo_id", "platform_id", "error",
-                     *extra_keys])
-    for r in records:
-        row = [r.scenario_id, r.combo_id, r.platform_id, repr(float(r.error))]
-        row += [repr(float(r.extras[k])) if k in r.extras else ""
-                for k in extra_keys]
-        writer.writerow(row)
-    Path(path).write_text(buf.getvalue())
+    _write_csv(path, ["scenario_id", "combo_id", "platform_id", "error",
+                      *extra_keys],
+               ([r.scenario_id, r.combo_id, r.platform_id,
+                 repr(float(r.error)),
+                 *(repr(float(r.extras[k])) if k in r.extras else ""
+                   for k in extra_keys)]
+                for r in records))
 
 
 def read_performance_table(path) -> list[PerformanceRecord]:
@@ -207,56 +277,29 @@ def read_performance_table(path) -> list[PerformanceRecord]:
     Header must start with scenario_id,combo_id,platform_id,error; any
     further columns are carried opaquely as extras.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file") from None
-        required = ["scenario_id", "combo_id", "platform_id", "error"]
-        if [h.strip() for h in header[:4]] != required:
+    header, rows = _csv_rows(
+        path, ["scenario_id", "combo_id", "platform_id", "error"])
+    extra_keys = header[4:]
+    records = []
+    seen: dict[tuple, int] = {}
+    for lineno, row in rows:
+        if len(row) != len(header):
             raise MalformedRow(
-                f"{path}: header must start with {','.join(required)}")
-        extra_keys = [h.strip() for h in header[4:]]
-
-        records = []
-        seen: dict[tuple, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(
-                    f"{path}:{lineno}: expected {len(header)} columns, "
-                    f"got {len(row)}")
-            sid, cid, pid = (c.strip() for c in row[:3])
-            if not sid or not cid or not pid:
-                raise MalformedRow(f"{path}:{lineno}: empty id field")
-            try:
-                error = float(row[3])
-            except ValueError:
-                raise MalformedRow(
-                    f"{path}:{lineno}: bad error value {row[3]!r}") from None
-            if error < 0.0:
-                raise NegativeError(
-                    f"{path}:{lineno}: error must be >= 0, got {error}")
-            key = (sid, cid, pid)
-            if key in seen:
-                raise DuplicateKey(
-                    f"{path}:{lineno}: duplicate triple {key} "
-                    f"(first seen at line {seen[key]})")
-            seen[key] = lineno
-            extras = {}
-            for k, cell in zip(extra_keys, row[4:]):
-                cell = cell.strip()
-                if cell:
-                    try:
-                        extras[k] = float(cell)
-                    except ValueError:
-                        raise MalformedRow(
-                            f"{path}:{lineno}: bad {k} value {cell!r}") from None
-            records.append(PerformanceRecord(
-                scenario_id=sid, combo_id=cid, platform_id=pid,
-                error=error, extras=extras))
+                f"{path}:{lineno}: expected {len(header)} columns, "
+                f"got {len(row)}")
+        sid, cid, pid = (c.strip() for c in row[:3])
+        if not sid or not cid or not pid:
+            raise MalformedRow(f"{path}:{lineno}: empty id field")
+        error = _cell(float, row[3], "error", path, lineno)
+        if error < 0.0:
+            raise NegativeError(
+                f"{path}:{lineno}: error must be >= 0, got {error}")
+        _first_seen(seen, (sid, cid, pid), "triple", path, lineno)
+        extras = {k: _cell(float, cell.strip(), k, path, lineno)
+                  for k, cell in zip(extra_keys, row[4:]) if cell.strip()}
+        records.append(PerformanceRecord(
+            scenario_id=sid, combo_id=cid, platform_id=pid,
+            error=error, extras=extras))
     return records
 
 
@@ -299,18 +342,14 @@ def write_profile(path, profile: DesignProfile) -> None:
 
 def read_profile(path) -> DesignProfile:
     path = Path(path)
-    doc = _read_doc(path, ("config", "scenarios"))
-    cfg = _require(doc["config"],
-                   ("dim_ambient", "dim_subspace", "window_length"),
-                   f"{path}: config")
+    doc = _read_doc(path, _PROFILE_KEYS)
+    cfg = _require(doc["config"], _CONFIG_KEYS, f"{path}: config")
     config = ProfileConfig(
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
         window_length=cfg["window_length"])
     shape = (config.dim_ambient, config.dim_subspace)
     scenarios = []
-    for s in _entries(doc, "scenarios",
-                      ("scenario_id", "basis_file", "representative_feature",
-                       "member_count", "labels"), path):
+    for i, s in enumerate(_entries(doc, "scenarios", _SCENARIO_KEYS, path)):
         basis_path = path.parent / s["basis_file"]
         subspace = SubspaceBasis(read_matrix(basis_path))
         if subspace.basis.shape != shape:
@@ -318,7 +357,16 @@ def read_profile(path) -> DesignProfile:
                 f"{basis_path}: basis has shape {subspace.basis.shape}; "
                 f"the profile config needs {shape}")
         subspace.validate(tol=1e-8)
-        feature = np.asarray(s["representative_feature"], dtype=np.float64)
+        try:
+            feature = np.asarray(s["representative_feature"])
+        except ValueError:  # ragged nesting
+            feature = None
+        # one dtype check, not a Python loop over the a entries
+        if feature is None or feature.dtype.kind not in "if":
+            raise ManifestInvalid(
+                f"{path}: scenarios[{i}]: representative_feature: expected "
+                "a list of numbers")
+        feature = feature.astype(np.float64, copy=False)
         if feature.shape != shape[:1]:
             raise DimensionMismatch(
                 f"{path}: scenario {s['scenario_id']} representative_feature "
@@ -370,43 +418,35 @@ def write_platforms(path, combos: list[AlgoParamCombo],
 
 
 def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
-    doc = _read_doc(path, ("combos", "platforms"))
+    doc = _read_doc(path, _PLATFORMS_KEYS)
     combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
                              fps=c["fps"], resolution=tuple(c["resolution"]))
-              for c in _entries(doc, "combos",
-                                ("id", "algorithm", "fps", "resolution"), path)]
+              for c in _entries(doc, "combos", _COMBO_KEYS, path)]
     platforms = [PlatformSpec(id=p["id"], cost=p["cost"],
                               combo_capabilities=dict(p["combo_capabilities"]))
-                 for p in _entries(doc, "platforms",
-                                   ("id", "cost", "combo_capabilities"), path)]
+                 for p in _entries(doc, "platforms", _PLATFORM_KEYS, path)]
     return combos, platforms
 
 
 # --------------------------------------------------------------------------
 # selection traces (JSON lines + CSV projection)
 
-def write_trace(path, trace) -> None:
+# every SelectionDecision field, in declaration order; all_similarities,
+# an array, is the one field that is converted on the way in and out
+_DECISION_FIELDS = tuple(f.name for f in dataclasses.fields(SelectionDecision))
+
+
+def write_trace(path, trace: SelectionTrace) -> None:
     lines = [json.dumps({
         "format_version": FORMAT_VERSION,
         "kind": "adasel-trace",
         "profile_reference": trace.profile_reference,
     }, sort_keys=True)]
     for d in trace.decisions:
-        lines.append(json.dumps({
-            "window_id": d.window_id,
-            "matched_scenario_id": d.matched_scenario_id,
-            "similarity": float(d.similarity),
-            "all_similarities": [float(v) for v in d.all_similarities],
-            "chosen_combo_id": d.chosen_combo_id,
-            "platform_id": d.platform_id,
-            "elapsed_ms": float(d.elapsed_ms),
-        }, sort_keys=True))
+        rec = {name: getattr(d, name) for name in _DECISION_FIELDS}
+        rec["all_similarities"] = [float(v) for v in d.all_similarities]
+        lines.append(json.dumps(rec, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-_DECISION_FIELDS = ("window_id", "matched_scenario_id", "similarity",
-                    "all_similarities", "chosen_combo_id", "platform_id",
-                    "elapsed_ms")
 
 
 def _trace_record(path, lineno: int, line: str, fields) -> dict:
@@ -423,10 +463,8 @@ def _trace_record(path, lineno: int, line: str, fields) -> dict:
     return rec
 
 
-def read_trace(path):
+def read_trace(path) -> SelectionTrace:
     """Parse a trace; a bad line raises MalformedRow naming ``path:line``."""
-    from .runtime import SelectionDecision, SelectionTrace
-
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise MalformedRow(f"{path}: empty trace")
@@ -437,20 +475,76 @@ def read_trace(path):
         if not line.strip():
             continue
         rec = _trace_record(path, lineno, line, _DECISION_FIELDS)
-        decisions.append(SelectionDecision(
-            window_id=rec["window_id"],
-            matched_scenario_id=rec["matched_scenario_id"],
-            similarity=rec["similarity"],
-            all_similarities=np.asarray(rec["all_similarities"]),
-            chosen_combo_id=rec["chosen_combo_id"],
-            platform_id=rec["platform_id"], elapsed_ms=rec["elapsed_ms"]))
+        fields = {name: rec[name] for name in _DECISION_FIELDS}
+        fields["all_similarities"] = np.asarray(rec["all_similarities"])
+        decisions.append(SelectionDecision(**fields))
     return SelectionTrace(decisions=decisions,
                           profile_reference=header["profile_reference"])
 
 
-def write_trace_csv(path, trace) -> None:
+def write_trace_csv(path, trace: SelectionTrace) -> None:
     """Plot-friendly projection: one row per window decision."""
-    lines = ["window_id,combo_id,similarity"]
-    lines += [f"{d.window_id},{d.chosen_combo_id},{repr(float(d.similarity))}"
-              for d in trace.decisions]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["window_id", "combo_id", "similarity"],
+               ([d.window_id, d.chosen_combo_id, repr(float(d.similarity))]
+                for d in trace.decisions))
+
+
+# --------------------------------------------------------------------------
+# per-window ground truth (CSV), read by ``adasel eval``
+
+def write_window_truth(path, truths: list[WindowTruth]) -> None:
+    _write_csv(path, ["window_id", "combo_id", "error", "true_scenario_id"],
+               ([t.window_id, cid, repr(t.errors[cid]),
+                 t.true_scenario_id or ""]
+                for t in truths for cid in sorted(t.errors)))
+
+
+def read_window_truth(path) -> list[WindowTruth]:
+    """Parse window truth; rejects repeated (window, combo) pairs and rows of
+    one window that disagree on its true scenario id."""
+    _, rows = _csv_rows(path, ["window_id", "combo_id", "error"])
+    by_window: dict[int, WindowTruth] = {}
+    seen: dict[tuple[int, str], int] = {}
+    first_line: dict[int, int] = {}
+    for lineno, row in rows:
+        if len(row) < 3:
+            raise MalformedRow(f"{path}:{lineno}: expected >= 3 columns")
+        wid = _cell(int, row[0], "window_id", path, lineno)
+        error = _cell(float, row[2], "error", path, lineno)
+        key = (wid, row[1].strip())
+        _first_seen(seen, key, "(window, combo)", path, lineno)
+        sid = row[3].strip() if len(row) > 3 and row[3].strip() else None
+        truth = by_window.setdefault(
+            wid, WindowTruth(window_id=wid, true_scenario_id=sid, errors={}))
+        first_line.setdefault(wid, lineno)
+        if sid != truth.true_scenario_id:
+            raise Misaligned(
+                f"{path}:{lineno}: window {wid} has true_scenario_id "
+                f"{sid!r}, but line {first_line[wid]} gave "
+                f"{truth.true_scenario_id!r}")
+        truth.errors[key[1]] = error
+    return [by_window[w] for w in sorted(by_window)]
+
+
+# --------------------------------------------------------------------------
+# regret reports (output only: CSV plus a JSON document beside it)
+
+def write_report(path, report: RegretReport) -> None:
+    """The per-window rows as CSV to ``path`` and the whole report as JSON
+    to its ``.json`` sibling; identical reports give identical bytes."""
+    path = Path(path)
+    _write_csv(path, [f.name for f in dataclasses.fields(WindowRegret)],
+               ([w.window_id, *map(repr, dataclasses.astuple(w)[1:])]
+                for w in report.per_window))
+    path.with_suffix(".json").write_text(_canonical_json({
+        "format_version": REPORT_VERSION,
+        "per_window": [dataclasses.asdict(w) for w in report.per_window],
+        "totals": {
+            "selected_sum": report.selected_sum,
+            "oracle_sum": report.oracle_sum,
+            "static_sums": report.static_sums,
+        },
+        "best_static_id": report.best_static_id,
+        "switch_count": report.switch_count,
+        "scenario_match_accuracy": report.scenario_match_accuracy,
+    }))

@@ -312,18 +312,25 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
                          constraints: SelectionConstraints,
                          n_scenarios: int, subspace_dim: int,
                          window_length: int, seed: int) -> DesignProfile:
-    """Run the full offline phase: cluster, select platform, label.
+    """Run the full offline phase: select platform, cluster, label.
 
     Raises TooFewFrames up front if a window of window_length frames is
-    too short to build a subspace_dim-dim subspace at runtime.
+    too short to build a subspace_dim-dim subspace at runtime, and
+    InvalidM if a non-empty performance table does not name exactly
+    n_scenarios scenarios.
     """
     if window_length < subspace_dim + 1:
         raise TooFewFrames(
             f"window_length {window_length} is too short for subspace_dim "
             f"{subspace_dim}; a window needs at least {subspace_dim + 1} frames")
+    table_ids = {r.scenario_id for r in performance}
+    if table_ids and len(table_ids) != n_scenarios:
+        raise InvalidM(
+            f"n_scenarios is {n_scenarios}, but the performance table "
+            f"names {len(table_ids)} scenarios")
     X = as_feature_matrix(frames)
-    scenarios = cluster_scenarios(X, n_scenarios, subspace_dim, seed)
     selected = select_platform(platforms, performance, constraints, combos)
+    scenarios = cluster_scenarios(X, n_scenarios, subspace_dim, seed)
     label_scenarios(scenarios, combos, platforms, performance,
                     constraints.required_fps)
     return DesignProfile(

@@ -7,7 +7,9 @@ best combo genuinely depends on the scenario.  The evaluator compares a
 selection trace against the hindsight oracle (per-window best combo) and
 against every static single-combo policy.
 
-Everything is deterministic given the config seed.  The performance table
+Everything is deterministic given the config seed.  This module does no
+file I/O: :mod:`adasel.dataio` reads and writes the window truth and the
+report.  The performance table
 is keyed by the ids that design gives each generating scenario when it
 recovers that scenario's training block (:func:`adasel.design.scenario_ids`
 of the block means), so the generated files feed the design-time pipeline
@@ -16,21 +18,15 @@ unmodified.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from pathlib import Path
 
 import numpy as np
 
 from .design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
                      scenario_ids)
-from .errors import ConfigInvalid, DuplicateKey, MalformedRow, Misaligned
+from .errors import ConfigInvalid, Misaligned
 from .runtime import SelectionTrace
-
-REPORT_VERSION = 1
 
 MIN_SEPARATION = 0.2  # floor on the smallest angle between scenario subspaces
 STAY_PROB = 0.6  # chance that a test window keeps the previous one's scenario
@@ -319,106 +315,3 @@ def evaluate_regret(trace: SelectionTrace,
                         best_static_id=best_static_id,
                         switch_count=trace.switch_count(),
                         scenario_match_accuracy=accuracy)
-
-
-def emit_report(report: RegretReport, format: str = "csv") -> str:
-    """Serialize a report; bit-stable for identical input."""
-    if format == "csv":
-        lines = ["window_id,selected_error,oracle_error,best_static_error"]
-        lines += [f"{w.window_id},{repr(w.selected_error)},"
-                  f"{repr(w.oracle_error)},{repr(w.best_static_error)}"
-                  for w in report.per_window]
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        doc = {
-            "format_version": REPORT_VERSION,
-            "per_window": [{
-                "window_id": w.window_id,
-                "selected_error": w.selected_error,
-                "oracle_error": w.oracle_error,
-                "best_static_error": w.best_static_error,
-            } for w in report.per_window],
-            "totals": {
-                "selected_sum": report.selected_sum,
-                "oracle_sum": report.oracle_sum,
-                "static_sums": report.static_sums,
-            },
-            "best_static_id": report.best_static_id,
-            "switch_count": report.switch_count,
-            "scenario_match_accuracy": report.scenario_match_accuracy,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def parse_report(text: str) -> RegretReport:
-    """Inverse of emit_report(..., 'json')."""
-    doc = json.loads(text)
-    return RegretReport(
-        per_window=[WindowRegret(
-            window_id=w["window_id"], selected_error=w["selected_error"],
-            oracle_error=w["oracle_error"],
-            best_static_error=w["best_static_error"])
-            for w in doc["per_window"]],
-        selected_sum=doc["totals"]["selected_sum"],
-        oracle_sum=doc["totals"]["oracle_sum"],
-        static_sums=dict(doc["totals"]["static_sums"]),
-        best_static_id=doc["best_static_id"],
-        switch_count=doc["switch_count"],
-        scenario_match_accuracy=doc["scenario_match_accuracy"])
-
-
-# --------------------------------------------------------------------------
-# window-truth CSV (ground truth for cmd_eval)
-
-def write_window_truth(path, truths: list[WindowTruth]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window_id", "combo_id", "error", "true_scenario_id"])
-    for t in truths:
-        for cid in sorted(t.errors):
-            writer.writerow([t.window_id, cid, repr(t.errors[cid]),
-                             t.true_scenario_id or ""])
-    Path(path).write_text(buf.getvalue())
-
-
-def read_window_truth(path) -> list[WindowTruth]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != \
-                ["window_id", "combo_id", "error"]:
-            raise MalformedRow(
-                f"{path}: header must start with window_id,combo_id,error")
-        by_window: dict[int, WindowTruth] = {}
-        seen: dict[tuple[int, str], int] = {}
-        first_line: dict[int, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise MalformedRow(f"{path}:{lineno}: expected >= 3 columns")
-            try:
-                wid = int(row[0])
-                error = float(row[2])
-            except ValueError:
-                raise MalformedRow(
-                    f"{path}:{lineno}: bad window_id or error") from None
-            key = (wid, row[1].strip())
-            if key in seen:
-                raise DuplicateKey(
-                    f"{path}:{lineno}: duplicate (window, combo) {key} "
-                    f"(first seen at line {seen[key]})")
-            seen[key] = lineno
-            sid = row[3].strip() if len(row) > 3 and row[3].strip() else None
-            truth = by_window.setdefault(
-                wid, WindowTruth(window_id=wid, true_scenario_id=sid,
-                                 errors={}))
-            first_line.setdefault(wid, lineno)
-            if sid != truth.true_scenario_id:
-                raise Misaligned(
-                    f"{path}:{lineno}: window {wid} has true_scenario_id "
-                    f"{sid!r}, but line {first_line[wid]} gave "
-                    f"{truth.true_scenario_id!r}")
-            truth.errors[key[1]] = error
-    return [by_window[w] for w in sorted(by_window)]

@@ -20,8 +20,7 @@ from adasel.design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                            feasible_combos, label_scenarios, select_platform)
 from adasel.errors import BadMagic, DuplicateKey, TruncatedPayload
 from adasel.gfk import gfk_kernel, kernel_integral_oracle, similarity
-from adasel.harness import SyntheticConfig, emit_report, evaluate_regret, \
-    generate_synthetic
+from adasel.harness import SyntheticConfig, evaluate_regret, generate_synthetic
 from adasel.runtime import build_window, match_scenario, run_selection, \
     select_combo
 from adasel.subspace import SubspaceBasis, orthogonal_complement, \
@@ -244,7 +243,7 @@ def test_criterion_5_two_step_matches_brute_force():
 # --------------------------------------------------------------------------
 # 6. end-to-end synthetic switching with golden regression
 
-def test_criterion_6_end_to_end_synthetic():
+def test_criterion_6_end_to_end_synthetic(tmp_path):
     t0 = time.perf_counter()
     config = SyntheticConfig()  # a=64, b=5, M=5, sigma=0.1, 200 windows
     dataset = generate_synthetic(config)
@@ -265,10 +264,10 @@ def test_criterion_6_end_to_end_synthetic():
     assert report.selected_sum <= best_static_total
     assert report.regret <= 0.10 * report.oracle_sum
 
-    csv_text = emit_report(report, "csv")
-    json_text = emit_report(report, "json")
-    assert csv_text == (GOLDEN / "acceptance_report.csv").read_text()
-    assert json_text == (GOLDEN / "acceptance_report.json").read_text()
+    dataio.write_report(tmp_path / "report.csv", report)
+    for name in ("report.csv", "report.json"):
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN / f"acceptance_{name}").read_bytes()
 
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0

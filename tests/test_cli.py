@@ -36,7 +36,7 @@ def run_pipeline(tmp_path, out_name="run"):
         "--train", str(out / "train_manifest.json"),
         "--perf", str(out / "performance.csv"),
         "--platforms", str(out / "platforms.json"),
-        "--scenarios", "3", "--subspace-dim", "3",
+        "--subspace-dim", "3",
         "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
         "--window-length", "10",
         "--out", str(out / "profile.json"),
@@ -98,21 +98,6 @@ def test_synth_without_config_uses_defaults(tmp_path, capsys):
     assert "200 test windows" in capsys.readouterr().out
 
 
-def test_profile_invalid_scenario_count_exits_1(tmp_path, capsys):
-    out = run_pipeline(tmp_path)
-    rc = main([
-        "profile",
-        "--train", str(out / "train_manifest.json"),
-        "--perf", str(out / "performance.csv"),
-        "--platforms", str(out / "platforms.json"),
-        "--scenarios", "500", "--subspace-dim", "3",
-        "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
-        "--out", str(out / "p2.json"),
-    ])
-    assert rc == 1
-    assert "InvalidM" in capsys.readouterr().err
-
-
 def test_profile_empty_performance_table_exits_1(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path)
@@ -124,7 +109,7 @@ def test_profile_empty_performance_table_exits_1(tmp_path, capsys):
         "--train", str(out / "train_manifest.json"),
         "--perf", str(out / "empty.csv"),
         "--platforms", str(out / "platforms.json"),
-        "--scenarios", "3", "--subspace-dim", "3",
+        "--subspace-dim", "3",
         "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
         "--out", str(out / "p.json"),
     ])
@@ -140,7 +125,7 @@ def test_profile_infeasible_constraints_exit_2(tmp_path, capsys):
         "--train", str(out / "train_manifest.json"),
         "--perf", str(out / "performance.csv"),
         "--platforms", str(out / "platforms.json"),
-        "--scenarios", "3", "--subspace-dim", "3",
+        "--subspace-dim", "3",
         "--max-error", "0.0001", "--required-fps", "1.0", "--max-cost", "10.0",
         "--out", str(out / "p3.json"),
     ])
@@ -345,7 +330,7 @@ def test_profile_with_table_ii_platforms_strict_bound(tmp_path, capsys):
         "--train", str(tmp_path / "train.json"),
         "--perf", str(tmp_path / "perf.csv"),
         "--platforms", str(tmp_path / "platforms.json"),
-        "--scenarios", "3", "--subspace-dim", "2",
+        "--subspace-dim", "2",
         "--max-error", "2.0", "--required-fps", "10.0", "--max-cost", "10.0",
         "--out", str(tmp_path / "profile.json"),
     ]) == 0
@@ -364,7 +349,7 @@ def test_cli_end_to_end_matches_golden_report(tmp_path):
         "--train", str(out / "train_manifest.json"),
         "--perf", str(out / "performance.csv"),
         "--platforms", str(out / "platforms.json"),
-        "--scenarios", "5", "--subspace-dim", "5",
+        "--subspace-dim", "5",
         "--max-error", "3.0", "--required-fps", "1.0", "--max-cost", "10.0",
         "--window-length", "40",
         "--out", str(out / "profile.json"),
@@ -436,7 +421,7 @@ def test_profile_window_shorter_than_subspace_exits_1(tmp_path, capsys):
         "--train", str(out / "train_manifest.json"),
         "--perf", str(out / "performance.csv"),
         "--platforms", str(out / "platforms.json"),
-        "--scenarios", "3", "--subspace-dim", "5", "--window-length", "4",
+        "--subspace-dim", "5", "--window-length", "4",
         "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
         "--out", str(out / "short.json"),
     ])
@@ -463,7 +448,7 @@ def test_json_input_that_is_not_an_object_exits_1_naming_the_file(
         argv = ["profile", "--train", str(inputs["--train"]),
                 "--perf", str(out / "performance.csv"),
                 "--platforms", str(inputs["--platforms"]),
-                "--scenarios", "3", "--subspace-dim", "3",
+                "--subspace-dim", "3",
                 "--max-error", "3.5", "--required-fps", "1.0",
                 "--max-cost", "10.0", "--out", str(out / "p2.json")]
     capsys.readouterr()

@@ -419,6 +419,64 @@ def test_platforms_combo_without_a_key_raises_manifest_invalid(tmp_path):
     assert str(exc.value) == f"{path}: combos[0]: missing key 'algorithm'"
 
 
+@pytest.mark.parametrize("entry, key, value, expected", [
+    ("scenarios[0]", "labels", 5, "a JSON object"),
+    ("scenarios[0]", "representative_feature", "abc", "a JSON list"),
+    ("scenarios[1]", "representative_feature", ["abc"] * 5,
+     "a list of numbers"),
+    ("scenarios[1]", "representative_feature", [[0.0], [1.0, 2.0]],
+     "a list of numbers"),
+    ("scenarios[1]", "member_count", True, "an integer"),
+    ("config", "dim_ambient", "4", "an integer"),
+    ("config", "window_length", 3.0, "an integer"),
+], ids=["labels", "feature-string", "feature-strings", "feature-ragged",
+        "count-bool", "dim-string", "length-float"])
+def test_profile_value_of_the_wrong_type_raises_manifest_invalid(
+        tmp_path, entry, key, value, expected):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    name, _, index = entry.partition("[")
+    target = doc[name][int(index[:-1])] if index else doc[name]
+    target[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == f"{path}: {entry}: {key}: expected {expected}"
+
+
+@pytest.mark.parametrize("entry, key, value, expected", [
+    ("combos", "fps", "fast", "a number"),
+    ("combos", "id", 7, "a string"),
+    ("platforms", "cost", False, "a number"),
+    ("platforms", "combo_capabilities", [], "a JSON object"),
+])
+def test_platforms_value_of_the_wrong_type_raises_manifest_invalid(
+        tmp_path, entry, key, value, expected):
+    dataset, _ = pipeline_profile()
+    path = tmp_path / "platforms.json"
+    dataio.write_platforms(path, dataset.combos, dataset.platforms)
+    doc = json.loads(path.read_text())
+    doc[entry][1][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_platforms(path)
+    assert str(exc.value) == f"{path}: {entry}[1]: {key}: expected {expected}"
+
+
+def test_stream_manifest_value_of_the_wrong_type_raises_manifest_invalid(
+        tmp_path):
+    path = tmp_path / "stream.json"
+    dataio.write_stream(path, np.zeros((3, 2)))
+    doc = json.loads(path.read_text())
+    doc["frame_count"] = "3"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == f"{path}: frame_count: expected an integer"
+
+
 @pytest.mark.parametrize("reader, name", [
     (dataio.read_profile, "scenarios"),
     (dataio.read_platforms, "combos"),

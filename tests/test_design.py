@@ -394,3 +394,23 @@ def test_build_design_profile_rejects_windows_too_short_for_the_subspace(rng):
                              SelectionConstraints(1.0, 1.0, 1.0),
                              n_scenarios=2, subspace_dim=5, window_length=4,
                              seed=3)
+
+
+@pytest.mark.parametrize("n_scenarios", [1, 3])
+def test_build_design_profile_rejects_a_scenario_count_the_table_does_not_name(
+        rng, n_scenarios):
+    # a count the table does not name would label the wrong clusters
+    means = [np.full(8, 0.0), np.full(8, 15.0)]
+    frames, _ = gaussian_blobs(rng, means, per_cluster=10, sigma=0.3)
+    perf, combos = two_platform_table(
+        {"HOG-240x320": 4.0, "HOG-480x640": 5.0, "ACF-240x320": 3.0,
+         "ACF-480x640": 9.0},
+        {"HOG-240x320": 2.0, "HOG-480x640": 2.5, "ACF-240x320": 1.5,
+         "ACF-480x640": 1.0})
+    with pytest.raises(InvalidM, match=f"n_scenarios is {n_scenarios}, but "
+                       "the performance table names 2 scenarios"):
+        build_design_profile(
+            frames, combos, table_ii_platforms(), perf,
+            SelectionConstraints(max_mean_error=3.5, required_fps=8.0,
+                                 max_cost=10.0),
+            n_scenarios=n_scenarios, subspace_dim=2, window_length=10, seed=3)

@@ -5,10 +5,9 @@ from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
                            SelectionConstraints, build_design_profile,
                            cluster_scenarios, label_scenarios)
 from adasel.errors import ConfigInvalid, DuplicateKey, Misaligned
+from adasel.dataio import read_window_truth, write_report, write_window_truth
 from adasel.harness import (RegretReport, SyntheticConfig, WindowTruth,
-                            emit_report, evaluate_regret, generate_synthetic,
-                            parse_report, read_window_truth,
-                            write_window_truth)
+                            evaluate_regret, generate_synthetic)
 from adasel.runtime import SelectionDecision, SelectionTrace, run_selection
 from adasel.subspace import pca_basis
 
@@ -275,40 +274,32 @@ def test_accuracy_none_without_truth_ids():
 
 
 # --------------------------------------------------------------------------
-# emit_report / parse_report
+# regret report files
 
-def test_empty_report_csv_is_header_only():
+def test_empty_report_csv_is_header_only(tmp_path):
     report = RegretReport(per_window=[], selected_sum=0.0, oracle_sum=0.0,
                           static_sums={}, best_static_id=None, switch_count=0)
-    assert emit_report(report, "csv") == \
+    write_report(tmp_path / "report.csv", report)
+    assert (tmp_path / "report.csv").read_text() == \
         "window_id,selected_error,oracle_error,best_static_error\n"
 
 
-def test_one_window_report_csv_two_lines():
+def test_one_window_report_csv_two_lines(tmp_path):
     report = evaluate_regret(fake_trace(["c00"]),
                              [WindowTruth(0, None, {"c00": 1.25})])
-    lines = emit_report(report, "csv").splitlines()
+    write_report(tmp_path / "report.csv", report)
+    lines = (tmp_path / "report.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1] == "0,1.25,1.25,1.25"
 
 
-def test_report_json_round_trip():
+def test_report_emit_bit_stable(tmp_path):
     report = evaluate_regret(fake_trace(["c01", "c00", "c01"]), truth_grid())
-    again = parse_report(emit_report(report, "json"))
-    assert again == report
-
-
-def test_report_emit_bit_stable():
-    report = evaluate_regret(fake_trace(["c01", "c00", "c01"]), truth_grid())
-    assert emit_report(report, "json") == emit_report(report, "json")
-    assert emit_report(report, "csv") == emit_report(report, "csv")
-
-
-def test_report_rejects_unknown_format():
-    report = evaluate_regret(fake_trace(["c00"]),
-                             [WindowTruth(0, None, {"c00": 1.0})])
-    with pytest.raises(ValueError):
-        emit_report(report, "xml")
+    write_report(tmp_path / "a.csv", report)
+    write_report(tmp_path / "b.csv", report)
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == \
+            (tmp_path / f"b{suffix}").read_bytes()
 
 
 # --------------------------------------------------------------------------
