@@ -122,8 +122,7 @@ def cmd_select(args) -> int:
     platform_id = args.platform or profile.selected_platform
     if platform_id is None:
         raise AdaselError("profile has no selected platform; pass --platform")
-    window_length = (profile.config.window_length if args.window_length is None
-                     else args.window_length)
+    window_length = profile.config.window_length
     log.debug("matching %d frames on platform %s, window length %d",
               stream.frames.shape[0], platform_id, window_length)
     trace = run_selection(stream.frames, profile, platform_id, window_length)
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cost", type=float, required=True,
                    help="platform cost budget")
     p.add_argument("--window-length", type=int, default=30,
-                   help="default runtime window length stored in the profile")
+                   help="frames per runtime window, stored in the profile")
     p.add_argument("--out", required=True, help="profile JSON output path")
     p.add_argument("--seed", type=int, default=42,
                    help="k-means seed (default 42)")
@@ -197,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="test feature-stream manifest")
     p.add_argument("--platform",
                    help="platform id (default: the profile's selection)")
-    p.add_argument("--window-length", type=int,
-                   help="frames per window (default: profile config)")
     p.add_argument("--out", required=True, help="trace JSONL output path")
     _common_flags(p)
     p.set_defaults(func=cmd_select)

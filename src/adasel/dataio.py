@@ -43,8 +43,6 @@ REPORT_VERSION = 1
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
 
-CANONICAL_EXTRAS = ("MT", "ML", "IDS", "FP")
-
 
 # --------------------------------------------------------------------------
 # binary matrices
@@ -106,31 +104,45 @@ _INT, _NUMBER, _STR = (int,), (int, float), (str,)
 _LIST, _OBJECT = (list,), (dict,)
 _EXPECTED = {_INT: "an integer", _NUMBER: "a number", _STR: "a string",
              _LIST: "a JSON list", _OBJECT: "a JSON object"}
+# (container, element types): each element of a list, or each value of an
+# object, must be of one of the element types
+_STR_LIST, _INT_LIST = (_LIST, _STR), (_LIST, _INT)
+_STR_MAP, _NUMBER_MAP = (_OBJECT, _STR), (_OBJECT, _NUMBER)
 
-_STREAM_KEYS = {"dim": _INT, "frame_count": _INT, "matrices": _LIST}
+_STREAM_KEYS = {"dim": _INT, "frame_count": _INT, "matrices": _STR_LIST}
 _PROFILE_KEYS = {"config": _OBJECT, "scenarios": _LIST}
 _CONFIG_KEYS = {"dim_ambient": _INT, "dim_subspace": _INT,
                 "window_length": _INT}
 _SCENARIO_KEYS = {"scenario_id": _STR, "basis_file": _STR,
                   "representative_feature": _LIST, "member_count": _INT,
-                  "labels": _OBJECT}
+                  "labels": _STR_MAP}
 _PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
 _COMBO_KEYS = {"id": _STR, "algorithm": _STR, "fps": _NUMBER,
-               "resolution": _LIST}
-_PLATFORM_KEYS = {"id": _STR, "cost": _NUMBER, "combo_capabilities": _OBJECT}
+               "resolution": _INT_LIST}
+_PLATFORM_KEYS = {"id": _STR, "cost": _NUMBER,
+                  "combo_capabilities": _NUMBER_MAP}
 
 
 def _require(entry, spec, where) -> dict:
     """``entry``, a JSON object holding each key of spec with a value of one
-    of its types; errors name where and the key."""
+    of its types (and, for a container spec, elements of one of its element
+    types); errors name where, the key and the element."""
     if not isinstance(entry, dict):
         raise ManifestInvalid(f"{where}: expected a JSON object")
     for key, types in spec.items():
         if key not in entry:
             raise ManifestInvalid(f"{where}: missing key {key!r}")
-        if type(entry[key]) not in types:
+        types, items = types if isinstance(types[0], tuple) else (types, ())
+        value = entry[key]
+        if type(value) not in types:
             raise ManifestInvalid(
                 f"{where}: {key}: expected {_EXPECTED[types]}")
+        if not items:
+            continue
+        for k, v in value.items() if type(value) is dict else enumerate(value):
+            if type(v) not in items:
+                raise ManifestInvalid(
+                    f"{where}: {key}[{k!r}]: expected {_EXPECTED[items]}")
     return entry
 
 
@@ -230,6 +242,8 @@ def write_stream(manifest_path, frames, source: str = "",
 def read_stream(manifest_path) -> FeatureStream:
     manifest_path = Path(manifest_path)
     doc = _read_doc(manifest_path, _STREAM_KEYS)
+    if doc.get("frame_labels") is not None:
+        _require(doc, {"frame_labels": _STR_LIST}, manifest_path)
     parts = [read_matrix(manifest_path.parent / name)
              for name in doc["matrices"]]
     if len(parts) == 1:
@@ -257,29 +271,20 @@ def read_stream(manifest_path) -> FeatureStream:
 # performance tables (CSV)
 
 def write_performance_table(path, records: list[PerformanceRecord]) -> None:
-    extra_keys = [k for k in CANONICAL_EXTRAS
-                  if any(k in r.extras for r in records)]
-    other = sorted({k for r in records for k in r.extras}
-                   - set(CANONICAL_EXTRAS))
-    extra_keys += other
-    _write_csv(path, ["scenario_id", "combo_id", "platform_id", "error",
-                      *extra_keys],
+    _write_csv(path, ["scenario_id", "combo_id", "platform_id", "error"],
                ([r.scenario_id, r.combo_id, r.platform_id,
-                 repr(float(r.error)),
-                 *(repr(float(r.extras[k])) if k in r.extras else ""
-                   for k in extra_keys)]
-                for r in records))
+                 repr(float(r.error))] for r in records))
 
 
 def read_performance_table(path) -> list[PerformanceRecord]:
     """Parse a performance CSV; rejects duplicates and negative errors.
 
     Header must start with scenario_id,combo_id,platform_id,error; any
-    further columns are carried opaquely as extras.
+    further columns (MT, IDS, ...) must hold numbers or be empty, and are
+    not kept: design ranks combos by error alone.
     """
     header, rows = _csv_rows(
         path, ["scenario_id", "combo_id", "platform_id", "error"])
-    extra_keys = header[4:]
     records = []
     seen: dict[tuple, int] = {}
     for lineno, row in rows:
@@ -295,11 +300,11 @@ def read_performance_table(path) -> list[PerformanceRecord]:
             raise NegativeError(
                 f"{path}:{lineno}: error must be >= 0, got {error}")
         _first_seen(seen, (sid, cid, pid), "triple", path, lineno)
-        extras = {k: _cell(float, cell.strip(), k, path, lineno)
-                  for k, cell in zip(extra_keys, row[4:]) if cell.strip()}
+        for name, cell in zip(header[4:], row[4:]):
+            if cell.strip():
+                _cell(float, cell.strip(), name, path, lineno)
         records.append(PerformanceRecord(
-            scenario_id=sid, combo_id=cid, platform_id=pid,
-            error=error, extras=extras))
+            scenario_id=sid, combo_id=cid, platform_id=pid, error=error))
     return records
 
 
@@ -348,6 +353,8 @@ def read_profile(path) -> DesignProfile:
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
         window_length=cfg["window_length"])
     shape = (config.dim_ambient, config.dim_subspace)
+    if not doc["scenarios"]:
+        raise ManifestInvalid(f"{path}: scenarios: expected at least one")
     scenarios = []
     for i, s in enumerate(_entries(doc, "scenarios", _SCENARIO_KEYS, path)):
         basis_path = path.parent / s["basis_file"]

@@ -12,6 +12,7 @@ lexicographic sort before seeding k-means++).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -46,15 +47,14 @@ class PlatformSpec:
 class PerformanceRecord:
     """Measured error of one combo on one scenario under one platform.
 
-    ``error`` is the primary metric (missed detections per window);
-    ``extras`` carries named metrics (MT, ML, IDS, FP) opaquely.
+    ``error`` is the primary metric (missed detections per window), the
+    one design ranks combos by.
     """
 
     scenario_id: str
     combo_id: str
     platform_id: str
     error: float
-    extras: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -217,29 +217,29 @@ def feasible_combos(platform: PlatformSpec, combos: list[AlgoParamCombo],
             if platform.combo_capabilities.get(c.id, 0.0) >= required_fps]
 
 
-def _error_table(performance: list[PerformanceRecord]) -> dict:
-    return {(r.scenario_id, r.combo_id, r.platform_id): r.error
-            for r in performance}
-
-
-def _best_combo(scenario_id: str, platform: PlatformSpec,
-                combos: list[AlgoParamCombo], table: dict,
-                required_fps: float) -> tuple[float, float, str] | None:
-    """(error, -fps, combo id) of the scenario's best feasible combo.
+def _best_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],
+                 performance: list[PerformanceRecord],
+                 required_fps: float) -> dict[str, dict[str, tuple]]:
+    """{platform id: {scenario id: (error, -fps, combo id)}}, the best
+    feasible combo of each scenario the table names, in sorted id order.
 
     Combos rank by error, then higher achievable fps on the platform, then
-    combo id; None when the platform runs no combo at required_fps.
+    combo id; a platform that runs no combo at required_fps maps to {}.
     Raises MissingRecord if the table lacks a feasible combo's entry.
     """
-    ranked = []
-    for cid in feasible_combos(platform, combos, required_fps):
-        key = (scenario_id, cid, platform.id)
-        if key not in table:
-            raise MissingRecord(
-                f"no performance record for scenario={scenario_id} "
-                f"combo={cid} platform={platform.id}")
-        ranked.append((table[key], -platform.combo_capabilities[cid], cid))
-    return min(ranked, default=None)
+    table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
+             for r in performance}
+    ids = sorted({r.scenario_id for r in performance})
+    best = {}
+    for p in platforms:
+        rows = best[p.id] = {}
+        for sid, cid in product(ids, feasible_combos(p, combos, required_fps)):
+            if (sid, cid, p.id) not in table:
+                raise MissingRecord(f"no performance record for scenario={sid} "
+                                    f"combo={cid} platform={p.id}")
+            row = (table[sid, cid, p.id], -p.combo_capabilities[cid], cid)
+            rows[sid] = min(rows.get(sid, row), row)
+    return best
 
 
 def select_platform(platforms: list[PlatformSpec],
@@ -254,23 +254,21 @@ def select_platform(platforms: list[PlatformSpec],
     diagnostics when nothing qualifies, and MissingRecord when the table has
     no records or lacks a feasible (scenario, combo, platform) entry.
     """
-    scenario_ids = sorted({r.scenario_id for r in performance})
-    if not scenario_ids:
+    if not performance:
         raise MissingRecord("performance table has no records")
-    table = _error_table(performance)
+    best = _best_combos(platforms, combos, performance,
+                        constraints.required_fps)
 
     diagnostics = {}
     candidates = []
     for p in platforms:
-        bests = [_best_combo(sid, p, combos, table, constraints.required_fps)
-                 for sid in scenario_ids]
-        best = (float("inf") if bests[0] is None
-                else sum(b[0] for b in bests) / len(bests))
+        errors = [row[0] for row in best[p.id].values()] or [float("inf")]
+        mean = sum(errors) / len(errors)
         cost_ok = p.cost <= constraints.max_cost
         diagnostics[p.id] = {
-            "cost": p.cost, "best_mean_error": best, "cost_ok": cost_ok}
-        if cost_ok and best <= constraints.max_mean_error:
-            candidates.append((p.cost, best, p.id))
+            "cost": p.cost, "best_mean_error": mean, "cost_ok": cost_ok}
+        if cost_ok and mean <= constraints.max_mean_error:
+            candidates.append((p.cost, mean, p.id))
     if not candidates:
         lines = "; ".join(
             f"{pid}: cost={d['cost']}"
@@ -293,17 +291,19 @@ def label_scenarios(scenarios: list[ScenarioProfile],
 
     Best = minimal error; ties break by higher achievable fps on that
     platform, then lexicographic combo id.  Raises MissingRecord if the
-    table lacks a feasible (scenario, combo, platform) entry.
+    table names no such scenario or lacks a feasible (scenario, combo,
+    platform) entry.
     """
-    table = _error_table(performance)
+    best = _best_combos(platforms, combos, performance, required_fps)
+    named = {r.scenario_id for r in performance}
     for scenario in scenarios:
-        labels = {}
-        for platform in platforms:
-            best = _best_combo(scenario.scenario_id, platform, combos, table,
-                               required_fps)
-            if best is not None:
-                labels[platform.id] = best[2]
-        scenario.labels = labels
+        sid = scenario.scenario_id
+        if sid not in named:
+            raise MissingRecord(
+                f"performance table names no scenario {sid}; its scenario "
+                f"ids are {', '.join(sorted(named)) or 'none'}")
+        scenario.labels = {pid: rows[sid][2] for pid, rows in best.items()
+                           if rows}
 
 
 def build_design_profile(frames, combos: list[AlgoParamCombo],

@@ -29,6 +29,8 @@ from .subspace import PrincipalDecomposition, SubspaceBasis
 # Below this angle the closed-form lambda expressions hit 0/0 cancellation
 # and the 4th-order series is exact to ~1e-21.
 SERIES_ANGLE = 1e-4
+# Flow samples the trapezoidal oracle holds in memory at once.
+ORACLE_CHUNK = 4096
 
 
 def _lambda_coeffs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,7 +138,7 @@ def gfk_kernel(dec: PrincipalDecomposition, x: SubspaceBasis) -> np.ndarray:
 
 
 def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
-                           steps: int, chunk: int = 4096) -> np.ndarray:
+                           steps: int) -> np.ndarray:
     """Trapezoidal approximation of the integral of theta(y) theta(y)^T.
 
     Independent check of the closed-form kernel: sums outer products of
@@ -150,9 +152,9 @@ def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
     weights = np.full(steps + 1, 1.0 / steps)
     weights[0] = weights[-1] = 0.5 / steps
     W = np.zeros((a, a))
-    for lo in range(0, steps + 1, chunk):
-        F = flow_samples(dec, x, ys[lo:lo + chunk])
-        Fw = F * weights[lo:lo + chunk, None, None]
+    for lo in range(0, steps + 1, ORACLE_CHUNK):
+        F = flow_samples(dec, x, ys[lo:lo + ORACLE_CHUNK])
+        Fw = F * weights[lo:lo + ORACLE_CHUNK, None, None]
         G1 = F.transpose(1, 0, 2).reshape(a, -1)
         G2 = Fw.transpose(1, 0, 2).reshape(a, -1)
         W += G2 @ G1.T

@@ -23,9 +23,6 @@ ORTHO_TOL = 1e-8
 # DEGENERATE_SIN/2 * |delta|^2; above it, a flow direction computed from the
 # residual is accurate to about eps/sin.
 DEGENERATE_SIN = 1e-13
-# Angles within this of each other form one cluster whose rotation the SVD
-# leaves free.
-CLUSTER_TOL = 1e-13
 SIN_PI_4 = np.sqrt(0.5)
 
 
@@ -164,33 +161,6 @@ def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _canonicalize_clusters(U: np.ndarray, V: np.ndarray, angles: np.ndarray,
-                           tol: float = CLUSTER_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Make U, V deterministic inside clusters of equal angles.
-
-    Within a cluster of equal angles (sorted ascending) the SVD factors are
-    defined only up to a common rotation; rotate them (Procrustes) so the U
-    block is as close to the identity columns as possible.  Identical
-    subspaces then yield U = V = I.  W and the geodesic are invariant to
-    this choice.
-    """
-    b = angles.size
-    start = 0
-    for end in range(1, b + 1):
-        if end < b and angles[end] - angles[start] <= tol:
-            continue
-        if end - start > 1:
-            cols = slice(start, end)
-            Y = U[cols, cols].T
-            Up, _, Vpt = np.linalg.svd(Y)
-            S = Up @ Vpt
-            U = U.copy(); V = V.copy()
-            U[:, cols] = U[:, cols] @ S
-            V[:, cols] = V[:, cols] @ S
-        start = end
-    return U, V
-
-
 def principal_angles(x: SubspaceBasis, z: SubspaceBasis) -> PrincipalDecomposition:
     """Principal angles and coupled rotations between two b-dim subspaces.
 
@@ -229,7 +199,6 @@ def principal_angles(x: SubspaceBasis, z: SubspaceBasis) -> PrincipalDecompositi
     V = np.hstack([St.T, Vt[m:].T])
     MV = M @ V[:, :m]
     U = np.hstack([MV / np.linalg.norm(MV, axis=0), U[:, m:]])
-    U, V = _canonicalize_clusters(U, V, angles)
     U, signs = _fix_signs(U)
     V = V * signs
 

@@ -46,7 +46,6 @@ def run_pipeline(tmp_path, out_name="run"):
         "select",
         "--profile", str(out / "profile.json"),
         "--stream", str(out / "test_manifest.json"),
-        "--window-length", "10",
         "--out", str(out / "trace.jsonl"),
     ]) == 0
     assert main([
@@ -397,21 +396,6 @@ def test_select_with_explicit_platform(tmp_path):
     ]) == 0
     line = (out / "p2_trace.jsonl").read_text().splitlines()[1]
     assert json.loads(line)["platform_id"] == "p2"
-
-
-def test_select_window_length_zero_exits_1(tmp_path, capsys):
-    out = run_pipeline(tmp_path)
-    capsys.readouterr()
-    rc = main([
-        "select",
-        "--profile", str(out / "profile.json"),
-        "--stream", str(out / "test_manifest.json"),
-        "--window-length", "0",
-        "--out", str(out / "t0.jsonl"),
-    ])
-    assert rc == 1
-    assert "window length must be >= 2, got 0" in capsys.readouterr().err
-    assert not (out / "t0.jsonl").exists()
 
 
 def test_profile_window_shorter_than_subspace_exits_1(tmp_path, capsys):

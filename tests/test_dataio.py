@@ -176,10 +176,9 @@ def test_stream_multi_part_manifest_concatenates(tmp_path, rng):
 
 def test_performance_table_round_trip(tmp_path):
     records = [
-        PerformanceRecord("s000", "c00", "p1", 3.5,
-                          {"MT": 0.8, "IDS": 4.0}),
+        PerformanceRecord("s000", "c00", "p1", 3.5),
         PerformanceRecord("s000", "c01", "p1", 1.25),
-        PerformanceRecord("s001", "c00", "p1", 0.0, {"FP": 2.0}),
+        PerformanceRecord("s001", "c00", "p1", 0.0),
     ]
     path = tmp_path / "perf.csv"
     dataio.write_performance_table(path, records)
@@ -194,6 +193,24 @@ def test_performance_table_two_rows(tmp_path):
     records = dataio.read_performance_table(path)
     assert len(records) == 2
     assert records[1].error == 2.5
+
+
+def test_performance_table_extra_columns_must_be_numbers_and_are_not_kept(
+        tmp_path):
+    path = tmp_path / "perf.csv"
+    path.write_text("scenario_id,combo_id,platform_id,error,MT,IDS\n"
+                    "s0,c0,p0,1.5,0.8,4\n"
+                    "s0,c1,p0,2.5,,\n")
+    assert dataio.read_performance_table(path) == [
+        PerformanceRecord("s0", "c0", "p0", 1.5),
+        PerformanceRecord("s0", "c1", "p0", 2.5)]
+
+    path.write_text("scenario_id,combo_id,platform_id,error,MT,IDS\n"
+                    "s0,c0,p0,1.5,0.8,4\n"
+                    "s0,c1,p0,2.5,0.7,many\n")
+    with pytest.raises(MalformedRow) as exc:
+        dataio.read_performance_table(path)
+    assert str(exc.value) == f"{path}:3: bad IDS value 'many'"
 
 
 def test_performance_table_duplicate_key_reports_both_lines(tmp_path):
@@ -309,7 +326,7 @@ def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
     doc["combos"], doc["platforms"] = catalog["combos"], catalog["platforms"]
     doc["performance"] = [
         {"scenario_id": r.scenario_id, "combo_id": r.combo_id,
-         "platform_id": r.platform_id, "error": r.error, "extras": r.extras}
+         "platform_id": r.platform_id, "error": r.error, "extras": {}}
         for r in dataset.performance]
     if version == 1:
         for s in doc["scenarios"]:
@@ -475,6 +492,67 @@ def test_stream_manifest_value_of_the_wrong_type_raises_manifest_invalid(
     with pytest.raises(ManifestInvalid) as exc:
         dataio.read_stream(path)
     assert str(exc.value) == f"{path}: frame_count: expected an integer"
+
+
+@pytest.mark.parametrize("key, value, element", [
+    ("matrices", [5], "[0]"),
+    ("frame_labels", ["g0", 1, "g2"], "[1]"),
+], ids=["matrices", "frame-labels"])
+def test_stream_manifest_element_of_the_wrong_type_raises_manifest_invalid(
+        tmp_path, key, value, element):
+    path = tmp_path / "stream.json"
+    dataio.write_stream(path, np.zeros((3, 2)), labels=["g0", "g1", "g2"])
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == f"{path}: {key}{element}: expected a string"
+
+
+@pytest.mark.parametrize("entry, key, value, element, expected", [
+    ("combos", "resolution", [320, "240"], "[1]", "an integer"),
+    ("platforms", "combo_capabilities", {"c00": "fast"}, "['c00']",
+     "a number"),
+], ids=["resolution", "capabilities"])
+def test_platforms_element_of_the_wrong_type_raises_manifest_invalid(
+        tmp_path, entry, key, value, element, expected):
+    dataset, _ = pipeline_profile()
+    path = tmp_path / "platforms.json"
+    dataio.write_platforms(path, dataset.combos, dataset.platforms)
+    doc = json.loads(path.read_text())
+    doc[entry][1][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_platforms(path)
+    assert str(exc.value) == (
+        f"{path}: {entry}[1]: {key}{element}: expected {expected}")
+
+
+def test_profile_label_that_is_not_a_combo_id_raises_manifest_invalid(
+        tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["scenarios"][0]["labels"]["p1"] = 5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (
+        f"{path}: scenarios[0]: labels['p1']: expected a string")
+
+
+def test_profile_without_scenarios_raises_manifest_invalid(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["scenarios"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == f"{path}: scenarios: expected at least one"
 
 
 @pytest.mark.parametrize("reader, name", [

@@ -344,6 +344,19 @@ def test_label_missing_record_raises(rng):
     assert "s001" in str(exc.value) and "ACF-240x320" in str(exc.value)
 
 
+def test_label_names_a_scenario_the_table_does_not(rng):
+    # a table keyed by the user's own ids blames the id mismatch, not a
+    # missing record of one combo
+    errors = {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 3.0,
+              "ACF-480x640": 7.0}
+    perf, _ = two_platform_table(errors, errors,
+                                 scenarios=("video0", "video1"))
+    with pytest.raises(MissingRecord) as exc:
+        labeled_scenarios(rng, perf)
+    assert str(exc.value) == ("performance table names no scenario s000; "
+                              "its scenario ids are video0, video1")
+
+
 def test_label_idempotent(rng):
     perf, _ = two_platform_table(
         {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 2.0,

@@ -128,8 +128,10 @@ def test_identical_basis_gives_zero_angles(rng):
     sub = random_subspace(rng, 10, 3)
     dec = principal_angles(sub, sub)
     assert np.array_equal(dec.angles, np.zeros(3))
-    assert np.allclose(dec.left_rotation, np.eye(3), atol=1e-12)
-    assert np.allclose(dec.right_rotation, np.eye(3), atol=1e-12)
+    # U and V are free up to a common rotation; the paired principal
+    # vectors x U and z V coincide whatever it is
+    assert np.allclose(sub.basis @ dec.left_rotation,
+                       sub.basis @ dec.right_rotation, atol=1e-12)
 
 
 def test_orthogonal_planes_give_right_angles():
