@@ -13,15 +13,13 @@ Exit codes: 0 success, 1 input/runtime error, 2 constraint infeasibility.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import dataio
 from .design import SelectionConstraints, build_design_profile
-from .errors import AdaselError, ConfigInvalid, NoFeasiblePlatform
+from .errors import AdaselError, NoFeasiblePlatform
 from .harness import SyntheticConfig, evaluate_regret, generate_synthetic
 from .runtime import mean_similarity, run_selection
 
@@ -33,39 +31,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="log progress to stderr")
 
 
-def _index_pair(key: str) -> tuple[int, int]:
-    try:
-        i, h = (int(part) for part in key.split(","))
-    except ValueError:
-        raise ConfigInvalid(
-            f"error_model key {key!r} is not 'scenario,combo'") from None
-    return i, h
-
-
-def load_synth_config(path, default_seed: int) -> SyntheticConfig:
-    """SyntheticConfig from a JSON file; unknown keys are rejected."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"{path}: not JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(f"{path}: expected a JSON object")
-    known = {f.name for f in dataclasses.fields(SyntheticConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    model = doc.get("error_model")
-    if model is not None:
-        if not isinstance(model, dict):
-            raise ConfigInvalid("error_model must be a JSON object")
-        doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
-    doc.setdefault("seed", default_seed)
-    return SyntheticConfig(**doc)
-
-
 def cmd_synth(args) -> int:
     if args.config:
-        config = load_synth_config(args.config, args.seed)
+        config = dataio.read_synth_config(args.config, args.seed)
     else:
         config = SyntheticConfig(seed=args.seed)
     log.debug("generator config: %s", config)

@@ -2,9 +2,9 @@
 
 Binary matrices, stream manifests, performance tables, platforms files,
 design profiles, selection traces, per-window ground truth and regret
-reports; no other module opens a file, except the CLI's reader of the
-synth settings.  All formats but the output-only regret report round-trip
-exactly.  Matrices use a fixed little-endian binary layout (magic
+reports, and the synth settings; no other module opens a file.  All
+formats but the output-only regret report and the input-only synth settings
+round-trip exactly.  Matrices use a fixed little-endian binary layout (magic
 ``ADSLMAT1``, u64 rows, u64 cols, row-major f64 payload); JSON documents
 are written with sorted keys and repr-exact floats so that identical
 inputs produce byte-identical files.  Versioned documents carry
@@ -30,10 +30,11 @@ import numpy as np
 
 from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
                      PlatformSpec, ProfileConfig, ScenarioProfile)
-from .errors import (BadMagic, DimensionMismatch, DimensionOverflow,
-                     DuplicateKey, MalformedRow, ManifestInvalid, Misaligned,
-                     NegativeError, TruncatedPayload, UnsupportedVersion)
-from .harness import RegretReport, WindowRegret, WindowTruth
+from .errors import (BadMagic, ConfigInvalid, DimensionMismatch,
+                     DimensionOverflow, DuplicateKey, MalformedRow,
+                     ManifestInvalid, Misaligned, NegativeError,
+                     TruncatedPayload, UnsupportedVersion)
+from .harness import RegretReport, SyntheticConfig, WindowRegret, WindowTruth
 from .runtime import SelectionDecision, SelectionTrace
 from .subspace import SubspaceBasis
 
@@ -147,9 +148,17 @@ def _require(entry, spec, where) -> dict:
 
 
 def _entries(doc, name, spec, path) -> list[dict]:
-    """The entries of the list ``doc[name]``, each checked against spec."""
-    return [_require(entry, spec, f"{path}: {name}[{i}]")
-            for i, entry in enumerate(doc[name])]
+    """The entries of the list ``doc[name]``, each checked against spec;
+    where spec has an ``id`` key, two entries with one id raise
+    DuplicateKey."""
+    entries = [_require(entry, spec, f"{path}: {name}[{i}]")
+               for i, entry in enumerate(doc[name])]
+    ids = [entry["id"] for entry in entries] if "id" in spec else []
+    for i, key in enumerate(ids):
+        if (j := ids.index(key)) != i:
+            raise DuplicateKey(f"{path}: {name}[{j}] and {name}[{i}] "
+                               f"have the same id {key!r}")
+    return entries
 
 
 def _read_doc(path, spec) -> dict:
@@ -555,3 +564,36 @@ def write_report(path, report: RegretReport) -> None:
         "switch_count": report.switch_count,
         "scenario_match_accuracy": report.scenario_match_accuracy,
     }))
+
+
+# --------------------------------------------------------------------------
+# synth settings (input only: a JSON object of SyntheticConfig fields)
+
+def _index_pair(key: str) -> tuple[int, int]:
+    try:
+        i, h = (int(part) for part in key.split(","))
+    except ValueError:
+        raise ConfigInvalid(
+            f"error_model key {key!r} is not 'scenario,combo'") from None
+    return i, h
+
+
+def read_synth_config(path, default_seed: int) -> SyntheticConfig:
+    """SyntheticConfig from a JSON file; unknown keys are rejected."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{path}: expected a JSON object")
+    known = {f.name for f in dataclasses.fields(SyntheticConfig)}
+    unknown = set(doc) - known
+    if unknown:
+        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+    model = doc.get("error_model")
+    if model is not None:
+        if not isinstance(model, dict):
+            raise ConfigInvalid("error_model must be a JSON object")
+        doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
+    doc.setdefault("seed", default_seed)
+    return SyntheticConfig(**doc)

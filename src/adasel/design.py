@@ -212,9 +212,13 @@ def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
 
 def feasible_combos(platform: PlatformSpec, combos: list[AlgoParamCombo],
                     required_fps: float) -> list[str]:
-    """Ids of combos the platform can run at or above required_fps, in order."""
+    """Ids of combos the platform can run at or above required_fps, in order.
+
+    A combo the platform's combo_capabilities does not list is not runnable.
+    """
+    caps = platform.combo_capabilities
     return [c.id for c in combos
-            if platform.combo_capabilities.get(c.id, 0.0) >= required_fps]
+            if c.id in caps and caps[c.id] >= required_fps]
 
 
 def _best_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],

@@ -18,7 +18,9 @@ unmodified.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
+from functools import reduce
 from numbers import Integral, Real
 
 import numpy as np
@@ -261,6 +263,11 @@ class RegretReport:
         return self.selected_sum - self.oracle_sum
 
 
+def _total(values) -> float:
+    """Left-to-right float sum (sum() compensates on Python >= 3.12)."""
+    return reduce(operator.add, values, 0.0)
+
+
 def evaluate_regret(trace: SelectionTrace,
                     window_truth: list[WindowTruth]) -> RegretReport:
     """Compare a trace against hindsight-oracle and static-combo policies."""
@@ -268,20 +275,9 @@ def evaluate_regret(trace: SelectionTrace,
         raise Misaligned(
             f"trace has {len(trace.decisions)} windows, "
             f"ground truth has {len(window_truth)}")
-    if not window_truth:
-        return RegretReport(per_window=[], selected_sum=0.0, oracle_sum=0.0,
-                            static_sums={}, best_static_id=None,
-                            switch_count=0)
-
-    combo_ids = sorted(window_truth[0].errors)
-    static_sums = {cid: 0.0 for cid in combo_ids}
-    selected_sum = 0.0
-    oracle_sum = 0.0
-    rows = []
-    matches = 0
-    have_truth_ids = all(t.true_scenario_id is not None for t in window_truth)
-
-    for decision, truth in zip(trace.decisions, window_truth):
+    combo_ids = sorted(window_truth[0].errors) if window_truth else []
+    pairs = list(zip(trace.decisions, window_truth))
+    for decision, truth in pairs:
         if decision.window_id != truth.window_id:
             raise Misaligned(
                 f"trace window {decision.window_id} is paired with "
@@ -294,24 +290,24 @@ def evaluate_regret(trace: SelectionTrace,
             raise Misaligned(
                 f"window {truth.window_id}: no ground-truth error for "
                 f"chosen combo {decision.chosen_combo_id!r}")
-        sel = truth.errors[decision.chosen_combo_id]
-        selected_sum += sel
-        oracle_sum += min(truth.errors.values())
-        for cid in combo_ids:
-            static_sums[cid] += truth.errors[cid]
-        rows.append((decision, truth, sel))
-        if have_truth_ids and decision.matched_scenario_id == truth.true_scenario_id:
-            matches += 1
 
-    best_static_id = min(combo_ids, key=lambda cid: (static_sums[cid], cid))
+    static_sums = {cid: _total(t.errors[cid] for t in window_truth)
+                   for cid in combo_ids}
+    best_static_id = min(combo_ids, key=lambda cid: (static_sums[cid], cid),
+                         default=None)
     per_window = [WindowRegret(
-        window_id=truth.window_id, selected_error=sel,
+        window_id=truth.window_id,
+        selected_error=truth.errors[decision.chosen_combo_id],
         oracle_error=min(truth.errors.values()),
         best_static_error=truth.errors[best_static_id])
-        for decision, truth, sel in rows]
-    accuracy = matches / len(window_truth) if have_truth_ids else None
-    return RegretReport(per_window=per_window, selected_sum=selected_sum,
-                        oracle_sum=oracle_sum, static_sums=static_sums,
-                        best_static_id=best_static_id,
-                        switch_count=trace.switch_count(),
-                        scenario_match_accuracy=accuracy)
+        for decision, truth in pairs]
+    accuracy = None
+    if pairs and all(t.true_scenario_id is not None for t in window_truth):
+        accuracy = sum(d.matched_scenario_id == t.true_scenario_id
+                       for d, t in pairs) / len(pairs)
+    return RegretReport(
+        per_window=per_window,
+        selected_sum=_total(w.selected_error for w in per_window),
+        oracle_sum=_total(w.oracle_error for w in per_window),
+        static_sums=static_sums, best_static_id=best_static_id,
+        switch_count=trace.switch_count(), scenario_match_accuracy=accuracy)

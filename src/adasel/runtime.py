@@ -32,7 +32,6 @@ class TimeWindow:
     dimension, or None when the frames have no variance at all.
     """
 
-    window_id: int
     aggregated_feature: np.ndarray
     subspace: SubspaceBasis | None
     degraded: bool
@@ -69,7 +68,7 @@ def segment_windows(stream, length: int,
     remainder of at least length/2 and at least ``min_frames`` frames
     becomes a final short block; a smaller remainder is merged into the
     previous block.  Every frame lands in exactly one block.  Frames are
-    checked when their window is built, so an error names the window.
+    checked when their window is built, so run_selection names the window.
     """
     if length < 2:
         raise ValueError(f"window length must be >= 2, got {length}")
@@ -85,7 +84,7 @@ def segment_windows(stream, length: int,
     return [X[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
+def build_window(features, subspace_dim: int) -> TimeWindow:
     """Aggregate a window: mean feature + PCA subspace with rank fallback.
 
     If the frames have rank r < subspace_dim, keeps the r-dim subspace from
@@ -94,33 +93,20 @@ def build_window(features, subspace_dim: int, window_id: int = 0) -> TimeWindow:
     """
     X = as_feature_matrix(features)
     if X.shape[0] < subspace_dim + 1:
-        raise TooFewFrames(
-            f"window {window_id} has {X.shape[0]} frames; "
-            f"need at least {subspace_dim + 1}")
+        raise TooFewFrames(f"{X.shape[0]} frames; "
+                           f"need at least {subspace_dim + 1}")
     directions, rank = _principal_directions(X, subspace_dim)
-    return TimeWindow(window_id=window_id, aggregated_feature=X.mean(axis=0),
+    return TimeWindow(aggregated_feature=X.mean(axis=0),
                       subspace=SubspaceBasis(directions) if rank else None,
                       degraded=rank < subspace_dim)
 
 
 def _stack_scenarios(profile: DesignProfile) -> tuple[np.ndarray, np.ndarray]:
     """The profile's bases (M, a, b) and means (M, a), in profile order."""
+    if not profile.scenarios:
+        raise ValueError("profile has no scenarios")
     return (np.stack([s.subspace.basis for s in profile.scenarios]),
             np.stack([s.representative_feature for s in profile.scenarios]))
-
-
-def _scenario_distances(window: TimeWindow, profile: DesignProfile,
-                        stacked=None) -> np.ndarray:
-    """Kernel distance d to every profile scenario, in profile order.
-
-    Both sides are compared at the effective dimension: the top
-    min(window dim, profile dim) directions of each basis.
-    """
-    bases, means = stacked or _stack_scenarios(profile)
-    k = min(window.subspace.dim_subspace, profile.config.dim_subspace)
-    return stacked_distances(bases[:, :, :k], means,
-                             window.subspace.basis[:, :k],
-                             window.aggregated_feature)
 
 
 def match_scenario(window: TimeWindow, profile: DesignProfile,
@@ -128,23 +114,26 @@ def match_scenario(window: TimeWindow, profile: DesignProfile,
     """Nearest training scenario by kernel distance (ties: lowest id).
 
     Returns (scenario_id, similarities) with one similarity exp(-d) per
-    profile scenario, in profile order.  The ranking uses d itself, so it
-    stays right where every exp(-d) underflows to 0.  A pass over many
-    windows passes ``stacked = _stack_scenarios(profile)``, built once.
+    profile scenario, in profile order.  Both sides are compared at the
+    effective dimension: the top min(window dim, profile dim) directions of
+    each basis.  The ranking uses d itself, so it stays right where every
+    exp(-d) underflows to 0.  A pass over many windows passes
+    ``stacked = _stack_scenarios(profile)``, built once.
     """
-    if not profile.scenarios:
-        raise ValueError("profile has no scenarios")
     a = profile.config.dim_ambient
     if window.aggregated_feature.shape[0] != a:
         raise DimensionMismatch(
-            f"window dimension {window.aggregated_feature.shape[0]} "
+            f"frame dimension {window.aggregated_feature.shape[0]} "
             f"!= profile dimension {a}")
     if window.subspace is None:
         raise DegenerateWindow(
-            f"window {window.window_id} has zero variance; "
-            "no subspace comparison is possible")
+            "frames have zero variance; no subspace comparison is possible")
 
-    distances = _scenario_distances(window, profile, stacked).tolist()
+    bases, means = stacked or _stack_scenarios(profile)
+    k = min(window.subspace.dim_subspace, profile.config.dim_subspace)
+    distances = stacked_distances(bases[:, :, :k], means,
+                                  window.subspace.basis[:, :k],
+                                  window.aggregated_feature).tolist()
     best = min(zip(distances, (s.scenario_id for s in profile.scenarios)))
     return best[1], np.array([similarity(d) for d in distances])
 
@@ -165,24 +154,24 @@ def select_combo(scenario_id: str, platform_id: str,
 
 def run_selection(stream, profile: DesignProfile, platform_id: str,
                   window_length: int) -> SelectionTrace:
-    """Full runtime pass: segment, build, match, and select per window."""
-    if not profile.scenarios:
-        raise ValueError("profile has no scenarios")
+    """Full runtime pass: segment, build, match, and select per window.
+
+    An AdaselError raised for window i is re-raised as the same type with
+    the message prefixed ``window i: ``.
+    """
     from .dataio import profile_digest  # local import to avoid a cycle
 
+    stacked = _stack_scenarios(profile)
     windows = segment_windows(stream, window_length,
                               min_frames=profile.config.dim_subspace + 1)
-    stacked = _stack_scenarios(profile)
     decisions = []
     for i, frames in enumerate(windows):
         t0 = time.perf_counter()
         try:
-            window = build_window(frames, profile.config.dim_subspace, i)
+            window = build_window(frames, profile.config.dim_subspace)
             scenario_id, sims = match_scenario(window, profile, stacked)
             combo = select_combo(scenario_id, platform_id, profile)
         except AdaselError as exc:
-            if str(exc).startswith(f"window {i} "):
-                raise  # the message already names the window
             raise type(exc)(f"window {i}: {exc}") from exc
         decisions.append(SelectionDecision(
             window_id=i, matched_scenario_id=scenario_id,

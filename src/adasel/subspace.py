@@ -27,19 +27,15 @@ SIN_PI_4 = np.sqrt(0.5)
 
 
 def as_feature_matrix(samples) -> np.ndarray:
-    """Stack samples into an (n, a) float64 matrix, checking consistency."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+    """Samples as an (n, a) float64 matrix of finite values, a >= 2."""
+    try:
         X = np.asarray(samples, dtype=np.float64)
-    else:
-        rows = list(samples)
-        if not rows:
-            raise ValueError("no samples given")
-        lengths = {np.asarray(r).shape for r in rows}
-        if len(lengths) > 1:
-            raise DimensionMismatch(f"samples differ in length: {sorted(lengths)}")
-        X = np.asarray(rows, dtype=np.float64)
-    if X.shape[1] < 2:
-        raise DimensionMismatch(f"feature dimension must be >= 2, got {X.shape[1]}")
+    except ValueError as exc:  # ragged rows
+        raise DimensionMismatch(
+            f"samples do not form a matrix: {exc}") from None
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise DimensionMismatch(
+            f"samples must form an (n, a >= 2) matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeatures("samples contain NaN or Inf")
     return X
@@ -119,16 +115,16 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
         above max(n, a) * eps * ||X||_F, the rounding left by centering the
         frames, so a window of identical frames has rank 0.
     """
-    directions, rank = _principal_directions(samples, b)
+    directions, rank = _principal_directions(as_feature_matrix(samples), b)
     if rank < b:
         raise RankDeficient(
             f"centered sample matrix has rank {rank} < requested b={b}", rank)
     return SubspaceBasis(basis=directions)
 
 
-def _principal_directions(samples, b: int) -> tuple[np.ndarray, int]:
-    """pca_basis's top min(b, rank) directions and the rank, from one SVD."""
-    X = as_feature_matrix(samples)
+def _principal_directions(X: np.ndarray, b: int) -> tuple[np.ndarray, int]:
+    """pca_basis's top min(b, rank) directions and the rank, from one SVD
+    of the matrix ``X`` that as_feature_matrix returned."""
     n, a = X.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")

@@ -46,17 +46,7 @@ def test_only_dataio_knows_a_file_format():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "dataio.py":
             continue
-        tree = ast.parse(path.read_text())
-        uses = set(_format_uses(tree))
-        if path.name == "cli.py":
-            # load_synth_config, which reads the synth settings, is the one
-            # reader outside dataio, and cli imports json for it
-            reader = next(node for node in tree.body
-                          if isinstance(node, ast.FunctionDef)
-                          and node.name == "load_synth_config")
-            uses = {(line, name) for line, name
-                    in uses - set(_format_uses(reader))
-                    if name not in FORMAT_MODULES}
+        uses = set(_format_uses(ast.parse(path.read_text())))
         found += [f"{path.name}:{line}: {name}" for line, name in sorted(uses)]
     assert not found
 

@@ -393,6 +393,20 @@ def test_platforms_round_trip(tmp_path):
     assert platforms == dataset.platforms
 
 
+@pytest.mark.parametrize("entry", ["combos", "platforms"])
+def test_platforms_repeated_id_raises_duplicate_key(tmp_path, entry):
+    dataset, _ = pipeline_profile()
+    path = tmp_path / "platforms.json"
+    dataio.write_platforms(path, dataset.combos, dataset.platforms)
+    doc = json.loads(path.read_text())
+    doc[entry][1]["id"] = doc[entry][0]["id"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DuplicateKey) as exc:
+        dataio.read_platforms(path)
+    assert str(exc.value) == (f"{path}: {entry}[0] and {entry}[1] have the "
+                              f"same id {doc[entry][0]['id']!r}")
+
+
 @pytest.mark.parametrize("reader, key", [
     (dataio.read_stream, "dim"),
     (dataio.read_profile, "config"),

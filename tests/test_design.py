@@ -146,6 +146,25 @@ def test_feasible_combos_impossible_fps():
                            1000.0) == []
 
 
+def test_combo_the_platform_does_not_list_is_not_runnable(rng):
+    combos = [AlgoParamCombo("c0", "HOG", 5.0, (320, 240)),
+              AlgoParamCombo("c1", "ACF", 5.0, (320, 240))]
+    platform = PlatformSpec("p0", {"c0": 5.0}, cost=1.0)
+    assert feasible_combos(platform, combos, 0.0) == ["c0"]
+    # c1 has the lower error, but p0 cannot run it
+    performance = [PerformanceRecord("s000", "c0", "p0", 0.5),
+                   PerformanceRecord("s000", "c1", "p0", 0.1)]
+    constraints = SelectionConstraints(
+        max_mean_error=1.0, required_fps=0.0, max_cost=1.0)
+    assert select_platform([platform], performance, constraints,
+                           combos) == "p0"
+    scenario = ScenarioProfile(
+        scenario_id="s000", representative_feature=rng.standard_normal(8),
+        subspace=random_subspace(rng, 8, 2), member_count=5)
+    label_scenarios([scenario], combos, [platform], performance, 0.0)
+    assert scenario.labels == {"p0": "c0"}
+
+
 # --------------------------------------------------------------------------
 # select_platform
 

@@ -242,6 +242,12 @@ def test_six_of_29_windows_worse_than_oracle():
     assert len(worse) == 6 and len(report.per_window) == 29
 
 
+def test_empty_trace_gives_an_empty_report():
+    assert evaluate_regret(fake_trace([]), []) == RegretReport(
+        per_window=[], selected_sum=0.0, oracle_sum=0.0, static_sums={},
+        best_static_id=None, switch_count=0, scenario_match_accuracy=None)
+
+
 def test_misaligned_window_counts():
     with pytest.raises(Misaligned):
         evaluate_regret(fake_trace(["c00"]), truth_grid())

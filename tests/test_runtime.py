@@ -10,9 +10,9 @@ from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
 from adasel.errors import (AdaselError, DegenerateWindow, DimensionMismatch,
                            EmptyStream, NonFiniteFeatures, TooFewFrames,
                            UnlabeledScenario)
-from adasel.gfk import gfk_kernel, similarity
+from adasel.gfk import gfk_kernel, similarity, stacked_distances
 from adasel.harness import SyntheticConfig, generate_synthetic
-from adasel.runtime import (TimeWindow, _scenario_distances, build_window,
+from adasel.runtime import (TimeWindow, _stack_scenarios, build_window,
                             match_scenario, mean_similarity, run_selection,
                             segment_windows, select_combo)
 from adasel.subspace import SubspaceBasis, pca_basis, principal_angles
@@ -92,7 +92,7 @@ def test_segment_rejects_tiny_window_length(rng):
 
 def test_build_window_constant_frames_degrades():
     frames = np.tile([1.0, 2.0, 3.0, 4.0], (10, 1))
-    w = build_window(frames, 2, window_id=5)
+    w = build_window(frames, 2)
     assert np.allclose(w.aggregated_feature, [1.0, 2.0, 3.0, 4.0])
     assert w.degraded and w.subspace is None
 
@@ -131,7 +131,7 @@ def test_window_repeating_five_frames_degrades_to_dim_4(rng):
 
 def test_build_window_invariants(rng):
     frames = rng.standard_normal((30, 20))
-    w = build_window(frames, 5, window_id=3)
+    w = build_window(frames, 5)
     assert not w.degraded
     assert np.allclose(w.aggregated_feature, frames.mean(axis=0))
     w.subspace.validate(tol=1e-10)
@@ -233,9 +233,9 @@ def test_match_degenerate_window_raises(rng):
     # identical frames whose mean does not round exactly: the centering
     # residue is rounding noise, not a 1-dim subspace
     dataset = default_dataset()
-    w = build_window(np.tile(dataset.test_stream[0], (20, 1)), 5, window_id=7)
+    w = build_window(np.tile(dataset.test_stream[0], (20, 1)), 5)
     assert w.degraded and w.subspace is None
-    with pytest.raises(DegenerateWindow, match="window 7"):
+    with pytest.raises(DegenerateWindow, match="zero variance"):
         match_scenario(w, profile_for(dataset))
 
 
@@ -304,8 +304,7 @@ def windows_and_profiles(draw):
             subspace=SubspaceBasis(x), member_count=b + 1))
     profile = DesignProfile(scenarios=scenarios, selected_platform=None,
                             config=ProfileConfig(a, b, b + 1))
-    window = TimeWindow(window_id=0,
-                        aggregated_feature=rng.standard_normal(a),
+    window = TimeWindow(aggregated_feature=rng.standard_normal(a),
                         subspace=SubspaceBasis(z), degraded=k < b)
     return window, profile
 
@@ -316,7 +315,9 @@ def test_batched_distances_equal_dense_quadratic_form(case):
     window, profile = case
     z = window.subspace
     k = z.dim_subspace
-    d = _scenario_distances(window, profile)
+    bases, means = _stack_scenarios(profile)
+    d = stacked_distances(bases[:, :, :k], means, z.basis,
+                          window.aggregated_feature)
     for s, ds in zip(profile.scenarios, d):
         x = SubspaceBasis(s.subspace.basis[:, :k])
         W = gfk_kernel(principal_angles(x, z), x)
@@ -415,19 +416,6 @@ def test_run_selection_empty_profile(rng):
         run_selection(dataset.test_stream, profile, "p1", 12)
 
 
-def test_run_selection_names_window_of_first_non_finite_frame():
-    dataset = small_dataset()
-    profile = profile_for(dataset)
-    stream = dataset.test_stream.copy()
-    stream[29, 4] = np.nan   # window 2 holds frames 24-35
-    stream[70, 0] = np.inf
-    with pytest.raises(NonFiniteFeatures) as exc:
-        run_selection(stream, profile, "p1", 12)
-    assert isinstance(exc.value, AdaselError)
-    assert isinstance(exc.value, ValueError)
-    assert str(exc.value).startswith("window 2: ")
-
-
 def test_run_selection_merges_remainder_too_short_for_a_subspace():
     # 110 frames in windows of 20 leave 10: at least length/2, but fewer
     # than the b + 1 = 13 frames a 12-dim window subspace needs
@@ -441,22 +429,38 @@ def test_run_selection_merges_remainder_too_short_for_a_subspace():
     assert [d.window_id for d in trace.decisions] == list(range(5))
 
 
-def test_run_selection_attaches_window_context(rng):
-    dataset = small_dataset()
-    profile = profile_for(dataset)
-    stream = np.vstack([dataset.test_stream[:24],
-                        np.tile(np.arange(16.0), (12, 1))])
-    with pytest.raises(DegenerateWindow) as exc:
-        run_selection(stream, profile, "p1", 12)
-    assert str(exc.value).count("window 2") == 1
+def _non_finite(stream):
+    stream = stream.copy()
+    stream[29, 4] = np.nan   # window 2 holds frames 24-35
+    stream[70, 0] = np.inf
+    return stream
 
 
-def test_run_selection_names_a_short_window_once():
+@pytest.mark.parametrize("edit, platform, error, window, reason", [
+    pytest.param(_non_finite, "p1", NonFiniteFeatures, 2, "NaN or Inf",
+                 id="non_finite_frame"),
+    pytest.param(lambda s: np.vstack([s[:24], np.tile(np.arange(16.0),
+                                                      (12, 1))]),
+                 "p1", DegenerateWindow, 2, "zero variance",
+                 id="zero_variance"),
+    pytest.param(lambda s: s[:3], "p1", TooFewFrames, 0,
+                 "3 frames; need at least 4", id="short_stream"),
+    pytest.param(lambda s: s[:, :8], "p1", DimensionMismatch, 0,
+                 "dimension 8 != profile dimension 16", id="wrong_width"),
+    pytest.param(lambda s: s, "no-such-platform", UnlabeledScenario, 0,
+                 "no label for platform no-such-platform", id="unlabeled"),
+])
+def test_run_selection_names_the_failing_window_once(edit, platform, error,
+                                                     window, reason):
     dataset = small_dataset()
     profile = profile_for(dataset)
-    with pytest.raises(TooFewFrames) as exc:
-        run_selection(dataset.test_stream[:3], profile, "p1", 12)
-    assert str(exc.value) == "window 0 has 3 frames; need at least 4"
+    with pytest.raises(AdaselError) as exc:
+        run_selection(edit(dataset.test_stream), profile, platform, 12)
+    message = str(exc.value)
+    assert type(exc.value) is error
+    assert message.startswith(f"window {window}: ")
+    assert message.count(f"window {window}") == 1
+    assert reason in message
 
 
 def test_run_selection_equals_matching_each_window_alone(rng):
@@ -468,8 +472,7 @@ def test_run_selection_equals_matching_each_window_alone(rng):
     trace = run_selection(stream, profile, "p1", 12)
     degraded = []
     for d in trace.decisions:
-        w = build_window(stream[12 * d.window_id:12 * (d.window_id + 1)],
-                         3, d.window_id)
+        w = build_window(stream[12 * d.window_id:12 * (d.window_id + 1)], 3)
         degraded.append(w.degraded)
         scenario_id, sims = match_scenario(w, profile)
         assert d.matched_scenario_id == scenario_id
