@@ -45,8 +45,7 @@ def cmd_synth(args) -> int:
                         source="adasel-synth training",
                         labels=dataset.training_labels)
     dataio.write_stream(out / "test_manifest.json", dataset.test_stream,
-                        source="adasel-synth test",
-                        labels=dataset.test_labels)
+                        source="adasel-synth test")
     dataio.write_performance_table(out / "performance.csv",
                                    dataset.performance)
     dataio.write_window_truth(out / "window_truth.csv", dataset.window_truth)
@@ -88,8 +87,6 @@ def cmd_select(args) -> int:
     profile = dataio.read_profile(args.profile)
     stream = dataio.read_stream(args.stream)
     platform_id = args.platform or profile.selected_platform
-    if platform_id is None:
-        raise AdaselError("profile has no selected platform; pass --platform")
     window_length = profile.config.window_length
     log.debug("matching %d frames on platform %s, window length %d",
               stream.frames.shape[0], platform_id, window_length)

@@ -29,11 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
-                     PlatformSpec, ProfileConfig, ScenarioProfile)
+                     PlatformSpec, ProfileConfig, ScenarioProfile,
+                     check_window_length)
 from .errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                      DimensionOverflow, DuplicateKey, MalformedRow,
                      ManifestInvalid, Misaligned, NegativeError,
-                     TruncatedPayload, UnsupportedVersion)
+                     TooFewFrames, TruncatedPayload, UnsupportedVersion)
 from .harness import RegretReport, SyntheticConfig, WindowRegret, WindowTruth
 from .runtime import SelectionDecision, SelectionTrace
 from .subspace import SubspaceBasis
@@ -111,7 +112,8 @@ _STR_LIST, _INT_LIST = (_LIST, _STR), (_LIST, _INT)
 _STR_MAP, _NUMBER_MAP = (_OBJECT, _STR), (_OBJECT, _NUMBER)
 
 _STREAM_KEYS = {"dim": _INT, "frame_count": _INT, "matrices": _STR_LIST}
-_PROFILE_KEYS = {"config": _OBJECT, "scenarios": _LIST}
+_PROFILE_KEYS = {"config": _OBJECT, "selected_platform": _STR,
+                 "scenarios": _LIST}
 _CONFIG_KEYS = {"dim_ambient": _INT, "dim_subspace": _INT,
                 "window_length": _INT}
 _SCENARIO_KEYS = {"scenario_id": _STR, "basis_file": _STR,
@@ -147,17 +149,16 @@ def _require(entry, spec, where) -> dict:
     return entry
 
 
-def _entries(doc, name, spec, path) -> list[dict]:
+def _entries(doc, name, spec, path, id_key="id") -> list[dict]:
     """The entries of the list ``doc[name]``, each checked against spec;
-    where spec has an ``id`` key, two entries with one id raise
-    DuplicateKey."""
+    two entries with one ``id_key`` value raise DuplicateKey."""
     entries = [_require(entry, spec, f"{path}: {name}[{i}]")
                for i, entry in enumerate(doc[name])]
-    ids = [entry["id"] for entry in entries] if "id" in spec else []
+    ids = [entry[id_key] for entry in entries]
     for i, key in enumerate(ids):
         if (j := ids.index(key)) != i:
             raise DuplicateKey(f"{path}: {name}[{j}] and {name}[{i}] "
-                               f"have the same id {key!r}")
+                               f"have the same {id_key} {key!r}")
     return entries
 
 
@@ -361,11 +362,16 @@ def read_profile(path) -> DesignProfile:
     config = ProfileConfig(
         dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
         window_length=cfg["window_length"])
+    try:
+        check_window_length(config.window_length, config.dim_subspace)
+    except TooFewFrames as exc:
+        raise ManifestInvalid(f"{path}: config: {exc}") from None
     shape = (config.dim_ambient, config.dim_subspace)
     if not doc["scenarios"]:
         raise ManifestInvalid(f"{path}: scenarios: expected at least one")
     scenarios = []
-    for i, s in enumerate(_entries(doc, "scenarios", _SCENARIO_KEYS, path)):
+    for i, s in enumerate(_entries(doc, "scenarios", _SCENARIO_KEYS, path,
+                                   "scenario_id")):
         basis_path = path.parent / s["basis_file"]
         subspace = SubspaceBasis(read_matrix(basis_path))
         if subspace.basis.shape != shape:
@@ -393,7 +399,7 @@ def read_profile(path) -> DesignProfile:
             subspace=subspace, member_count=s["member_count"],
             labels=dict(s["labels"])))
     return DesignProfile(scenarios=scenarios,
-                         selected_platform=doc.get("selected_platform"),
+                         selected_platform=doc["selected_platform"],
                          config=config)
 
 

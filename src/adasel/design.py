@@ -87,7 +87,7 @@ class DesignProfile:
     """Everything the runtime selector needs, built offline."""
 
     scenarios: list[ScenarioProfile]
-    selected_platform: str | None
+    selected_platform: str
     config: ProfileConfig
 
     def scenario(self, scenario_id: str) -> ScenarioProfile:
@@ -255,33 +255,29 @@ def select_platform(platforms: list[PlatformSpec],
     Best achievable mean error = mean over scenarios of the min error over
     combos feasible at constraints.required_fps.  Ties on cost break by
     lower error, then id order.  Raises NoFeasiblePlatform with per-platform
-    diagnostics when nothing qualifies, and MissingRecord when the table has
-    no records or lacks a feasible (scenario, combo, platform) entry.
+    figures in its message when nothing qualifies, and MissingRecord when the
+    table has no records or lacks a feasible (scenario, combo, platform) entry.
     """
     if not performance:
         raise MissingRecord("performance table has no records")
     best = _best_combos(platforms, combos, performance,
                         constraints.required_fps)
 
-    diagnostics = {}
+    lines = []
     candidates = []
     for p in platforms:
         errors = [row[0] for row in best[p.id].values()] or [float("inf")]
         mean = sum(errors) / len(errors)
         cost_ok = p.cost <= constraints.max_cost
-        diagnostics[p.id] = {
-            "cost": p.cost, "best_mean_error": mean, "cost_ok": cost_ok}
+        lines.append(f"{p.id}: cost={p.cost}"
+                     f"{'' if cost_ok else ' (over budget)'}"
+                     f", best mean error={mean:.4g}")
         if cost_ok and mean <= constraints.max_mean_error:
             candidates.append((p.cost, mean, p.id))
     if not candidates:
-        lines = "; ".join(
-            f"{pid}: cost={d['cost']}"
-            f"{'' if d['cost_ok'] else ' (over budget)'}"
-            f", best mean error={d['best_mean_error']:.4g}"
-            for pid, d in diagnostics.items())
         raise NoFeasiblePlatform(
             f"no platform meets max_mean_error={constraints.max_mean_error} "
-            f"at cost <= {constraints.max_cost}: {lines}", diagnostics)
+            f"at cost <= {constraints.max_cost}: {'; '.join(lines)}")
     candidates.sort()
     return candidates[0][2]
 
@@ -310,6 +306,15 @@ def label_scenarios(scenarios: list[ScenarioProfile],
                            if rows}
 
 
+def check_window_length(window_length: int, subspace_dim: int) -> None:
+    """Raise TooFewFrames unless a runtime window of window_length frames
+    can hold a subspace_dim-dim subspace (it needs subspace_dim + 1)."""
+    if window_length < subspace_dim + 1:
+        raise TooFewFrames(
+            f"window_length {window_length} is too short for subspace_dim "
+            f"{subspace_dim}; a window needs at least {subspace_dim + 1} frames")
+
+
 def build_design_profile(frames, combos: list[AlgoParamCombo],
                          platforms: list[PlatformSpec],
                          performance: list[PerformanceRecord],
@@ -323,21 +328,17 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
     InvalidM if a non-empty performance table does not name exactly
     n_scenarios scenarios.
     """
-    if window_length < subspace_dim + 1:
-        raise TooFewFrames(
-            f"window_length {window_length} is too short for subspace_dim "
-            f"{subspace_dim}; a window needs at least {subspace_dim + 1} frames")
+    check_window_length(window_length, subspace_dim)
     table_ids = {r.scenario_id for r in performance}
     if table_ids and len(table_ids) != n_scenarios:
         raise InvalidM(
             f"n_scenarios is {n_scenarios}, but the performance table "
             f"names {len(table_ids)} scenarios")
-    X = as_feature_matrix(frames)
     selected = select_platform(platforms, performance, constraints, combos)
-    scenarios = cluster_scenarios(X, n_scenarios, subspace_dim, seed)
+    scenarios = cluster_scenarios(frames, n_scenarios, subspace_dim, seed)
     label_scenarios(scenarios, combos, platforms, performance,
                     constraints.required_fps)
     return DesignProfile(
         scenarios=scenarios, selected_platform=selected,
-        config=ProfileConfig(dim_ambient=X.shape[1], dim_subspace=subspace_dim,
-                             window_length=window_length))
+        config=ProfileConfig(scenarios[0].subspace.dim_ambient, subspace_dim,
+                             window_length))

@@ -19,10 +19,6 @@ class DimensionMismatch(AdaselError):
 class RankDeficient(AdaselError):
     """Data matrix has lower rank than the requested subspace dimension."""
 
-    def __init__(self, message, achievable_rank):
-        super().__init__(message)
-        self.achievable_rank = achievable_rank
-
 
 class NonFiniteFeatures(AdaselError, ValueError):
     """Feature values include NaN or Inf."""
@@ -47,16 +43,8 @@ class InvalidM(AdaselError):
 
 
 class NoFeasiblePlatform(AdaselError):
-    """No platform satisfies the cost and error constraints.
-
-    ``diagnostics`` maps platform id to a dict with that platform's cost,
-    best achievable mean error, and whether it passed the cost ceiling,
-    so the caller can decide which constraint to relax.
-    """
-
-    def __init__(self, message, diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """No platform satisfies the cost and error constraints; the message
+    gives each platform's cost and best achievable mean error."""
 
 
 class MissingRecord(AdaselError):
@@ -93,37 +81,33 @@ class ConfigInvalid(AdaselError):
 
 # --- file format errors
 
-class DataFormatError(AdaselError):
-    """Base class for serialization-format violations."""
-
-
-class BadMagic(DataFormatError):
+class BadMagic(AdaselError):
     """File does not start with the expected magic bytes."""
 
 
-class TruncatedPayload(DataFormatError):
+class TruncatedPayload(AdaselError):
     """Binary payload size disagrees with the header."""
 
 
-class DimensionOverflow(DataFormatError):
+class DimensionOverflow(AdaselError):
     """Header declares a matrix too large to address."""
 
 
-class UnsupportedVersion(DataFormatError):
+class UnsupportedVersion(AdaselError):
     """File was written by a future format version."""
 
 
-class DuplicateKey(DataFormatError):
-    """Performance table repeats a (scenario, combo, platform) triple."""
+class DuplicateKey(AdaselError):
+    """A file repeats an id, or a performance-table triple."""
 
 
-class NegativeError(DataFormatError):
+class NegativeError(AdaselError):
     """Performance table contains a negative error value."""
 
 
-class MalformedRow(DataFormatError):
+class MalformedRow(AdaselError):
     """CSV row cannot be parsed."""
 
 
-class ManifestInvalid(DataFormatError):
+class ManifestInvalid(AdaselError):
     """JSON document is malformed, or inconsistent with its matrix files."""

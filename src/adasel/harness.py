@@ -101,7 +101,6 @@ class SyntheticDataset:
     training_frames: np.ndarray
     training_labels: list[str]
     test_stream: np.ndarray
-    test_labels: list[str]
     window_truth: list[WindowTruth]
     combos: list[AlgoParamCombo]
     platforms: list[PlatformSpec]
@@ -218,21 +217,18 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         for p in platforms for i in range(M) for h in range(H)]
 
     window_truth = []
-    test_labels = []
     for w, s in enumerate(states):
         noise = rng.uniform(-ERROR_NOISE, ERROR_NOISE, size=H)
         errors = {combos[h].id: float(max(0.0, mean_err[(s, h)] + noise[h]))
                   for h in range(H)}
         window_truth.append(WindowTruth(
             window_id=w, true_scenario_id=ids[s], errors=errors))
-        test_labels += [ids[s]] * config.frames_per_scenario
 
     return SyntheticDataset(
         config=config, training_frames=training_frames,
         training_labels=training_labels, test_stream=test_stream,
-        test_labels=test_labels, window_truth=window_truth, combos=combos,
-        platforms=platforms, performance=performance,
-        scenario_map=dict(zip(gen_ids, ids)))
+        window_truth=window_truth, combos=combos, platforms=platforms,
+        performance=performance, scenario_map=dict(zip(gen_ids, ids)))
 
 
 # --------------------------------------------------------------------------

@@ -29,11 +29,11 @@ class TimeWindow:
 
     ``degraded`` marks windows whose frames had rank < the configured
     subspace dimension; ``subspace`` then holds the largest achievable
-    dimension, or None when the frames have no variance at all.
+    dimension, at least 1.
     """
 
     aggregated_feature: np.ndarray
-    subspace: SubspaceBasis | None
+    subspace: SubspaceBasis
     degraded: bool
 
 
@@ -88,16 +88,19 @@ def build_window(features, subspace_dim: int) -> TimeWindow:
     """Aggregate a window: mean feature + PCA subspace with rank fallback.
 
     If the frames have rank r < subspace_dim, keeps the r-dim subspace from
-    the same SVD and flags the window as degraded (subspace None when
-    r = 0).
+    the same SVD and flags the window as degraded; raises DegenerateWindow
+    when r = 0.
     """
     X = as_feature_matrix(features)
     if X.shape[0] < subspace_dim + 1:
         raise TooFewFrames(f"{X.shape[0]} frames; "
                            f"need at least {subspace_dim + 1}")
     directions, rank = _principal_directions(X, subspace_dim)
+    if rank == 0:
+        raise DegenerateWindow(
+            "frames have zero variance; no subspace comparison is possible")
     return TimeWindow(aggregated_feature=X.mean(axis=0),
-                      subspace=SubspaceBasis(directions) if rank else None,
+                      subspace=SubspaceBasis(directions),
                       degraded=rank < subspace_dim)
 
 
@@ -125,9 +128,6 @@ def match_scenario(window: TimeWindow, profile: DesignProfile,
         raise DimensionMismatch(
             f"frame dimension {window.aggregated_feature.shape[0]} "
             f"!= profile dimension {a}")
-    if window.subspace is None:
-        raise DegenerateWindow(
-            "frames have zero variance; no subspace comparison is possible")
 
     bases, means = stacked or _stack_scenarios(profile)
     k = min(window.subspace.dim_subspace, profile.config.dim_subspace)

@@ -110,15 +110,15 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
     DimensionMismatch
         If samples differ in length or b is out of range.
     RankDeficient
-        If the centered sample matrix has rank < b; the exception carries
-        the achievable rank.  Singular values count toward the rank only
+        If the centered sample matrix has rank < b; the message states the
+        achievable rank.  Singular values count toward the rank only
         above max(n, a) * eps * ||X||_F, the rounding left by centering the
         frames, so a window of identical frames has rank 0.
     """
     directions, rank = _principal_directions(as_feature_matrix(samples), b)
     if rank < b:
         raise RankDeficient(
-            f"centered sample matrix has rank {rank} < requested b={b}", rank)
+            f"centered sample matrix has rank {rank} < requested b={b}")
     return SubspaceBasis(basis=directions)
 
 

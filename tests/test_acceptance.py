@@ -346,7 +346,7 @@ def test_criterion_8_latency():
             representative_feature=rng.standard_normal(a),
             subspace=SubspaceBasis(q, orthogonal_complement(q)),
             member_count=40))
-    profile = DesignProfile(scenarios=scenarios, selected_platform=None,
+    profile = DesignProfile(scenarios=scenarios, selected_platform="p1",
                             config=ProfileConfig(a, b, 30))
     window = build_window(rng.standard_normal((30, a)), b)
     # small warm-up so BLAS thread pools do not count against the window

@@ -51,6 +51,26 @@ def test_only_dataio_knows_a_file_format():
     assert not found
 
 
+def _raised_names(tree):
+    """The name of each class that a ``raise`` in a syntax tree raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield getattr(exc, "id", getattr(exc, "attr", None))
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error class that nothing raises is documentation no failure obeys
+    errors = importlib.import_module("adasel.errors")
+    declared = {name for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, errors.AdaselError)
+                and cls is not errors.AdaselError}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        raised.update(_raised_names(ast.parse(path.read_text())))
+    assert sorted(declared - raised) == []
+
+
 def _dict_keywords(tree) -> dict[str, list[str]]:
     """The keywords of each ``name = dict(k=...)`` in a syntax tree."""
     return {node.targets[0].id: [kw.arg for kw in node.value.keywords]

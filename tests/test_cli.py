@@ -446,10 +446,33 @@ def test_profile_config_without_a_key_exits_1_naming_the_file(
     out = run_pipeline(tmp_path)
     bad = out / "bad.json"
     bad.write_text(json.dumps({"format_version": 3, "config": {},
-                               "scenarios": []}))
+                               "selected_platform": "p1", "scenarios": []}))
     capsys.readouterr()
     assert main(["select", "--profile", str(bad),
                  "--stream", str(out / "test_manifest.json"),
                  "--out", str(out / "t2.jsonl")]) == 1
     assert (f"error: ManifestInvalid: {bad}: config: missing key "
             "'dim_ambient'" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.update(selected_platform=["p1", "p2"]),
+     "selected_platform: expected a string"),
+    (lambda doc: doc["config"].update(window_length=1),
+     "config: window_length 1 is too short for subspace_dim 3"),
+    (lambda doc: doc["config"].update(window_length=3),
+     "config: window_length 3 is too short for subspace_dim 3"),
+], ids=["platform-list", "length-1", "length-3"])
+def test_select_with_a_hand_edited_profile_exits_1_naming_the_key(
+        tmp_path, capsys, edit, reason):
+    out = run_pipeline(tmp_path)
+    path = out / "profile.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["select", "--profile", str(path),
+                 "--stream", str(out / "test_manifest.json"),
+                 "--out", str(out / "t2.jsonl")]) == 1
+    assert (f"error: ManifestInvalid: {path}: {reason}"
+            in capsys.readouterr().err)

@@ -407,6 +407,37 @@ def test_platforms_repeated_id_raises_duplicate_key(tmp_path, entry):
                               f"same id {doc[entry][0]['id']!r}")
 
 
+def test_profile_repeated_scenario_id_raises_duplicate_key(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    sid = doc["scenarios"][0]["scenario_id"]
+    doc["scenarios"][1]["scenario_id"] = sid
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DuplicateKey) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (f"{path}: scenarios[0] and scenarios[1] have "
+                              f"the same scenario_id {sid!r}")
+
+
+@pytest.mark.parametrize("window_length", [1, 2])
+def test_profile_window_too_short_for_the_subspace_raises_manifest_invalid(
+        tmp_path, window_length):
+    # the profile's subspace is 2-dim, so a window needs 3 frames
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["config"]["window_length"] = window_length
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (
+        f"{path}: config: window_length {window_length} is too short for "
+        "subspace_dim 2; a window needs at least 3 frames")
+
+
 @pytest.mark.parametrize("reader, key", [
     (dataio.read_stream, "dim"),
     (dataio.read_profile, "config"),
@@ -578,6 +609,7 @@ def test_entry_list_that_is_not_a_list_raises_manifest_invalid(
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({
         "format_version": 3, "scenarios": 5, "combos": 5, "platforms": [],
+        "selected_platform": "p1",
         "config": {"dim_ambient": 4, "dim_subspace": 1, "window_length": 3}}))
     with pytest.raises(ManifestInvalid) as exc:
         reader(path)

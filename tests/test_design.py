@@ -277,16 +277,17 @@ def test_no_feasible_platform_reports_diagnostics():
          "ACF-480x640": 3.0},
         {"HOG-240x320": 4.0, "HOG-480x640": 3.0, "ACF-240x320": 2.5,
          "ACF-480x640": 2.0})
-    with pytest.raises(NoFeasiblePlatform) as exc:
-        select_platform(
-            table_ii_platforms(), perf,
-            SelectionConstraints(max_mean_error=1.0, required_fps=8.0,
-                                 max_cost=10.0),
-            combos)
-    diag = exc.value.diagnostics
-    assert set(diag) == {"platform1", "platform2"}
-    assert diag["platform1"]["best_mean_error"] == 4.0
-    assert diag["platform2"]["best_mean_error"] == 2.0
+    for max_cost, over in [(10.0, ""), (2.0, " (over budget)")]:
+        with pytest.raises(NoFeasiblePlatform) as exc:
+            select_platform(
+                table_ii_platforms(), perf,
+                SelectionConstraints(max_mean_error=1.0, required_fps=8.0,
+                                     max_cost=max_cost),
+                combos)
+        assert str(exc.value) == (
+            f"no platform meets max_mean_error=1.0 at cost <= {max_cost}: "
+            "platform1: cost=1.0, best mean error=4; "
+            f"platform2: cost=3.0{over}, best mean error=2")
 
 
 # --------------------------------------------------------------------------

@@ -111,17 +111,6 @@ def test_reference_dimension_synth_names_every_scenario_once(seed):
         set(dataset.scenario_map.values())
 
 
-def test_test_labels_align_with_window_truth():
-    cfg = tiny_config()
-    dataset = generate_synthetic(cfg)
-    assert len(dataset.test_labels) == dataset.test_stream.shape[0]
-    per = cfg.frames_per_scenario
-    for truth in dataset.window_truth:
-        block = dataset.test_labels[truth.window_id * per:
-                                    (truth.window_id + 1) * per]
-        assert set(block) == {truth.true_scenario_id}
-
-
 def test_best_combo_depends_on_scenario():
     dataset = generate_synthetic(tiny_config())
     best = {}

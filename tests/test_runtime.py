@@ -90,11 +90,16 @@ def test_segment_rejects_tiny_window_length(rng):
 # --------------------------------------------------------------------------
 # build_window
 
-def test_build_window_constant_frames_degrades():
-    frames = np.tile([1.0, 2.0, 3.0, 4.0], (10, 1))
-    w = build_window(frames, 2)
-    assert np.allclose(w.aggregated_feature, [1.0, 2.0, 3.0, 4.0])
-    assert w.degraded and w.subspace is None
+def test_build_window_constant_frames_raises():
+    for frames, b in [(np.tile([1.0, 2.0, 3.0, 4.0], (10, 1)), 2),
+                      (np.tile(np.arange(16.0), (12, 1)), 3)]:
+        with pytest.raises(DegenerateWindow, match="zero variance"):
+            build_window(frames, b)
+    # identical frames whose mean does not round exactly: the centering
+    # residue is rounding noise, not a 1-dim subspace
+    frames = np.tile(default_dataset().test_stream[0], (20, 1))
+    with pytest.raises(DegenerateWindow, match="zero variance"):
+        build_window(frames, 5)
 
 
 def test_build_window_partial_rank_falls_back(rng):
@@ -224,21 +229,6 @@ def test_match_scaling_leaves_argmax_unchanged(rng):
         assert scaled_ids == baseline
 
 
-def test_match_degenerate_window_raises(rng):
-    dataset = small_dataset()
-    profile = profile_for(dataset)
-    w = build_window(np.tile(np.arange(16.0), (12, 1)), 3)
-    with pytest.raises(DegenerateWindow):
-        match_scenario(w, profile)
-    # identical frames whose mean does not round exactly: the centering
-    # residue is rounding noise, not a 1-dim subspace
-    dataset = default_dataset()
-    w = build_window(np.tile(dataset.test_stream[0], (20, 1)), 5)
-    assert w.degraded and w.subspace is None
-    with pytest.raises(DegenerateWindow, match="zero variance"):
-        match_scenario(w, profile_for(dataset))
-
-
 def test_match_degraded_window_still_compares(rng):
     dataset = small_dataset()
     profile = profile_for(dataset)
@@ -302,7 +292,7 @@ def windows_and_profiles(draw):
             scenario_id=f"s{i:03d}",
             representative_feature=10.0 * rng.standard_normal(a),
             subspace=SubspaceBasis(x), member_count=b + 1))
-    profile = DesignProfile(scenarios=scenarios, selected_platform=None,
+    profile = DesignProfile(scenarios=scenarios, selected_platform="p1",
                             config=ProfileConfig(a, b, b + 1))
     window = TimeWindow(aggregated_feature=rng.standard_normal(a),
                         subspace=SubspaceBasis(z), degraded=k < b)
