@@ -90,13 +90,19 @@ def test_segment_rejects_tiny_window_length(rng):
 # --------------------------------------------------------------------------
 # build_window
 
-def test_build_window_constant_frames_raises():
+def test_build_window_constant_frames_degrades():
+    # a constant window has no subspace left to degrade to, so build_window
+    # raises instead of returning a window without one
     for frames, b in [(np.tile([1.0, 2.0, 3.0, 4.0], (10, 1)), 2),
                       (np.tile(np.arange(16.0), (12, 1)), 3)]:
         with pytest.raises(DegenerateWindow, match="zero variance"):
             build_window(frames, b)
+
+
+def test_match_degenerate_window_raises():
     # identical frames whose mean does not round exactly: the centering
-    # residue is rounding noise, not a 1-dim subspace
+    # residue is rounding noise, not a 1-dim subspace, and the window is
+    # refused before it can reach match_scenario
     frames = np.tile(default_dataset().test_stream[0], (20, 1))
     with pytest.raises(DegenerateWindow, match="zero variance"):
         build_window(frames, 5)
