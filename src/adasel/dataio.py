@@ -9,9 +9,10 @@ round-trip exactly.  Matrices use a fixed little-endian binary layout (magic
 are written with sorted keys and repr-exact floats so that identical
 inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
-Version 3 profiles store only what selection reads.  Versions 1 and 2 still
-load; their complement sidecars, performance table, catalog, seed and
-constraints are not read.
+A version 4 profile stores only what selection reads, and every array in it
+is a matrix sidecar: each scenario's basis and its representative feature
+(a 1 x a matrix).  Profiles of versions 1 to 3, which held the features as
+inline JSON lists, are not read; ``adasel profile`` writes them anew.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
 from .errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                      DimensionOverflow, DuplicateKey, MalformedRow,
                      ManifestInvalid, Misaligned, NegativeError,
-                     TooFewFrames, TruncatedPayload, UnsupportedVersion)
+                     NonFiniteFeatures, TooFewFrames, TruncatedPayload,
+                     UnsupportedVersion)
 from .harness import RegretReport, SyntheticConfig, WindowRegret, WindowTruth
 from .runtime import SelectionDecision, SelectionTrace
 from .subspace import SubspaceBasis
 
 MATRIX_MAGIC = b"ADSLMAT1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 REPORT_VERSION = 1
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
@@ -117,7 +119,7 @@ _PROFILE_KEYS = {"config": _OBJECT, "selected_platform": _STR,
 _CONFIG_KEYS = {"dim_ambient": _INT, "dim_subspace": _INT,
                 "window_length": _INT}
 _SCENARIO_KEYS = {"scenario_id": _STR, "basis_file": _STR,
-                  "representative_feature": _LIST, "member_count": _INT,
+                  "feature_file": _STR, "member_count": _INT,
                   "labels": _STR_MAP}
 _PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
 _COMBO_KEYS = {"id": _STR, "algorithm": _STR, "fps": _NUMBER,
@@ -256,14 +258,15 @@ def read_stream(manifest_path) -> FeatureStream:
         _require(doc, {"frame_labels": _STR_LIST}, manifest_path)
     parts = [read_matrix(manifest_path.parent / name)
              for name in doc["matrices"]]
+    for name, part in zip(doc["matrices"], parts):
+        if part.shape[1] != doc["dim"]:
+            raise ManifestInvalid(
+                f"{manifest_path}: {name} has {part.shape[1]} columns, "
+                f"manifest declares dim={doc['dim']}")
     if len(parts) == 1:
         X = parts[0]  # read_matrix's array as it is, not a copy
     else:
         X = np.vstack(parts) if parts else np.empty((0, doc["dim"]))
-    if X.shape[1] != doc["dim"]:
-        raise ManifestInvalid(
-            f"{manifest_path}: matrix has {X.shape[1]} columns, "
-            f"manifest declares dim={doc['dim']}")
     if X.shape[0] != doc["frame_count"]:
         raise ManifestInvalid(
             f"{manifest_path}: matrices hold {X.shape[0]} frames, "
@@ -335,7 +338,7 @@ def _profile_doc(profile: DesignProfile, basis_refs, feature_refs) -> dict:
             "scenario_id": s.scenario_id,
             "member_count": int(s.member_count),
             "labels": s.labels,
-            "representative_feature": feature_refs[s.scenario_id],
+            "feature_file": feature_refs[s.scenario_id],
             "basis_file": basis_refs[s.scenario_id],
         } for s in profile.scenarios],
     }
@@ -343,16 +346,27 @@ def _profile_doc(profile: DesignProfile, basis_refs, feature_refs) -> dict:
 
 def write_profile(path, profile: DesignProfile) -> None:
     path = Path(path)
-    stem = path.stem
-    basis_files = {}
+    files = {"basis": {}, "feature": {}}
     for s in profile.scenarios:
-        basis_file = f"{stem}.{s.scenario_id}.basis.mat"
-        write_matrix(path.parent / basis_file, s.subspace.basis)
-        basis_files[s.scenario_id] = basis_file
-    features = {s.scenario_id: s.representative_feature.tolist()
-                for s in profile.scenarios}
+        for kind, M in (("basis", s.subspace.basis),
+                        ("feature", [s.representative_feature])):
+            name = f"{path.stem}.{s.scenario_id}.{kind}.mat"
+            write_matrix(path.parent / name, M)
+            files[kind][s.scenario_id] = name
     path.write_text(_canonical_json(
-        _profile_doc(profile, basis_files, features)))
+        _profile_doc(profile, files["basis"], files["feature"])))
+
+
+def _read_sidecar(path, name, shape) -> np.ndarray:
+    """The matrix in the profile sidecar ``path``, which must have ``shape``
+    and only finite entries; errors name the sidecar."""
+    M = read_matrix(path)
+    if M.shape != shape:
+        raise DimensionMismatch(f"{path}: {name} has shape {M.shape}; "
+                                f"the profile config needs {shape}")
+    if not np.isfinite(M).all():
+        raise NonFiniteFeatures(f"{path}: {name} contains NaN or Inf")
+    return M
 
 
 def read_profile(path) -> DesignProfile:
@@ -366,34 +380,16 @@ def read_profile(path) -> DesignProfile:
         check_window_length(config.window_length, config.dim_subspace)
     except TooFewFrames as exc:
         raise ManifestInvalid(f"{path}: config: {exc}") from None
-    shape = (config.dim_ambient, config.dim_subspace)
+    a, b = config.dim_ambient, config.dim_subspace
     if not doc["scenarios"]:
         raise ManifestInvalid(f"{path}: scenarios: expected at least one")
     scenarios = []
-    for i, s in enumerate(_entries(doc, "scenarios", _SCENARIO_KEYS, path,
-                                   "scenario_id")):
-        basis_path = path.parent / s["basis_file"]
-        subspace = SubspaceBasis(read_matrix(basis_path))
-        if subspace.basis.shape != shape:
-            raise DimensionMismatch(
-                f"{basis_path}: basis has shape {subspace.basis.shape}; "
-                f"the profile config needs {shape}")
+    for s in _entries(doc, "scenarios", _SCENARIO_KEYS, path, "scenario_id"):
+        subspace = SubspaceBasis(
+            _read_sidecar(path.parent / s["basis_file"], "basis", (a, b)))
         subspace.validate(tol=1e-8)
-        try:
-            feature = np.asarray(s["representative_feature"])
-        except ValueError:  # ragged nesting
-            feature = None
-        # one dtype check, not a Python loop over the a entries
-        if feature is None or feature.dtype.kind not in "if":
-            raise ManifestInvalid(
-                f"{path}: scenarios[{i}]: representative_feature: expected "
-                "a list of numbers")
-        feature = feature.astype(np.float64, copy=False)
-        if feature.shape != shape[:1]:
-            raise DimensionMismatch(
-                f"{path}: scenario {s['scenario_id']} representative_feature "
-                f"has shape {feature.shape}; the profile config needs "
-                f"{shape[:1]}")
+        feature = _read_sidecar(path.parent / s["feature_file"],
+                                "representative feature", (1, a))[0]
         scenarios.append(ScenarioProfile(
             scenario_id=s["scenario_id"], representative_feature=feature,
             subspace=subspace, member_count=s["member_count"],

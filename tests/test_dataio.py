@@ -10,7 +10,8 @@ from adasel.design import (PerformanceRecord, SelectionConstraints,
                            build_design_profile)
 from adasel.errors import (BadMagic, DimensionMismatch, DimensionOverflow,
                            DuplicateKey, MalformedRow, ManifestInvalid,
-                           NegativeError, TruncatedPayload, UnsupportedVersion)
+                           NegativeError, NonFiniteFeatures, TruncatedPayload,
+                           UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import run_selection
 
@@ -171,6 +172,20 @@ def test_stream_multi_part_manifest_concatenates(tmp_path, rng):
     assert stream.labels == [f"g{i}" for i in range(7)]
 
 
+def test_stream_part_of_the_wrong_width_raises_manifest_invalid_naming_it(
+        tmp_path, rng):
+    path = tmp_path / "m.json"
+    dataio.write_stream(path, rng.standard_normal((7, 5)))
+    dataio.write_matrix(tmp_path / "b.mat", rng.standard_normal((4, 6)))
+    doc = json.loads(path.read_text())
+    doc["matrices"] = ["m.mat", "b.mat"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == (
+        f"{path}: b.mat has 6 columns, manifest declares dim=5")
+
+
 # --------------------------------------------------------------------------
 # performance tables
 
@@ -265,9 +280,22 @@ def test_profile_round_trip(tmp_path):
         assert np.array_equal(s1.representative_feature,
                               s2.representative_feature)
         assert np.array_equal(s1.subspace.basis, s2.subspace.basis)
+
+
+def test_profile_writes_the_json_and_only_the_sidecars_its_scenarios_name(
+        tmp_path):
+    # every array is a sidecar named by a scenario's *_file key, so the json
+    # plus those files is the whole profile (perfbench sizes it that way)
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    for s in doc["scenarios"]:
+        assert set(s) == {"scenario_id", "member_count", "labels",
+                          "basis_file", "feature_file"}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["profile.json"] + [f"profile.{s.scenario_id}.basis.mat"
-                            for s in profile.scenarios])
+        ["profile.json"] + [v for s in doc["scenarios"]
+                            for k, v in s.items() if k.endswith("_file")])
 
 
 def test_profile_serialization_deterministic(tmp_path):
@@ -279,9 +307,10 @@ def test_profile_serialization_deterministic(tmp_path):
     dataio.write_profile(p2, profile)
     assert p1.read_bytes() == p2.read_bytes()
     for s in profile.scenarios:
-        name = f"profile.{s.scenario_id}.basis.mat"
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+        for kind in ("basis", "feature"):
+            name = f"profile.{s.scenario_id}.{kind}.mat"
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
 
 def test_profile_future_version_rejected(tmp_path):
@@ -306,18 +335,17 @@ def test_profile_holds_only_what_selection_reads(tmp_path):
                                   "window_length"}
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
-def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
-    # versions 1 and 2 also stored the design inputs (performance table,
-    # catalog, seed, constraints), and version 1 named a complement sidecar
-    # per scenario; the reader reads none of it and opens no such file
+def test_profile_ignores_unread_keys(tmp_path):
+    # keys the reader does not use, such as the design inputs (performance
+    # table, catalog, seed, constraints) and a complement sidecar per
+    # scenario that old profiles stored, are not read, and no such file is
+    # opened
     dataset, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     dataio.write_platforms(tmp_path / "platforms.json", dataset.combos,
                            dataset.platforms)
     doc = json.loads(path.read_text())
-    doc["format_version"] = version
     doc["config"]["seed"] = dataset.config.seed
     doc["config"]["constraints"] = {
         "max_mean_error": OPEN.max_mean_error,
@@ -328,15 +356,33 @@ def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
         {"scenario_id": r.scenario_id, "combo_id": r.combo_id,
          "platform_id": r.platform_id, "error": r.error, "extras": {}}
         for r in dataset.performance]
-    if version == 1:
-        for s in doc["scenarios"]:
-            s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
-            assert not (tmp_path / s["complement_file"]).exists()
+    for s in doc["scenarios"]:
+        s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
+        assert not (tmp_path / s["complement_file"]).exists()
     path.write_text(json.dumps(doc))
     back = dataio.read_profile(path)
     for s1, s2 in zip(profile.scenarios, back.scenarios):
         assert np.array_equal(s1.subspace.basis, s2.subspace.basis)
     assert dataio.profile_digest(back) == dataio.profile_digest(profile)
+
+
+def test_profile_version_3_with_inline_features_raises_manifest_invalid(
+        tmp_path):
+    # version 3 held each representative feature inline and had no
+    # feature_file; such a profile is not read, and is written anew
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 3
+    for s, entry in zip(profile.scenarios, doc["scenarios"]):
+        del entry["feature_file"]
+        entry["representative_feature"] = s.representative_feature.tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (
+        f"{path}: scenarios[0]: missing key 'feature_file'")
 
 
 def test_profile_rejects_basis_of_wrong_shape(tmp_path):
@@ -353,12 +399,33 @@ def test_profile_rejects_representative_feature_of_wrong_length(tmp_path):
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
-    doc = json.loads(path.read_text())
-    doc["scenarios"][1]["representative_feature"].pop()
-    path.write_text(json.dumps(doc))
-    scenario_id = profile.scenarios[1].scenario_id
-    with pytest.raises(DimensionMismatch, match=f"scenario {scenario_id} "):
+    s = profile.scenarios[1]
+    sidecar = tmp_path / f"profile.{s.scenario_id}.feature.mat"
+    dataio.write_matrix(sidecar, [s.representative_feature[:-1]])
+    with pytest.raises(DimensionMismatch) as exc:
         dataio.read_profile(path)
+    assert str(exc.value) == (
+        f"{sidecar}: representative feature has shape (1, 11); the profile "
+        "config needs (1, 12)")
+
+
+@pytest.mark.parametrize("kind", ["basis", "feature"])
+def test_profile_sidecar_with_a_nan_raises_non_finite_features(tmp_path,
+                                                               kind):
+    # a NaN basis passes the orthonormality check (NaN > tol is False), and
+    # a NaN feature can never be matched; either is rejected at load
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    sidecar = (tmp_path
+               / f"profile.{profile.scenarios[1].scenario_id}.{kind}.mat")
+    M = dataio.read_matrix(sidecar)
+    M[0, 1] = np.nan
+    dataio.write_matrix(sidecar, M)
+    with pytest.raises(NonFiniteFeatures) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value).startswith(f"{sidecar}: ")
+    assert str(exc.value).endswith(" contains NaN or Inf")
 
 
 def test_profile_digest_tracks_content(tmp_path):
@@ -483,16 +550,10 @@ def test_platforms_combo_without_a_key_raises_manifest_invalid(tmp_path):
 
 @pytest.mark.parametrize("entry, key, value, expected", [
     ("scenarios[0]", "labels", 5, "a JSON object"),
-    ("scenarios[0]", "representative_feature", "abc", "a JSON list"),
-    ("scenarios[1]", "representative_feature", ["abc"] * 5,
-     "a list of numbers"),
-    ("scenarios[1]", "representative_feature", [[0.0], [1.0, 2.0]],
-     "a list of numbers"),
     ("scenarios[1]", "member_count", True, "an integer"),
     ("config", "dim_ambient", "4", "an integer"),
     ("config", "window_length", 3.0, "an integer"),
-], ids=["labels", "feature-string", "feature-strings", "feature-ragged",
-        "count-bool", "dim-string", "length-float"])
+], ids=["labels", "count-bool", "dim-string", "length-float"])
 def test_profile_value_of_the_wrong_type_raises_manifest_invalid(
         tmp_path, entry, key, value, expected):
     _, profile = pipeline_profile()
