@@ -335,17 +335,21 @@ def test_profile_holds_only_what_selection_reads(tmp_path):
                                   "window_length"}
 
 
-def test_profile_ignores_unread_keys(tmp_path):
-    # keys the reader does not use, such as the design inputs (performance
-    # table, catalog, seed, constraints) and a complement sidecar per
-    # scenario that old profiles stored, are not read, and no such file is
-    # opened
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
+    # versions 1 and 2 also stored the design inputs (performance table,
+    # catalog, seed, constraints), and version 1 named a complement sidecar
+    # per scenario; the reader reads none of it, opens no such file, and
+    # refuses only a newer stamp.  Their features were inline, which is
+    # refused as in the version 3 test below, so the document edited here
+    # keeps the feature sidecars just written
     dataset, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     dataio.write_platforms(tmp_path / "platforms.json", dataset.combos,
                            dataset.platforms)
     doc = json.loads(path.read_text())
+    doc["format_version"] = version
     doc["config"]["seed"] = dataset.config.seed
     doc["config"]["constraints"] = {
         "max_mean_error": OPEN.max_mean_error,
@@ -356,9 +360,10 @@ def test_profile_ignores_unread_keys(tmp_path):
         {"scenario_id": r.scenario_id, "combo_id": r.combo_id,
          "platform_id": r.platform_id, "error": r.error, "extras": {}}
         for r in dataset.performance]
-    for s in doc["scenarios"]:
-        s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
-        assert not (tmp_path / s["complement_file"]).exists()
+    if version == 1:
+        for s in doc["scenarios"]:
+            s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
+            assert not (tmp_path / s["complement_file"]).exists()
     path.write_text(json.dumps(doc))
     back = dataio.read_profile(path)
     for s1, s2 in zip(profile.scenarios, back.scenarios):
