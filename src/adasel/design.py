@@ -5,8 +5,9 @@ features into a :class:`DesignProfile`: M unique scenarios (k-means
 clusters with a mean feature and a PCA subspace each), a platform chosen
 under cost/error constraints, and a best-combo label per scenario per
 platform.  Everything is deterministic given the seed; clustering is also
-invariant to the order of the input frames (frames are canonicalized by
-lexicographic sort before seeding k-means++).
+invariant to the order of the input frames (frames are put in lexicographic
+order before seeding k-means++: a stable sort of the first feature, and of
+every feature only when two frames tie in the first).
 """
 
 from __future__ import annotations
@@ -98,8 +99,11 @@ class DesignProfile:
 
 
 def _canonical_order(X: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (first column primary)."""
-    return np.lexsort(X.T[::-1])
+    """Indices sorting rows lexicographically (first column primary): a stable
+    sort of column 0, or of all columns if rows tie there (-0.0 ties 0.0)."""
+    order = np.argsort(X[:, 0], kind="stable")
+    first = X[order, 0]
+    return np.lexsort(X.T[::-1]) if (first[1:] == first[:-1]).any() else order
 
 
 def scenario_ids(means) -> list[str]:
@@ -128,7 +132,7 @@ def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     sq = np.einsum("ij,ij->i", X, X)
 
     def dist2_to(center):
-        return np.maximum(sq - 2.0 * X @ center + center @ center, 0.0)
+        return np.maximum(sq - 2.0 * (X @ center) + center @ center, 0.0)
 
     # k-means++ initialization
     centers = np.empty((k, X.shape[1]))
@@ -144,7 +148,7 @@ def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
     assign = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):
-        d2_all = sq[:, None] - 2.0 * X @ centers.T + np.einsum(
+        d2_all = sq[:, None] - 2.0 * (X @ centers.T) + np.einsum(
             "ij,ij->i", centers, centers)[None, :]
         new_assign = np.argmin(d2_all, axis=1)
         own = d2_all[np.arange(n), new_assign].copy()
@@ -190,13 +194,13 @@ def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
     rng = np.random.default_rng(seed)
     assign = _kmeans(Xs, n_scenarios, rng)
 
-    means = np.stack([Xs[assign == j].mean(axis=0)
-                      for j in range(n_scenarios)])
+    groups = [Xs[assign == j] for j in range(n_scenarios)]
+    means = np.stack([members.mean(axis=0) for members in groups])
     ids = scenario_ids(means)
 
     scenarios = []
     for j in _canonical_order(means):
-        members = Xs[assign == j]
+        members = groups[j]
         sid = ids[j]
         if members.shape[0] < subspace_dim + 1:
             raise TooFewSamples(

@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from adasel import design
 from adasel.design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
                            ScenarioProfile, SelectionConstraints,
                            build_design_profile, cluster_scenarios,
@@ -76,9 +82,7 @@ def test_fifteen_scenarios_all_valid(rng):
         assert s.member_count >= 4
 
 
-def test_clustering_invariant_under_permutation(rng):
-    means = [np.full(6, 0.0), np.full(6, 12.0), np.full(6, -12.0)]
-    frames, _ = gaussian_blobs(rng, means, per_cluster=15, sigma=0.5)
+def assert_permutation_invariant(frames, rng):
     perm = rng.permutation(frames.shape[0])
     s1 = cluster_scenarios(frames, 3, 2, seed=5)
     s2 = cluster_scenarios(frames[perm], 3, 2, seed=5)
@@ -88,6 +92,56 @@ def test_clustering_invariant_under_permutation(rng):
                               two.representative_feature)
         assert np.array_equal(one.subspace.basis, two.subspace.basis)
         assert one.member_count == two.member_count
+
+
+def test_clustering_invariant_under_permutation(rng):
+    means = [np.full(6, 0.0), np.full(6, 12.0), np.full(6, -12.0)]
+    frames, _ = gaussian_blobs(rng, means, per_cluster=15, sigma=0.5)
+    assert_permutation_invariant(frames, rng)
+
+
+def test_clustering_invariant_under_permutation_with_a_constant_first_feature(
+        rng):
+    # every frame ties in the first feature, so the canonical order comes
+    # from the remaining ones
+    means = [np.full(6, 0.0), np.full(6, 12.0), np.full(6, -12.0)]
+    frames, _ = gaussian_blobs(rng, means, per_cluster=15, sigma=0.5)
+    frames[:, 0] = 0.0
+    assert_permutation_invariant(frames, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64,
+              st.tuples(st.integers(5, 12), st.integers(1, 6)),
+              elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])))
+def test_canonical_order_with_ties_is_lexsort(X):
+    # five rows over three distinct values (-0.0 == 0.0): the first
+    # column always ties
+    assert np.array_equal(design._canonical_order(X), np.lexsort(X.T[::-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_canonical_order_of_continuous_rows_is_lexsort(n, a, seed):
+    X = np.random.default_rng(seed).standard_normal((n, a))
+    assert np.unique(X[:, 0]).size == n      # no tie in the first column
+    assert np.array_equal(design._canonical_order(X), np.lexsort(X.T[::-1]))
+
+
+def test_kmeans_makes_no_copy_of_the_training_matrix():
+    # means 100x the noise, so no restart merges two clusters and no
+    # member matrix or SSE temporary exceeds half of X
+    rng = np.random.default_rng(0)
+    X = np.vstack([100.0 * rng.standard_normal(400)
+                   + rng.standard_normal((100, 400)) for _ in range(4)])
+    tracemalloc.start()
+    try:
+        assign = design._kmeans(X, 4, np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(np.bincount(assign)) == [100] * 4
+    assert peak < X.nbytes
 
 
 def test_cluster_too_few_members_reports_scenario(rng):
