@@ -18,7 +18,7 @@ from .harness import (RegretReport, SyntheticConfig, SyntheticDataset,
                       WindowTruth, evaluate_regret, generate_synthetic)
 from .runtime import (SelectionDecision, SelectionTrace, TimeWindow,
                       build_window, match_scenario, run_selection,
-                      segment_windows, select_combo)
+                      segment_windows)
 from .subspace import (PrincipalDecomposition, SubspaceBasis,
                        as_feature_matrix, orthogonal_complement, pca_basis,
                        principal_angles)
@@ -35,6 +35,5 @@ __all__ = [
     "feasible_combos", "generate_synthetic", "gfk_kernel",
     "kernel_integral_oracle", "label_scenarios", "match_scenario",
     "orthogonal_complement", "pca_basis", "principal_angles",
-    "run_selection", "segment_windows", "select_combo", "select_platform",
-    "similarity",
+    "run_selection", "segment_windows", "select_platform", "similarity",
 ]

@@ -35,11 +35,11 @@ from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
 from .errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                      DimensionOverflow, DuplicateKey, MalformedRow,
                      ManifestInvalid, Misaligned, NegativeError,
-                     NonFiniteFeatures, TooFewFrames, TruncatedPayload,
-                     UnsupportedVersion)
+                     NonFiniteFeatures, NotOrthonormal, TooFewFrames,
+                     TruncatedPayload, UnsupportedVersion)
 from .harness import RegretReport, SyntheticConfig, WindowRegret, WindowTruth
 from .runtime import SelectionDecision, SelectionTrace
-from .subspace import SubspaceBasis
+from .subspace import ORTHO_TOL
 
 MATRIX_MAGIC = b"ADSLMAT1"
 FORMAT_VERSION = 4
@@ -348,7 +348,7 @@ def write_profile(path, profile: DesignProfile) -> None:
     path = Path(path)
     files = {"basis": {}, "feature": {}}
     for s in profile.scenarios:
-        for kind, M in (("basis", s.subspace.basis),
+        for kind, M in (("basis", s.basis),
                         ("feature", [s.representative_feature])):
             name = f"{path.stem}.{s.scenario_id}.{kind}.mat"
             write_matrix(path.parent / name, M)
@@ -381,18 +381,24 @@ def read_profile(path) -> DesignProfile:
     except TooFewFrames as exc:
         raise ManifestInvalid(f"{path}: config: {exc}") from None
     a, b = config.dim_ambient, config.dim_subspace
+    if not 1 <= b < a:
+        raise DimensionMismatch(
+            f"{path}: config: need 1 <= dim_subspace < dim_ambient, "
+            f"got dim_subspace={b}, dim_ambient={a}")
     if not doc["scenarios"]:
         raise ManifestInvalid(f"{path}: scenarios: expected at least one")
     scenarios = []
     for s in _entries(doc, "scenarios", _SCENARIO_KEYS, path, "scenario_id"):
-        subspace = SubspaceBasis(
-            _read_sidecar(path.parent / s["basis_file"], "basis", (a, b)))
-        subspace.validate(tol=1e-8)
+        basis_path = path.parent / s["basis_file"]
+        basis = _read_sidecar(basis_path, "basis", (a, b))
+        if np.abs(basis.T @ basis - np.eye(b)).max() > ORTHO_TOL:
+            raise NotOrthonormal(
+                f"{basis_path}: basis columns are not orthonormal")
         feature = _read_sidecar(path.parent / s["feature_file"],
                                 "representative feature", (1, a))[0]
         scenarios.append(ScenarioProfile(
             scenario_id=s["scenario_id"], representative_feature=feature,
-            subspace=subspace, member_count=s["member_count"],
+            basis=basis, member_count=s["member_count"],
             labels=dict(s["labels"])))
     return DesignProfile(scenarios=scenarios,
                          selected_platform=doc["selected_platform"],
@@ -410,7 +416,7 @@ def profile_digest(profile: DesignProfile) -> str:
     feature replaced by the sha256 of its ``<f8`` bytes."""
     doc = _profile_doc(
         profile,
-        {s.scenario_id: _array_sha256(s.subspace.basis)
+        {s.scenario_id: _array_sha256(s.basis)
          for s in profile.scenarios},
         {s.scenario_id: _array_sha256(s.representative_feature)
          for s in profile.scenarios})

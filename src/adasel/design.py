@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidM, MissingRecord, NoFeasiblePlatform, TooFewFrames,
                      TooFewSamples)
-from .subspace import SubspaceBasis, as_feature_matrix, pca_basis
+from .subspace import as_feature_matrix, pca_basis
 
 KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 10
@@ -60,11 +60,12 @@ class PerformanceRecord:
 
 @dataclass
 class ScenarioProfile:
-    """A unique training scenario: representative feature, subspace, labels."""
+    """A unique training scenario: representative feature, labels, and the
+    a x b ``basis`` of its subspace (orthonormal columns)."""
 
     scenario_id: str
     representative_feature: np.ndarray
-    subspace: SubspaceBasis
+    basis: np.ndarray
     member_count: int
     labels: dict[str, str] = field(default_factory=dict)
 
@@ -90,12 +91,6 @@ class DesignProfile:
     scenarios: list[ScenarioProfile]
     selected_platform: str
     config: ProfileConfig
-
-    def scenario(self, scenario_id: str) -> ScenarioProfile:
-        for s in self.scenarios:
-            if s.scenario_id == scenario_id:
-                return s
-        raise KeyError(f"unknown scenario {scenario_id!r}")
 
 
 def _canonical_order(X: np.ndarray) -> np.ndarray:
@@ -209,7 +204,7 @@ def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
         scenarios.append(ScenarioProfile(
             scenario_id=sid,
             representative_feature=means[j],
-            subspace=pca_basis(members, subspace_dim),
+            basis=pca_basis(members, subspace_dim),
             member_count=int(members.shape[0])))
     return scenarios
 
@@ -344,5 +339,5 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
                     constraints.required_fps)
     return DesignProfile(
         scenarios=scenarios, selected_platform=selected,
-        config=ProfileConfig(scenarios[0].subspace.dim_ambient, subspace_dim,
+        config=ProfileConfig(scenarios[0].basis.shape[0], subspace_dim,
                              window_length))

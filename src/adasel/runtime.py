@@ -1,11 +1,11 @@
 """Runtime phase: window segmentation, scenario matching, combo selection.
 
-Each incoming time window gets a mean feature and a PCA subspace, is
-matched to the nearest training scenario by geodesic-flow kernel distance,
-and inherits that scenario's best combo for the active platform.  The
-distances to all M scenarios come from one stacked product and one batched
-b x b SVD (:func:`adasel.gfk.stacked_distances`); the geodesic flow itself
-is never formed.  The design profile is read-only here.
+Each incoming time window gets a mean feature and a PCA basis, is matched
+to the nearest training scenario by geodesic-flow kernel distance, and
+takes the matched scenario's label: its best combo for the active
+platform.  The distances to all M scenarios come from one stacked product
+and one batched b x b SVD (:func:`adasel.gfk.stacked_distances`); the
+geodesic flow itself is never formed.  The design profile is read-only here.
 """
 
 from __future__ import annotations
@@ -16,24 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignProfile
+from .design import DesignProfile, ScenarioProfile
 from .errors import (AdaselError, DegenerateWindow, DimensionMismatch,
                      EmptyStream, TooFewFrames, UnlabeledScenario)
 from .gfk import similarity, stacked_distances
-from .subspace import SubspaceBasis, _principal_directions, as_feature_matrix
+from .subspace import _principal_directions, as_feature_matrix
 
 
 @dataclass
 class TimeWindow:
-    """A built window: its frames' aggregated feature and subspace.
+    """A built window: its frames' aggregated feature and the a x r
+    ``basis`` of their PCA subspace (orthonormal columns).
 
     ``degraded`` marks windows whose frames had rank < the configured
-    subspace dimension; ``subspace`` then holds the largest achievable
-    dimension, at least 1.
+    subspace dimension; ``basis`` then holds the largest achievable
+    dimension r, at least 1.
     """
 
     aggregated_feature: np.ndarray
-    subspace: SubspaceBasis
+    basis: np.ndarray
     degraded: bool
 
 
@@ -100,7 +101,7 @@ def build_window(features, subspace_dim: int) -> TimeWindow:
         raise DegenerateWindow(
             "frames have zero variance; no subspace comparison is possible")
     return TimeWindow(aggregated_feature=X.mean(axis=0),
-                      subspace=SubspaceBasis(directions),
+                      basis=directions,
                       degraded=rank < subspace_dim)
 
 
@@ -108,18 +109,19 @@ def _stack_scenarios(profile: DesignProfile) -> tuple[np.ndarray, np.ndarray]:
     """The profile's bases (M, a, b) and means (M, a), in profile order."""
     if not profile.scenarios:
         raise ValueError("profile has no scenarios")
-    return (np.stack([s.subspace.basis for s in profile.scenarios]),
+    return (np.stack([s.basis for s in profile.scenarios]),
             np.stack([s.representative_feature for s in profile.scenarios]))
 
 
 def match_scenario(window: TimeWindow, profile: DesignProfile,
-                   stacked=None) -> tuple[str, np.ndarray]:
+                   stacked=None) -> tuple[ScenarioProfile, np.ndarray]:
     """Nearest training scenario by kernel distance (ties: lowest id).
 
-    Returns (scenario_id, similarities) with one similarity exp(-d) per
-    profile scenario, in profile order.  Both sides are compared at the
-    effective dimension: the top min(window dim, profile dim) directions of
-    each basis.  The ranking uses d itself, so it stays right where every
+    Returns (scenario, similarities): the matched ScenarioProfile, whose
+    labels give the window's combo, and one similarity exp(-d) per profile
+    scenario, in profile order.  Both sides are compared at the effective
+    dimension: the top min(window dim, profile dim) directions of each
+    basis.  The ranking uses d itself, so it stays right where every
     exp(-d) underflows to 0.  A pass over many windows passes
     ``stacked = _stack_scenarios(profile)``, built once.
     """
@@ -130,26 +132,14 @@ def match_scenario(window: TimeWindow, profile: DesignProfile,
             f"!= profile dimension {a}")
 
     bases, means = stacked or _stack_scenarios(profile)
-    k = min(window.subspace.dim_subspace, profile.config.dim_subspace)
+    k = min(window.basis.shape[1], profile.config.dim_subspace)
     distances = stacked_distances(bases[:, :, :k], means,
-                                  window.subspace.basis[:, :k],
+                                  window.basis[:, :k],
                                   window.aggregated_feature).tolist()
-    best = min(zip(distances, (s.scenario_id for s in profile.scenarios)))
-    return best[1], np.array([similarity(d) for d in distances])
-
-
-def select_combo(scenario_id: str, platform_id: str,
-                 profile: DesignProfile) -> str:
-    """Look up the scenario's design-time best combo for the platform."""
-    try:
-        scenario = profile.scenario(scenario_id)
-    except KeyError as exc:
-        raise UnlabeledScenario(str(exc)) from exc
-    combo = scenario.labels.get(platform_id)
-    if combo is None:
-        raise UnlabeledScenario(
-            f"scenario {scenario_id} has no label for platform {platform_id}")
-    return combo
+    scenarios = profile.scenarios
+    best = min(range(len(scenarios)),
+               key=lambda j: (distances[j], scenarios[j].scenario_id))
+    return scenarios[best], np.array([similarity(d) for d in distances])
 
 
 def run_selection(stream, profile: DesignProfile, platform_id: str,
@@ -169,12 +159,16 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
         t0 = time.perf_counter()
         try:
             window = build_window(frames, profile.config.dim_subspace)
-            scenario_id, sims = match_scenario(window, profile, stacked)
-            combo = select_combo(scenario_id, platform_id, profile)
+            scenario, sims = match_scenario(window, profile, stacked)
+            combo = scenario.labels.get(platform_id)
+            if combo is None:
+                raise UnlabeledScenario(
+                    f"scenario {scenario.scenario_id} has no label "
+                    f"for platform {platform_id}")
         except AdaselError as exc:
             raise type(exc)(f"window {i}: {exc}") from exc
         decisions.append(SelectionDecision(
-            window_id=i, matched_scenario_id=scenario_id,
+            window_id=i, matched_scenario_id=scenario.scenario_id,
             similarity=float(sims.max()), all_similarities=sims,
             chosen_combo_id=combo, platform_id=platform_id,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0))

@@ -53,7 +53,9 @@ def _fix_signs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SubspaceBasis:
-    """Orthonormal a x b basis of a b-dimensional subspace of R^a.
+    """Orthonormal a x b basis of a b-dimensional subspace of R^a, the
+    operand type of the reference path (:func:`principal_angles` and the
+    kernel in :mod:`adasel.gfk`).  The selector holds plain a x b arrays.
 
     ``complement`` is only carried for callers that still pass an
     orthogonal complement; adasel never sets, reads or validates it.
@@ -69,14 +71,6 @@ class SubspaceBasis:
     @property
     def dim_subspace(self) -> int:
         return self.basis.shape[1]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        """Raise NotOrthonormal if the basis columns are not orthonormal."""
-        a, b = self.basis.shape
-        if not (1 <= b < a):
-            raise DimensionMismatch(f"need 1 <= b < a, got a={a}, b={b}")
-        if np.abs(self.basis.T @ self.basis - np.eye(b)).max() > tol:
-            raise NotOrthonormal("basis columns are not orthonormal")
 
 
 @dataclass
@@ -97,8 +91,9 @@ class PrincipalDecomposition:
     flow_complement: np.ndarray
 
 
-def pca_basis(samples, b: int) -> SubspaceBasis:
-    """Top-b principal directions of mean-centered samples.
+def pca_basis(samples, b: int) -> np.ndarray:
+    """Top-b principal directions of mean-centered samples, as the columns
+    of an a x b array with orthonormal columns.
 
     Parameters
     ----------
@@ -119,7 +114,7 @@ def pca_basis(samples, b: int) -> SubspaceBasis:
     if rank < b:
         raise RankDeficient(
             f"centered sample matrix has rank {rank} < requested b={b}")
-    return SubspaceBasis(basis=directions)
+    return directions
 
 
 def _principal_directions(X: np.ndarray, b: int) -> tuple[np.ndarray, int]:

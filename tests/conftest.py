@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from adasel.gfk import stacked_distances
-from adasel.subspace import SubspaceBasis, _fix_signs, orthogonal_complement
+from adasel.subspace import SubspaceBasis, _fix_signs
 
 
 def random_subspace(rng, a, b):
     """Random b-dim subspace of R^a as a SubspaceBasis."""
     q, _ = np.linalg.qr(rng.standard_normal((a, b)))
     q, _ = _fix_signs(q)
-    return SubspaceBasis(basis=q, complement=orthogonal_complement(q))
+    return SubspaceBasis(basis=q)
 
 
 def runtime_distance(t, r, x, z):

@@ -21,10 +21,8 @@ from adasel.design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
 from adasel.errors import BadMagic, DuplicateKey, TruncatedPayload
 from adasel.gfk import gfk_kernel, kernel_integral_oracle, similarity
 from adasel.harness import SyntheticConfig, evaluate_regret, generate_synthetic
-from adasel.runtime import build_window, match_scenario, run_selection, \
-    select_combo
-from adasel.subspace import SubspaceBasis, orthogonal_complement, \
-    principal_angles
+from adasel.runtime import build_window, match_scenario, run_selection
+from adasel.subspace import SubspaceBasis, principal_angles
 from conftest import random_subspace, runtime_distance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,8 +66,7 @@ def test_criterion_2_planar_analytic():
     for alpha in [0.1, 0.7, np.pi / 2]:
         x = np.array([[1.0], [0.0]])
         z = np.array([[np.cos(alpha)], [np.sin(alpha)]])
-        sx = SubspaceBasis(x, orthogonal_complement(x))
-        sz = SubspaceBasis(z, orthogonal_complement(z))
+        sx, sz = SubspaceBasis(x), SubspaceBasis(z)
         W = gfk_kernel(principal_angles(sx, sz), sx)
         off = (1.0 - np.cos(2 * alpha)) / (4 * alpha)
         analytic = np.array([
@@ -122,7 +119,7 @@ def test_criterion_4_invariance_suite():
         a, b = 14, 4
         x, z = random_subspace(rng, a, b), random_subspace(rng, a, b)
         q, _ = np.linalg.qr(rng.standard_normal((b, b)))
-        xq = SubspaceBasis(x.basis @ q, orthogonal_complement(x.basis @ q))
+        xq = SubspaceBasis(x.basis @ q)
         W1 = gfk_kernel(principal_angles(x, z), x)
         W2 = gfk_kernel(principal_angles(xq, z), xq)
         worst_rot = max(worst_rot, np.linalg.norm(W1 - W2))
@@ -147,7 +144,7 @@ def test_criterion_4_invariance_suite():
     per = dataset.config.frames_per_scenario
     windows = [build_window(dataset.test_stream[i * per:(i + 1) * per], 3)
                for i in range(12)]
-    baseline = [match_scenario(w, profile)[0] for w in windows]
+    baseline = [match_scenario(w, profile)[0].scenario_id for w in windows]
     for c in [2.0, 0.5, 3.0]:
         scaled = copy.deepcopy(profile)
         for s in scaled.scenarios:
@@ -155,7 +152,7 @@ def test_criterion_4_invariance_suite():
         for w, expect in zip(windows, baseline):
             sw = copy.deepcopy(w)
             sw.aggregated_feature = c * sw.aggregated_feature
-            assert match_scenario(sw, scaled)[0] == expect
+            assert match_scenario(sw, scaled)[0].scenario_id == expect
     _pass(4, f"rotation invariance {worst_rot:.2e} (<1e-9), direction "
              f"symmetry {worst_sym:.2e} (<1e-8), scaling argmax exact for "
              "c in {2, 0.5, 3}")
@@ -181,7 +178,7 @@ def _random_instance(rng):
         scenarios.append(ScenarioProfile(
             scenario_id=f"s{i:03d}",
             representative_feature=rng.standard_normal(a) * 3.0,
-            subspace=random_subspace(rng, a, b),
+            basis=random_subspace(rng, a, b).basis,
             member_count=b + 3))
     performance = [
         PerformanceRecord(s.scenario_id, c.id, p.id,
@@ -195,7 +192,7 @@ def _random_instance(rng):
     origin = int(rng.integers(M))
     frames = (scenarios[origin].representative_feature
               + rng.standard_normal((b + 3, b))
-              @ scenarios[origin].subspace.basis.T
+              @ scenarios[origin].basis.T
               + 0.05 * rng.standard_normal((b + 3, a)))
     window = build_window(frames, b)
     return profile, window, (combos, platforms, performance)
@@ -206,8 +203,8 @@ def _brute_force_two_step(profile, window, platform_id, design_inputs):
     # step 1: independent composition of the primitives, explicit argmax
     sims = []
     for s in profile.scenarios:
-        W = gfk_kernel(principal_angles(s.subspace, window.subspace),
-                       s.subspace)
+        x = SubspaceBasis(s.basis)
+        W = gfk_kernel(principal_angles(x, SubspaceBasis(window.basis)), x)
         delta = s.representative_feature - window.aggregated_feature
         sims.append(similarity(max(float(delta @ W @ delta), 0.0)))
     order = sorted(range(len(sims)),
@@ -230,10 +227,11 @@ def test_criterion_5_two_step_matches_brute_force():
         profile, window, design_inputs = _random_instance(rng)
         platform_id = ["p1", "p2"][trial % 2]
         matched, sims = match_scenario(window, profile)
-        chosen = select_combo(matched, platform_id, profile)
+        chosen = matched.labels[platform_id]
         bf_matched, bf_chosen = _brute_force_two_step(
             profile, window, platform_id, design_inputs)
-        assert matched == bf_matched, f"trial {trial}: scenario mismatch"
+        assert matched.scenario_id == bf_matched, \
+            f"trial {trial}: scenario mismatch"
         assert chosen == bf_chosen, f"trial {trial}: combo mismatch"
         agree += 1
     _pass(5, f"{agree}/500 trials agree with brute-force enumeration "
@@ -319,7 +317,7 @@ def test_criterion_7_platform_selection():
 
     # labels under platform2 concentrate on the high-resolution combo
     scenarios = [ScenarioProfile(sid, rng.standard_normal(8),
-                                 random_subspace(rng, 8, 2), 5)
+                                 random_subspace(rng, 8, 2).basis, 5)
                  for sid in scenario_ids]
     label_scenarios(scenarios, combos, platforms, records,
                     strict.required_fps)
@@ -344,7 +342,7 @@ def test_criterion_8_latency():
         scenarios.append(ScenarioProfile(
             scenario_id=f"s{i:03d}",
             representative_feature=rng.standard_normal(a),
-            subspace=SubspaceBasis(q, orthogonal_complement(q)),
+            basis=q,
             member_count=40))
     profile = DesignProfile(scenarios=scenarios, selected_platform="p1",
                             config=ProfileConfig(a, b, 30))

@@ -8,12 +8,20 @@ from adasel.design import build_design_profile
 from adasel.harness import SyntheticConfig
 
 REMOVED = ["FlowPoint", "GeodesicKernel", "as_feature_vector",
-           "emit_report", "geodesic_flow", "kernel_distance", "parse_report"]
+           "emit_report", "geodesic_flow", "kernel_distance", "parse_report",
+           "select_combo"]
 
 PACKAGE = Path(adasel.__file__).parent
 BENCHMARK = Path(__file__).parent.parent / "perfbench"
 FORMAT_MODULES = {"csv", "json"}
 FILE_CALLS = {"open", "read_text", "write_text"}
+# the reference GFK path (explicit principal angles, the dense kernel and its
+# flow integral), kept for the tests and the benchmark's oracle
+REFERENCE_PATH = {"SubspaceBasis", "PrincipalDecomposition",
+                  "principal_angles", "orthogonal_complement", "gfk_kernel",
+                  "flow_samples", "kernel_integral_oracle"}
+SELECTOR_MODULES = ["design.py", "runtime.py", "dataio.py", "harness.py",
+                    "cli.py"]
 
 
 def test_public_names_resolve_once_from_the_package_root():
@@ -48,6 +56,30 @@ def test_only_dataio_knows_a_file_format():
             continue
         uses = set(_format_uses(ast.parse(path.read_text())))
         found += [f"{path.name}:{line}: {name}" for line, name in sorted(uses)]
+    assert not found
+
+
+def _names_used(tree):
+    """(line, name) for each name a syntax tree imports from a module, reads
+    or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_the_selector_uses_nothing_of_the_reference_path():
+    # the selector works on plain arrays: a basis is an a x b matrix and a
+    # decision is one stacked distance pass, so none of its modules needs
+    # the reference path's types or functions
+    found = []
+    for name in SELECTOR_MODULES:
+        uses = set(_names_used(ast.parse((PACKAGE / name).read_text())))
+        found += [f"{name}:{line}: {used}" for line, used in sorted(uses)
+                  if used in REFERENCE_PATH]
     assert not found
 
 

@@ -10,8 +10,8 @@ from adasel.design import (PerformanceRecord, SelectionConstraints,
                            build_design_profile)
 from adasel.errors import (BadMagic, DimensionMismatch, DimensionOverflow,
                            DuplicateKey, MalformedRow, ManifestInvalid,
-                           NegativeError, NonFiniteFeatures, TruncatedPayload,
-                           UnsupportedVersion)
+                           NegativeError, NonFiniteFeatures, NotOrthonormal,
+                           TruncatedPayload, UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import run_selection
 
@@ -279,7 +279,7 @@ def test_profile_round_trip(tmp_path):
         assert s1.labels == s2.labels
         assert np.array_equal(s1.representative_feature,
                               s2.representative_feature)
-        assert np.array_equal(s1.subspace.basis, s2.subspace.basis)
+        assert np.array_equal(s1.basis, s2.basis)
 
 
 def test_profile_writes_the_json_and_only_the_sidecars_its_scenarios_name(
@@ -367,7 +367,7 @@ def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
     path.write_text(json.dumps(doc))
     back = dataio.read_profile(path)
     for s1, s2 in zip(profile.scenarios, back.scenarios):
-        assert np.array_equal(s1.subspace.basis, s2.subspace.basis)
+        assert np.array_equal(s1.basis, s2.basis)
     assert dataio.profile_digest(back) == dataio.profile_digest(profile)
 
 
@@ -395,9 +395,45 @@ def test_profile_rejects_basis_of_wrong_shape(tmp_path):
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.basis.mat"
-    dataio.write_matrix(sidecar, profile.scenarios[1].subspace.basis[:, :-1])
+    dataio.write_matrix(sidecar, profile.scenarios[1].basis[:, :-1])
     with pytest.raises(DimensionMismatch, match=sidecar.name):
         dataio.read_profile(path)
+
+
+def test_profile_rejects_non_orthonormal_basis_naming_the_sidecar(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    sidecar = (tmp_path
+               / f"profile.{profile.scenarios[1].scenario_id}.basis.mat")
+    dataio.write_matrix(sidecar, 2.0 * dataio.read_matrix(sidecar))
+    with pytest.raises(NotOrthonormal) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == f"{sidecar}: basis columns are not orthonormal"
+
+
+@pytest.mark.parametrize("b", [0, 12], ids=["zero", "ambient"])
+def test_profile_rejects_subspace_dim_out_of_range_naming_the_profile(
+        tmp_path, b):
+    # every basis sidecar gets the shape the edited config names, 12 x 0
+    # (header only) or a square orthogonal matrix, so only the range of b
+    # is wrong
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["config"]["dim_subspace"] = b
+    doc["config"]["window_length"] = b + 1
+    path.write_text(json.dumps(doc))
+    for s in doc["scenarios"]:
+        (tmp_path / s["basis_file"]).write_bytes(
+            dataio.MATRIX_MAGIC + struct.pack("<QQ", 12, b)
+            + np.eye(12)[:, :b].astype("<f8").tobytes())
+    with pytest.raises(DimensionMismatch) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (
+        f"{path}: config: need 1 <= dim_subspace < dim_ambient, "
+        f"got dim_subspace={b}, dim_ambient=12")
 
 
 def test_profile_rejects_representative_feature_of_wrong_length(tmp_path):

@@ -78,7 +78,8 @@ def test_fifteen_scenarios_all_valid(rng):
     assert len(scenarios) == 15
     assert [s.scenario_id for s in scenarios] == [f"s{k:03d}" for k in range(15)]
     for s in scenarios:
-        s.subspace.validate(tol=1e-10)
+        assert s.basis.shape == (8, 3)
+        assert np.abs(s.basis.T @ s.basis - np.eye(3)).max() <= 1e-10
         assert s.member_count >= 4
 
 
@@ -90,7 +91,7 @@ def assert_permutation_invariant(frames, rng):
         assert one.scenario_id == two.scenario_id
         assert np.array_equal(one.representative_feature,
                               two.representative_feature)
-        assert np.array_equal(one.subspace.basis, two.subspace.basis)
+        assert np.array_equal(one.basis, two.basis)
         assert one.member_count == two.member_count
 
 
@@ -214,7 +215,7 @@ def test_combo_the_platform_does_not_list_is_not_runnable(rng):
                            combos) == "p0"
     scenario = ScenarioProfile(
         scenario_id="s000", representative_feature=rng.standard_normal(8),
-        subspace=random_subspace(rng, 8, 2), member_count=5)
+        basis=random_subspace(rng, 8, 2).basis, member_count=5)
     label_scenarios([scenario], combos, [platform], performance, 0.0)
     assert scenario.labels == {"p0": "c0"}
 
@@ -352,7 +353,7 @@ def labeled_scenarios(rng, performance, scenario_ids=("s000", "s001"),
     """Random scenarios labeled against the Table-II combos and platforms."""
     scenarios = [ScenarioProfile(
         scenario_id=sid, representative_feature=rng.standard_normal(8),
-        subspace=random_subspace(rng, 8, 2), member_count=5)
+        basis=random_subspace(rng, 8, 2).basis, member_count=5)
         for sid in scenario_ids]
     label_scenarios(scenarios, table_ii_combos(), table_ii_platforms(),
                     performance, required_fps)

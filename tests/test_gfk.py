@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from adasel.errors import OutOfRange
 from adasel.gfk import (_lambda_coeffs, flow_samples, gfk_kernel,
                         kernel_integral_oracle, similarity)
-from adasel.subspace import SubspaceBasis, orthogonal_complement, principal_angles
+from adasel.subspace import SubspaceBasis, principal_angles
 from conftest import max_sine_angle, random_subspace, runtime_distance
 
 
 def planar_pair(alpha):
     x = np.array([[1.0], [0.0]])
     z = np.array([[np.cos(alpha)], [np.sin(alpha)]])
-    sx = SubspaceBasis(x, orthogonal_complement(x))
-    sz = SubspaceBasis(z, orthogonal_complement(z))
-    return sx, sz
+    return SubspaceBasis(x), SubspaceBasis(z)
 
 
 def planar_analytic_kernel(alpha):
@@ -62,8 +60,8 @@ def test_flow_endpoints_for_nearly_identical_subspaces(rng):
         for _ in range(5):
             q0, _ = np.linalg.qr(rng.standard_normal((14, 4)))
             q1, _ = np.linalg.qr(q0 + eps * rng.standard_normal((14, 4)))
-            x = SubspaceBasis(q0, orthogonal_complement(q0))
-            z = SubspaceBasis(q1, orthogonal_complement(q1))
+            x = SubspaceBasis(q0)
+            z = SubspaceBasis(q1)
             dec = principal_angles(x, z)
             assert np.all(np.diff(dec.angles) >= 0.0)
             end = flow_samples(dec, x, [1.0])[0]
@@ -126,8 +124,8 @@ def test_kernel_small_angle_series_consistent(rng):
     for k, th in enumerate(alpha):
         zcols[:, k] = np.cos(th) * basis[:, k]
         zcols[k + b, k] = np.sin(th)
-    x = SubspaceBasis(basis, orthogonal_complement(basis))
-    z = SubspaceBasis(zcols, orthogonal_complement(zcols))
+    x = SubspaceBasis(basis)
+    z = SubspaceBasis(zcols)
     dec = principal_angles(x, z)
     W = gfk_kernel(dec, x)
     Wo = kernel_integral_oracle(dec, x, steps=100_000)
@@ -206,7 +204,7 @@ def test_similarity_rejects_negative():
 def test_kernel_invariant_under_basis_rotation(rng):
     x, z = random_subspace(rng, 14, 4), random_subspace(rng, 14, 4)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    xq = SubspaceBasis(x.basis @ q, orthogonal_complement(x.basis @ q))
+    xq = SubspaceBasis(x.basis @ q)
     W1 = gfk_kernel(principal_angles(x, z), x)
     W2 = gfk_kernel(principal_angles(xq, z), xq)
     assert np.linalg.norm(W1 - W2) < 1e-9

@@ -354,7 +354,7 @@ def labeled_profile(dataset):
         block = dataset.training_frames[labels == gen_id]
         scenarios.append(ScenarioProfile(
             scenario_id=sid, representative_feature=block.mean(axis=0),
-            subspace=pca_basis(block, cfg.dim_subspace),
+            basis=pca_basis(block, cfg.dim_subspace),
             member_count=len(block)))
     label_scenarios(scenarios, dataset.combos, dataset.platforms,
                     dataset.performance, OPEN.required_fps)

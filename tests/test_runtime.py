@@ -14,7 +14,7 @@ from adasel.gfk import gfk_kernel, similarity, stacked_distances
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import (TimeWindow, _stack_scenarios, build_window,
                             match_scenario, mean_similarity, run_selection,
-                            segment_windows, select_combo)
+                            segment_windows)
 from adasel.subspace import SubspaceBasis, pca_basis, principal_angles
 from conftest import random_subspace
 
@@ -114,8 +114,8 @@ def test_build_window_partial_rank_falls_back(rng):
     frames = np.outer(rng.standard_normal(10), direction)
     w = build_window(frames, 2)
     assert w.degraded
-    assert w.subspace is not None and w.subspace.dim_subspace == 1
-    assert np.array_equal(w.subspace.basis, pca_basis(frames, 1).basis)
+    assert w.basis.shape == (6, 1)
+    assert np.array_equal(w.basis, pca_basis(frames, 1))
 
 
 def test_degraded_window_costs_one_svd(rng, monkeypatch):
@@ -130,14 +130,14 @@ def test_degraded_window_costs_one_svd(rng, monkeypatch):
     frames = np.outer(rng.standard_normal(10), rng.standard_normal(6))
     frames += rng.standard_normal(6)
     w = build_window(frames, 3)
-    assert w.degraded and w.subspace.dim_subspace == 1
+    assert w.degraded and w.basis.shape[1] == 1
     assert calls == [(10, 6)]
 
 
 def test_window_repeating_five_frames_degrades_to_dim_4(rng):
     distinct = rng.standard_normal((5, 1288))
     w = build_window(np.resize(distinct, (30, 1288)), 20)
-    assert w.degraded and w.subspace.dim_subspace == 4
+    assert w.degraded and w.basis.shape[1] == 4
 
 
 def test_build_window_invariants(rng):
@@ -145,7 +145,8 @@ def test_build_window_invariants(rng):
     w = build_window(frames, 5)
     assert not w.degraded
     assert np.allclose(w.aggregated_feature, frames.mean(axis=0))
-    w.subspace.validate(tol=1e-10)
+    assert w.basis.shape == (20, 5)
+    assert np.abs(w.basis.T @ w.basis - np.eye(5)).max() <= 1e-10
 
 
 def test_build_window_too_few_frames(rng):
@@ -160,8 +161,8 @@ def test_single_scenario_always_matches(rng):
     dataset = small_dataset(n_scenarios=1)
     profile = profile_for(dataset)
     w = build_window(rng.standard_normal((12, 16)) * 50.0, 3)
-    sid, sims = match_scenario(w, profile)
-    assert sid == "s000" and sims.shape == (1,)
+    scenario, sims = match_scenario(w, profile)
+    assert scenario is profile.scenarios[0] and sims.shape == (1,)
 
 
 def test_window_of_scenario_members_matches_it(rng):
@@ -175,8 +176,8 @@ def test_window_of_scenario_members_matches_it(rng):
         d2 = ((frames.mean(axis=0) - reps) ** 2).sum(axis=1)
         expected = profile.scenarios[int(d2.argmin())].scenario_id
         w = build_window(frames, 3)
-        sid, sims = match_scenario(w, profile)
-        assert sid == expected
+        scenario, sims = match_scenario(w, profile)
+        assert scenario.scenario_id == expected
         assert sims.max() > 1.0 - 1e-6
 
 
@@ -194,8 +195,8 @@ def test_match_monte_carlo_rate(rng):
         frames = scenario_block + \
             cfg.noise_sigma * perturb.standard_normal((per, cfg.dim_ambient))
         w = build_window(frames, cfg.dim_subspace)
-        sid, _ = match_scenario(w, profile)
-        matched += sid == target_cluster
+        scenario, _ = match_scenario(w, profile)
+        matched += scenario.scenario_id == target_cluster
     rate = matched / 100
     assert rate == 1.0  # frozen seeded rate; spec floor is 0.95
     assert rate >= 0.95
@@ -208,12 +209,12 @@ def test_match_tie_breaks_on_lowest_id(rng):
     dup = copy.deepcopy(profile)
     dup.scenarios[1].representative_feature = \
         dup.scenarios[0].representative_feature.copy()
-    dup.scenarios[1].subspace = dup.scenarios[0].subspace
+    dup.scenarios[1].basis = dup.scenarios[0].basis
     per = dataset.config.frames_per_scenario
     w = build_window(dataset.test_stream[:per], dataset.config.dim_subspace)
-    sid, sims = match_scenario(w, dup)
+    scenario, sims = match_scenario(w, dup)
     assert sims[0] == sims[1]
-    assert sid == "s000"
+    assert scenario.scenario_id == "s000"
 
 
 def test_match_scaling_leaves_argmax_unchanged(rng):
@@ -222,7 +223,7 @@ def test_match_scaling_leaves_argmax_unchanged(rng):
     per = dataset.config.frames_per_scenario
     windows = [build_window(dataset.test_stream[i * per:(i + 1) * per], 3)
                for i in range(12)]
-    baseline = [match_scenario(w, profile)[0] for w in windows]
+    baseline = [match_scenario(w, profile)[0].scenario_id for w in windows]
     for c in [2.0, 0.5, 3.0]:
         scaled_profile = copy.deepcopy(profile)
         for s in scaled_profile.scenarios:
@@ -231,7 +232,8 @@ def test_match_scaling_leaves_argmax_unchanged(rng):
         for w in windows:
             sw = copy.deepcopy(w)
             sw.aggregated_feature = c * sw.aggregated_feature
-            scaled_ids.append(match_scenario(sw, scaled_profile)[0])
+            scaled_ids.append(
+                match_scenario(sw, scaled_profile)[0].scenario_id)
         assert scaled_ids == baseline
 
 
@@ -242,8 +244,8 @@ def test_match_degraded_window_still_compares(rng):
     frames = profile.scenarios[0].representative_feature + \
         np.outer(np.linspace(-1, 1, 12), direction)
     w = build_window(frames, 3)
-    assert w.degraded and w.subspace.dim_subspace == 1
-    sid, sims = match_scenario(w, profile)
+    assert w.degraded and w.basis.shape[1] == 1
+    _, sims = match_scenario(w, profile)
     assert sims.shape == (3,)
 
 
@@ -256,17 +258,18 @@ def test_match_ranks_by_distance_beyond_exp_underflow():
     per = dataset.config.frames_per_scenario
     for k in range(12):
         frames = dataset.test_stream[k * per:(k + 1) * per]
-        shift = 60.0 * build_window(frames, 5).subspace.basis[:, 0]
+        shift = 60.0 * build_window(frames, 5).basis[:, 0]
         w = build_window(frames + shift, 5)
+        z = SubspaceBasis(w.basis)
         d = []
         for s in profile.scenarios:
-            W = gfk_kernel(principal_angles(s.subspace, w.subspace),
-                           s.subspace)
+            x = SubspaceBasis(s.basis)
+            W = gfk_kernel(principal_angles(x, z), x)
             delta = s.representative_feature - w.aggregated_feature
             d.append(delta @ W @ delta)
-        sid, sims = match_scenario(w, profile)
+        scenario, sims = match_scenario(w, profile)
         assert min(d) > 745.0 and not sims.any()
-        assert sid == profile.scenarios[int(np.argmin(d))].scenario_id
+        assert scenario is profile.scenarios[int(np.argmin(d))]
 
 
 @st.composite
@@ -297,11 +300,11 @@ def windows_and_profiles(draw):
         scenarios.append(ScenarioProfile(
             scenario_id=f"s{i:03d}",
             representative_feature=10.0 * rng.standard_normal(a),
-            subspace=SubspaceBasis(x), member_count=b + 1))
+            basis=x, member_count=b + 1))
     profile = DesignProfile(scenarios=scenarios, selected_platform="p1",
                             config=ProfileConfig(a, b, b + 1))
     window = TimeWindow(aggregated_feature=rng.standard_normal(a),
-                        subspace=SubspaceBasis(z), degraded=k < b)
+                        basis=z, degraded=k < b)
     return window, profile
 
 
@@ -309,13 +312,13 @@ def windows_and_profiles(draw):
 @given(windows_and_profiles())
 def test_batched_distances_equal_dense_quadratic_form(case):
     window, profile = case
-    z = window.subspace
+    z = SubspaceBasis(window.basis)
     k = z.dim_subspace
     bases, means = _stack_scenarios(profile)
     d = stacked_distances(bases[:, :, :k], means, z.basis,
                           window.aggregated_feature)
     for s, ds in zip(profile.scenarios, d):
-        x = SubspaceBasis(s.subspace.basis[:, :k])
+        x = SubspaceBasis(s.basis[:, :k])
         W = gfk_kernel(principal_angles(x, z), x)
         delta = s.representative_feature - window.aggregated_feature
         assert abs(ds - delta @ W @ delta) <= 1e-12 * (delta @ delta)
@@ -329,25 +332,6 @@ def test_match_dimension_mismatch(rng):
     w = build_window(rng.standard_normal((10, 8)), 3)
     with pytest.raises(DimensionMismatch):
         match_scenario(w, profile)
-
-
-# --------------------------------------------------------------------------
-# select_combo
-
-def test_select_combo_is_table_lookup(rng):
-    dataset = small_dataset()
-    profile = profile_for(dataset)
-    s = profile.scenarios[0]
-    assert select_combo(s.scenario_id, "p1", profile) == s.labels["p1"]
-
-
-def test_select_combo_unlabeled(rng):
-    dataset = small_dataset()
-    profile = profile_for(dataset)
-    with pytest.raises(UnlabeledScenario):
-        select_combo("s000", "no-such-platform", profile)
-    with pytest.raises(UnlabeledScenario):
-        select_combo("s999", "p1", profile)
 
 
 # --------------------------------------------------------------------------
@@ -394,10 +378,10 @@ def test_trace_decisions_internally_consistent(rng):
                           dataset.config.frames_per_scenario)
     table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
              for r in dataset.performance}
+    labels = {s.scenario_id: s.labels for s in profile.scenarios}
     for d in trace.decisions:
         assert d.similarity == d.all_similarities.max()
-        scenario = profile.scenario(d.matched_scenario_id)
-        assert d.chosen_combo_id == scenario.labels["p2"]
+        assert d.chosen_combo_id == labels[d.matched_scenario_id]["p2"]
         # two-step consistency: chosen combo minimizes the table error
         errors = {c.id: table[(d.matched_scenario_id, c.id, "p2")]
                   for c in dataset.combos}
@@ -470,11 +454,11 @@ def test_run_selection_equals_matching_each_window_alone(rng):
     for d in trace.decisions:
         w = build_window(stream[12 * d.window_id:12 * (d.window_id + 1)], 3)
         degraded.append(w.degraded)
-        scenario_id, sims = match_scenario(w, profile)
-        assert d.matched_scenario_id == scenario_id
+        scenario, sims = match_scenario(w, profile)
+        assert d.matched_scenario_id == scenario.scenario_id
         assert d.all_similarities.tobytes() == sims.tobytes()
         assert d.similarity == sims.max()
-        assert d.chosen_combo_id == select_combo(scenario_id, "p1", profile)
+        assert d.chosen_combo_id == scenario.labels["p1"]
     assert degraded == [False, True, False, True, False, False]
 
 

@@ -19,11 +19,11 @@ def test_pca_recovers_coordinate_plane():
         [0.0, 1.0, 0.0, 0.0],
         [0.0, -1.0, 0.0, 0.0],
     ])
-    sub = pca_basis(samples, 2)
+    basis = pca_basis(samples, 2)
     expect = np.eye(4)[:, :2]
-    assert np.allclose(np.abs(sub.basis), expect, atol=1e-12)
+    assert np.allclose(np.abs(basis), expect, atol=1e-12)
     # sign convention: largest-magnitude entry positive
-    assert sub.basis[0, 0] > 0 and sub.basis[1, 1] > 0
+    assert basis[0, 0] > 0 and basis[1, 1] > 0
 
 
 def test_pca_identical_samples_rank_deficient():
@@ -46,16 +46,16 @@ def test_pca_three_factor_model_spans_true_subspace(rng):
     q, _ = np.linalg.qr(rng.standard_normal((20, 3)))
     coeffs = rng.standard_normal((100, 3)) * np.array([3.0, 2.0, 1.5])
     samples = coeffs @ q.T + 0.05 * rng.standard_normal((100, 20))
-    sub = pca_basis(samples, 3)
-    truth = SubspaceBasis(basis=q, complement=orthogonal_complement(q))
-    dec = principal_angles(truth, sub)
+    sub = SubspaceBasis(pca_basis(samples, 3))
+    dec = principal_angles(SubspaceBasis(q), sub)
     assert dec.angles.max() < 0.05
 
 
 def test_pca_output_satisfies_invariants(rng):
     samples = rng.standard_normal((30, 12))
-    sub = pca_basis(samples, 4)
-    sub.validate(tol=1e-10)
+    basis = pca_basis(samples, 4)
+    assert basis.shape == (12, 4)
+    assert np.abs(basis.T @ basis - np.eye(4)).max() <= 1e-10
 
 
 def test_pca_rejects_mismatched_sample_lengths():
@@ -65,9 +65,7 @@ def test_pca_rejects_mismatched_sample_lengths():
 
 def test_pca_deterministic(rng):
     samples = rng.standard_normal((25, 9))
-    s1 = pca_basis(samples, 3)
-    s2 = pca_basis(samples.copy(), 3)
-    assert np.array_equal(s1.basis, s2.basis)
+    assert np.array_equal(pca_basis(samples, 3), pca_basis(samples.copy(), 3))
 
 
 @pytest.mark.parametrize("n, a, factors", [(30, 200, 30), (30, 200, 7),
@@ -110,7 +108,7 @@ def test_complement_of_identity_columns():
 
 def test_stacked_basis_and_complement_is_orthogonal(rng):
     sub = random_subspace(rng, 20, 5)
-    full = np.hstack([sub.basis, sub.complement])
+    full = np.hstack([sub.basis, orthogonal_complement(sub.basis)])
     assert np.abs(full.T @ full - np.eye(20)).max() < 1e-10
 
 
@@ -134,8 +132,7 @@ def test_identical_basis_gives_zero_angles(rng):
 
 def test_orthogonal_planes_give_right_angles():
     e = np.eye(4)
-    x = SubspaceBasis(e[:, :2], orthogonal_complement(e[:, :2]))
-    z = SubspaceBasis(e[:, 2:], orthogonal_complement(e[:, 2:]))
+    x, z = SubspaceBasis(e[:, :2]), SubspaceBasis(e[:, 2:])
     dec = principal_angles(x, z)
     assert np.allclose(dec.angles, [np.pi / 2, np.pi / 2], atol=1e-12)
 
@@ -144,9 +141,7 @@ def test_planar_angle_is_alpha():
     alpha = 0.7
     x = np.array([[1.0], [0.0]])
     z = np.array([[np.cos(alpha)], [np.sin(alpha)]])
-    dec = principal_angles(
-        SubspaceBasis(x, orthogonal_complement(x)),
-        SubspaceBasis(z, orthogonal_complement(z)))
+    dec = principal_angles(SubspaceBasis(x), SubspaceBasis(z))
     assert np.allclose(dec.angles, [alpha], atol=1e-12)
 
 
@@ -154,8 +149,7 @@ def test_angles_invariant_under_basis_rotation(rng):
     x = random_subspace(rng, 15, 4)
     z = random_subspace(rng, 15, 4)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    rotated = SubspaceBasis(x.basis @ q,
-                            orthogonal_complement(x.basis @ q))
+    rotated = SubspaceBasis(x.basis @ q)
     d1 = principal_angles(x, z)
     d2 = principal_angles(rotated, z)
     assert np.abs(d1.angles - d2.angles).max() < 1e-9
