@@ -79,7 +79,8 @@ def read_matrix(path) -> np.ndarray:
             raise TruncatedPayload(
                 f"{path}: payload is {size} bytes, header claims {nbytes}")
         M = np.empty((rows, cols), dtype="<f8")
-        if (got := fh.readinto(M.data.cast("B"))) != nbytes:
+        # a memoryview of an array with a zero dimension cannot be cast
+        if nbytes and (got := fh.readinto(M.data.cast("B"))) != nbytes:
             raise TruncatedPayload(
                 f"{path}: read {got} payload bytes, header claims {nbytes}")
     return M

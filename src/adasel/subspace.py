@@ -24,6 +24,12 @@ ORTHO_TOL = 1e-8
 # residual is accurate to about eps/sin.
 DEGENERATE_SIN = 1e-13
 SIN_PI_4 = np.sqrt(0.5)
+# Smallest ratio lam_r / lam_1 of the centered frames' Gram eigenvalues at
+# which _principal_directions factors the Gram instead of the frames.  The
+# Gram path's orthonormality error, c * eps * lam_1 / lam_k with c measured
+# up to 2.2, then stays below 4.9e-13: under the 1e-12 that pca_basis is
+# tested to, which 1e-4 would not keep.
+GRAM_TAU = 1e-3
 
 
 def as_feature_matrix(samples) -> np.ndarray:
@@ -118,20 +124,42 @@ def pca_basis(samples, b: int) -> np.ndarray:
 
 
 def _principal_directions(X: np.ndarray, b: int) -> tuple[np.ndarray, int]:
-    """pca_basis's top min(b, rank) directions and the rank, from one SVD
-    of the matrix ``X`` that as_feature_matrix returned."""
+    """pca_basis's top min(b, rank) directions and the rank of the matrix
+    ``X`` that as_feature_matrix returned.
+
+    The centered frames F, taken on their long side (a x n if n < a, else
+    n x a), have r = min(n - 1, a) possible directions.  When the
+    min(n, a)-square Gram matrix F^T F resolves all of them, that is when
+    lam_r > GRAM_TAU * lam_1 and sqrt(lam_r) > 2 * tol (so the SVD would
+    count all r too), the rank is r and the directions come from
+    ``eigh(F^T F)``: F Q / sqrt(lam) when n < a, else Q.  Squaring the
+    spectrum costs accuracy: orthonormality is off by about
+    eps * lam_1 / lam_k <= eps / GRAM_TAU, and the subspace by about
+    eps * lam_1 / (lam_b - lam_(b+1)), which is
+    sigma_1 / (sigma_b + sigma_(b+1)) times the SVD's error.  Every other
+    matrix, each rank-deficient window among them, takes one SVD of F, and
+    its singular values above tol make the rank.
+    """
     n, a = X.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not (1 <= b < a):
         raise DimensionMismatch(f"need 1 <= b < a={a}, got b={b}")
     centered = X - X.mean(axis=0)
-    # gesdd runs about twice as fast on the tall orientation (a x n if n < a)
+    # the tall orientation keeps the factored matrix n x n (eigh) or makes
+    # gesdd run about twice as fast
     tall = n < a
-    U, svals, Vt = np.linalg.svd(centered.T if tall else centered,
-                                 full_matrices=False)
-    V = U if tall else Vt.T
+    F = centered.T if tall else centered
     tol = max(n, a) * np.finfo(np.float64).eps * np.linalg.norm(X)
+    r = min(n - 1, a)
+    lam, Q = np.linalg.eigh(F.T @ F)
+    if lam[-r] > max(GRAM_TAU * lam[-1], (2 * tol) ** 2):
+        k = min(b, r)
+        lam, Q = lam[::-1][:k], Q[:, ::-1][:, :k]
+        directions, _ = _fix_signs(F @ Q / np.sqrt(lam) if tall else Q)
+        return directions, r
+    U, svals, Vt = np.linalg.svd(F, full_matrices=False)
+    V = U if tall else Vt.T
     rank = int(np.count_nonzero(svals > tol))
     directions, _ = _fix_signs(V[:, :min(b, rank)])
     return directions, rank

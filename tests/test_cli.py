@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adasel
@@ -152,6 +153,21 @@ def test_select_dimension_mismatch_exits_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "DimensionMismatch" in capsys.readouterr().err
+
+
+def test_select_on_an_empty_stream_exits_1(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    capsys.readouterr()
+    dataio.write_stream(out / "empty_manifest.json",
+                        np.empty((0, SMALL_CONFIG["dim_ambient"])))
+    rc = main([
+        "select",
+        "--profile", str(out / "profile.json"),
+        "--stream", str(out / "empty_manifest.json"),
+        "--out", str(out / "empty_trace.jsonl"),
+    ])
+    assert rc == 1
+    assert "EmptyStream" in capsys.readouterr().err
 
 
 def test_eval_misaligned_exits_1(tmp_path, capsys):

@@ -44,6 +44,20 @@ def test_matrix_round_trip(tmp_path):
     assert np.array_equal(back, M)
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+def test_matrix_with_a_zero_dimension_round_trips(tmp_path, shape):
+    path = tmp_path / "m.mat"
+    dataio.write_matrix(path, np.empty(shape))
+    assert path.stat().st_size == 24
+    assert dataio.read_matrix(path).shape == shape
+
+
+def test_empty_stream_round_trips(tmp_path):
+    path = tmp_path / "stream_manifest.json"
+    dataio.write_stream(path, np.empty((0, 5)))
+    assert dataio.read_stream(path).frames.shape == (0, 5)
+
+
 def test_matrix_layout_is_exactly_specified(tmp_path):
     path = tmp_path / "m.mat"
     dataio.write_matrix(path, np.array([[1.5, -2.0]]))

@@ -180,6 +180,36 @@ def test_distance_planar_right_angle_value():
     assert abs(d - (1.0 - 2.0 / np.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_distance_at_an_exactly_orthogonal_pair_is_a_geodesic_value(sign):
+    # x = e1 and z = +-e2 are joined by two geodesics, one per rotation
+    # sense; d must be delta^T W delta on one of them, never a blend
+    x = SubspaceBasis(np.array([[1.0], [0.0]]))
+    z = SubspaceBasis(np.array([[0.0], [sign]]))
+    d = runtime_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]), x, z)
+    assert min(abs(d - (1.0 - 2.0 / np.pi)),
+               abs(d - (1.0 + 2.0 / np.pi))) < 1e-12
+
+
+@pytest.mark.parametrize("cos", [0.0, 1e-9])
+def test_distance_with_an_orthogonal_direction_matches_the_dense_kernel(
+        rng, cos):
+    # b = 2 in R5: one angle of 0.7 and one at (or 1e-9 short of) pi/2
+    e = np.eye(5)
+    x = SubspaceBasis(e[:, :2])
+    z = SubspaceBasis(np.column_stack([
+        cos * e[:, 0] + np.sqrt(1.0 - cos * cos) * e[:, 2],
+        np.cos(0.7) * e[:, 1] + np.sin(0.7) * e[:, 3]]))
+    dec = principal_angles(x, z)
+    assert np.allclose(dec.angles, [0.7, np.arccos(cos)], atol=1e-12)
+    W = gfk_kernel(dec, x)
+    for _ in range(20):
+        t, r = 10.0 * rng.standard_normal(5), rng.standard_normal(5)
+        delta = t - r
+        d = runtime_distance(t, r, x, z)
+        assert abs(d - delta @ W @ delta) <= 1e-12 * (delta @ delta)
+
+
 def test_similarity_reference_points():
     assert similarity(0.0) == 1.0
     assert abs(similarity(np.log(2.0)) - 0.5) < 1e-15

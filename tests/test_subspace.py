@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from adasel.errors import DimensionMismatch, NotOrthonormal, RankDeficient
-from adasel.subspace import (SubspaceBasis, _principal_directions,
-                             orthogonal_complement, pca_basis,
-                             principal_angles)
+from adasel.subspace import (GRAM_TAU, SubspaceBasis, _fix_signs,
+                             _principal_directions, orthogonal_complement,
+                             pca_basis, principal_angles)
 from conftest import max_sine_angle, random_subspace
 
 
@@ -88,6 +88,97 @@ def test_principal_directions_agree_with_the_wide_svd(rng, n, a, factors):
     assert max_sine_angle(directions, Vt[:k].T) < 1e-12
     peak = directions[np.argmax(np.abs(directions), axis=0), np.arange(k)]
     assert np.all(peak > 0)
+
+
+def wide_svd_reference(X, b):
+    """Rank, and top min(b, rank) right singular vectors, from the SVD of
+    the n x a centered frames as they come."""
+    n, a = X.shape
+    _, svals, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    tol = max(n, a) * np.finfo(np.float64).eps * np.linalg.norm(X)
+    rank = int(np.count_nonzero(svals > tol))
+    return rank, Vt[:min(b, rank)].T
+
+
+def frames_with_spectrum(rng, n, a, b, ratio):
+    """n x a frames, offset from the origin, whose centered singular values
+    fall geometrically from 1 to ``ratio`` over the first b directions and
+    are ratio / 2 on the other min(n - 1, a) - b."""
+    r = min(n - 1, a)
+    svals = np.concatenate([np.geomspace(1.0, ratio, b),
+                            np.full(r - b, ratio / 2)])
+    # left factor orthogonal to the ones vector, so centering keeps it
+    left, _ = np.linalg.qr(np.hstack([np.ones((n, 1)),
+                                      rng.standard_normal((n, r))]))
+    right, _ = np.linalg.qr(rng.standard_normal((a, r)))
+    return (left[:, 1:] * svals) @ right.T + rng.standard_normal(a)
+
+
+@pytest.mark.parametrize("n, a", [(30, 200), (300, 40)])
+@pytest.mark.parametrize("ratio", [0.3, 0.1, 0.07, 0.06, 1e-2, 1e-3, 1e-4,
+                                   1e-5, 1e-6, 1e-7, 1e-8, 1e-15])
+def test_principal_directions_on_both_sides_of_the_gram_gate(
+        rng, monkeypatch, n, a, ratio):
+    b = 12
+    X = frames_with_spectrum(rng, n, a, b, ratio)
+    svd_shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        svd_shapes.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    directions, got_rank = _principal_directions(X, b)
+    monkeypatch.undo()
+
+    # the Gram path runs exactly when its smallest eigenvalue passes the gate
+    gram = not svd_shapes
+    assert gram == ((ratio / 2) ** 2 > GRAM_TAU)
+    expect_rank, reference = wide_svd_reference(X, b)
+    assert got_rank == expect_rank
+    assert (got_rank < b) == (ratio < 1e-12)      # degraded
+    k = min(b, expect_rank)
+    assert directions.shape == (a, k)
+    if gram:
+        assert np.abs(directions.T @ directions - np.eye(k)).max() <= 1e-12
+        assert max_sine_angle(directions, reference) <= 1e-12
+    else:
+        # today's SVD of the centered frames on their long side, unchanged
+        centered = X - X.mean(axis=0)
+        tall = n < a
+        assert svd_shapes == [(a, n) if tall else (n, a)]
+        U, _, Vt = np.linalg.svd(centered.T if tall else centered,
+                                 full_matrices=False)
+        expect, _ = _fix_signs((U if tall else Vt.T)[:, :k])
+        assert np.array_equal(directions, expect)
+    peak = directions[np.argmax(np.abs(directions), axis=0), np.arange(k)]
+    assert np.all(peak > 0)
+
+
+def test_well_conditioned_tall_window_factors_only_its_gram(rng, monkeypatch):
+    shapes = []
+    for name in ("svd", "eigh"):
+        def counting(M, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append(M.shape)
+            return _real(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    directions, rank = _principal_directions(
+        rng.standard_normal((30, 1288)), 20)
+    assert rank == 29 and directions.shape == (1288, 20)
+    assert shapes == [(30, 30)]
+
+
+def test_frames_far_from_the_origin_keep_the_svd_rank(rng):
+    # an offset of 3e12 puts the rank tolerance (which scales with ||X||)
+    # among the centered singular values, although lam_r / lam_1 passes
+    # GRAM_TAU; the rank must still be the SVD's count
+    X = rng.standard_normal((30, 200)) + 3e12
+    directions, got_rank = _principal_directions(X, 12)
+    expect_rank, _ = wide_svd_reference(X, 12)
+    assert got_rank == expect_rank
+    assert 0 < expect_rank < 29
+    assert directions.shape == (200, min(12, expect_rank))
 
 
 # --------------------------------------------------------------------------
