@@ -7,11 +7,14 @@ under cost/error constraints, and a best-combo label per scenario per
 platform.  Everything is deterministic given the seed; clustering is also
 invariant to the order of the input frames (frames are put in lexicographic
 order before seeding k-means++: a stable sort of the first feature, and of
-every feature only when two frames tie in the first).
+every feature only when two frames tie in the first).  The k-means restarts
+run their Lloyd steps in lockstep, one stacked product with the frames per
+step, and each restart's SSE comes from its last step's distances.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -23,6 +26,8 @@ from .subspace import as_feature_matrix, pca_basis
 
 KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 10
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -107,29 +112,16 @@ def scenario_ids(means) -> list[str]:
     return [f"s{r:03d}" for r in rank]
 
 
-def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Best of several seeded k-means++ runs (lowest within-cluster SSE)."""
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        assign = _kmeans_once(X, k, rng)
-        sse = 0.0
-        for j in range(k):
-            members = X[assign == j]
-            sse += float(((members - members.mean(axis=0)) ** 2).sum())
-        if best is None or sse < best[0]:
-            best = (sse, assign)
-    return best[1]
-
-
-def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One seeded k-means++ / Lloyd run on rows of X; returns assignments."""
+def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): k rows of X, each
+    drawn with probability proportional to its squared distance from the
+    nearest center drawn so far (uniformly once every distance is 0)."""
     n = X.shape[0]
-    sq = np.einsum("ij,ij->i", X, X)
 
     def dist2_to(center):
         return np.maximum(sq - 2.0 * (X @ center) + center @ center, 0.0)
 
-    # k-means++ initialization
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
     d2 = dist2_to(centers[0])
@@ -140,27 +132,84 @@ def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             centers[j] = X[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, dist2_to(centers[j]))
+    return centers
 
-    assign = np.full(n, -1)
-    for _ in range(KMEANS_MAX_ITER):
-        d2_all = sq[:, None] - 2.0 * (X @ centers.T) + np.einsum(
-            "ij,ij->i", centers, centers)[None, :]
-        new_assign = np.argmin(d2_all, axis=1)
-        own = d2_all[np.arange(n), new_assign].copy()
-        for j in range(k):
-            members = new_assign == j
-            if not np.any(members):
-                # relocate empty cluster to the worst-served point
-                worst = int(np.argmax(own))
-                centers[j] = X[worst]
-                new_assign[worst] = j
-                own[worst] = -np.inf  # not eligible for further relocations
-            else:
-                centers[j] = X[members].mean(axis=0)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    return assign
+
+def _fill_empty_clusters(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
+    """Give every empty cluster a frame, in place; ``d2`` holds the k x n
+    distances the assignment was taken from.  While a cluster is empty, the
+    lowest-numbered empty one takes the worst-served frame (largest distance
+    to the center it was assigned) not yet moved, which may empty the
+    cluster that frame left."""
+    counts = np.bincount(assign, minlength=k)
+    if counts.all():
+        return
+    own = d2[assign, np.arange(assign.size)]
+    while not counts.all():
+        j = int(np.argmin(counts))
+        worst = int(np.argmax(own))
+        counts[assign[worst]] -= 1
+        counts[j] += 1
+        assign[worst] = j
+        own[worst] = -np.inf
+
+
+def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Best of KMEANS_RESTARTS k-means++ / Lloyd runs on the rows of X
+    (lowest within-cluster SSE, the first on a tie); returns assignments.
+
+    Every restart is seeded first, in restart order, since Lloyd steps draw
+    no random numbers.  The restarts still moving then step in lockstep: one
+    product of their stacked centers with X gives all distances, and one of
+    their stacked one-hot assignments with X all center sums.  After the
+    argmin, empty clusters are filled by :func:`_fill_empty_clusters`, and
+    only then is each center the mean of its members, moved frames counted
+    only where they went.  A restart stops once its assignment repeats; its
+    SSE is the sum of that step's distances from each frame to its own
+    center, which is its cluster's mean.  A restart that has not converged
+    after KMEANS_MAX_ITER steps keeps its last assignment, and one more
+    distance product gives its SSE.
+    """
+    n, a = X.shape
+    sq = np.einsum("ij,ij->i", X, X)
+    centers = np.stack([_seed_centers(X, sq, k, rng)
+                        for _ in range(KMEANS_RESTARTS)])
+    assign = np.full((KMEANS_RESTARTS, n), -1)
+    steps = np.zeros(KMEANS_RESTARTS, dtype=int)
+    sse = np.empty(KMEANS_RESTARTS)
+    frames = np.arange(n)
+    live = np.arange(KMEANS_RESTARTS)
+    while live.size:
+        C = centers[live].reshape(-1, a)
+        d2 = C @ X.T
+        d2 *= -2.0
+        d2 += sq
+        d2 += np.einsum("ij,ij->i", C, C)[:, None]
+        d2 = d2.reshape(live.size, k, n)
+        del C  # each stacked array goes once used, to keep the peak small
+        new = d2.argmin(axis=1)
+        for row, dist in zip(new, d2):
+            _fill_empty_clusters(row, dist, k)
+        steps[live] += 1
+        done = (np.all(new == assign[live], axis=1)
+                | (steps[live] > KMEANS_MAX_ITER))
+        for i in np.flatnonzero(done):
+            sse[live[i]] = d2[i, assign[live[i]], frames].sum()
+        del d2
+        live, new = live[~done], new[~done]
+        assign[live] = new
+        onehot = np.zeros((live.size, k, n))
+        onehot[np.arange(live.size)[:, None], new, frames] = 1.0
+        onehot = onehot.reshape(-1, n)
+        sums = onehot @ X
+        sums /= onehot.sum(axis=1)[:, None]
+        centers[live] = sums.reshape(live.size, k, a)
+        del onehot, sums
+    steps = np.minimum(steps, KMEANS_MAX_ITER)
+    best = int(np.argmin(sse))
+    log.debug("clustering: Lloyd steps per restart %s; chose restart %d, "
+              "SSE %.6g", steps.tolist(), best, sse[best])
+    return assign[best]
 
 
 def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
@@ -168,7 +217,10 @@ def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
     """Partition training frames into scenario clusters with subspaces.
 
     k-means on the raw feature vectors (k-means++ init, <=300 iterations,
-    convergence on stable assignments, best of several seeded restarts).
+    convergence on stable assignments, best of several seeded restarts by
+    within-cluster SSE).  The restarts step in lockstep, and each SSE is
+    summed from the distances of the restart's converged step; see
+    :func:`_kmeans`.
     Scenario ids ("s000", ...) are assigned by lexicographic order of the
     cluster means, so the result is independent of the input frame order
     for a fixed seed.

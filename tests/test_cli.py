@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -289,6 +290,36 @@ def test_eval_verbose_logs_a_debug_line(tmp_path):
     assert result.returncode == 0
     assert "DEBUG adasel: 12 trace windows, 12 ground-truth windows" in \
         result.stderr
+
+
+def test_profile_verbose_logs_one_clustering_line(tmp_path, caplog):
+    out = run_pipeline(tmp_path)
+    profile = ["profile",
+               "--train", str(out / "train_manifest.json"),
+               "--perf", str(out / "performance.csv"),
+               "--platforms", str(out / "platforms.json"),
+               "--subspace-dim", "3", "--max-error", "3.5",
+               "--required-fps", "1.0", "--max-cost", "10.0",
+               "--window-length", "10", "--out", str(out / "p2.json"),
+               "--seed", "13"]
+    # without --verbose the command prints nothing to stderr
+    src = str(Path(adasel.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    quiet = subprocess.run([sys.executable, "-m", "adasel.cli"] + profile,
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    with caplog.at_level(logging.DEBUG, logger="adasel"):
+        assert main(profile + ["--verbose"]) == 0
+    lines = [r for r in caplog.records if r.name == "adasel.design"]
+    assert len(lines) == 1
+    steps, best, sse = lines[0].args
+    assert len(steps) == adasel.design.KMEANS_RESTARTS
+    assert all(1 <= s <= adasel.design.KMEANS_MAX_ITER for s in steps)
+    assert 0 <= best < len(steps) and sse >= 0.0
+    assert lines[0].getMessage().startswith(
+        "clustering: Lloyd steps per restart [")
 
 
 def test_console_script_help():

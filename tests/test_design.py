@@ -145,6 +145,167 @@ def test_kmeans_makes_no_copy_of_the_training_matrix():
     assert peak < X.nbytes
 
 
+def test_kmeans_sse_builds_no_member_sized_temporaries():
+    # means 10x the noise: one restart of ten merges two clusters, whose
+    # member residuals alone would reach the size of X
+    rng = np.random.default_rng(0)
+    X = np.vstack([10.0 * rng.standard_normal(400)
+                   + rng.standard_normal((100, 400)) for _ in range(4)])
+    tracemalloc.start()
+    try:
+        design._kmeans(X, 4, np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
+
+
+def reference_kmeans(X, k, rng):
+    """Best of several seeded k-means++ runs (lowest within-cluster SSE)."""
+    best = None
+    for _ in range(design.KMEANS_RESTARTS):
+        assign = reference_kmeans_once(X, k, rng)
+        sse = 0.0
+        for j in range(k):
+            members = X[assign == j]
+            sse += float(((members - members.mean(axis=0)) ** 2).sum())
+        if best is None or sse < best[0]:
+            best = (sse, assign)
+    return best[1]
+
+
+def reference_kmeans_once(X, k, rng):
+    """One seeded k-means++ / Lloyd run on rows of X; returns assignments."""
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)
+
+    def dist2_to(center):
+        return np.maximum(sq - 2.0 * (X @ center) + center @ center, 0.0)
+
+    # k-means++ initialization
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = dist2_to(centers[0])
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = X[rng.integers(n)]
+        else:
+            centers[j] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, dist2_to(centers[j]))
+
+    assign = np.full(n, -1)
+    for _ in range(design.KMEANS_MAX_ITER):
+        d2_all = sq[:, None] - 2.0 * (X @ centers.T) + np.einsum(
+            "ij,ij->i", centers, centers)[None, :]
+        new_assign = np.argmin(d2_all, axis=1)
+        own = d2_all[np.arange(n), new_assign].copy()
+        for j in range(k):
+            members = new_assign == j
+            if not np.any(members):
+                # relocate empty cluster to the worst-served point
+                worst = int(np.argmax(own))
+                centers[j] = X[worst]
+                new_assign[worst] = j
+                own[worst] = -np.inf  # not eligible for further relocations
+            else:
+                centers[j] = X[members].mean(axis=0)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return assign
+
+
+def partition(assign):
+    """The clusters of an assignment as sets of frame indices."""
+    return {frozenset(np.flatnonzero(assign == j).tolist())
+            for j in np.unique(assign)}
+
+
+class CountingRng:
+    """A generator that counts the uniform draws k-means++ seeding makes."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.integers_calls = 0
+
+    def integers(self, *args):
+        self.integers_calls += 1
+        return self.rng.integers(*args)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeans_matches_the_sequential_reference_on_separated_data(seed):
+    rng = np.random.default_rng(seed)
+    k = 2 + seed
+    X, _ = gaussian_blobs(rng, [rng.normal(scale=10.0, size=12)
+                                for _ in range(k)], per_cluster=20, sigma=1.0)
+    assert partition(design._kmeans(X, k, np.random.default_rng(seed))) == \
+        partition(reference_kmeans(X, k, np.random.default_rng(seed)))
+
+
+def test_kmeans_matches_the_sequential_reference_when_a_restart_merges():
+    rng = np.random.default_rng(0)
+    X = np.vstack([10.0 * rng.standard_normal(400)
+                   + rng.standard_normal((100, 400)) for _ in range(4)])
+    assign = design._kmeans(X, 4, np.random.default_rng(3))
+    assert partition(assign) == partition(
+        reference_kmeans(X, 4, np.random.default_rng(3)))
+    assert sorted(np.bincount(assign)) == [100] * 4
+
+
+@pytest.mark.parametrize("max_iter, data_seed, seed",
+                         [(1, 2, 1), (1, 3, 5), (2, 2, 3)])
+def test_kmeans_matches_the_sequential_reference_when_steps_run_out(
+        monkeypatch, max_iter, data_seed, seed):
+    # overlapping clusters and too few steps to converge: each restart keeps
+    # its last assignment and is scored on it, and the restarts disagree
+    monkeypatch.setattr(design, "KMEANS_MAX_ITER", max_iter)
+    rng = np.random.default_rng(data_seed)
+    X = np.vstack([0.5 * rng.standard_normal(40)
+                   + rng.standard_normal((30, 40)) for _ in range(5)])
+    assert partition(design._kmeans(X, 5, np.random.default_rng(seed))) == \
+        partition(reference_kmeans(X, 5, np.random.default_rng(seed)))
+
+
+def test_kmeans_matches_the_sequential_reference_with_fewer_distinct_frames(
+        monkeypatch):
+    # three distinct integer frames, four copies each, for five clusters:
+    # seeding runs out of positive distances, and every Lloyd step leaves
+    # clusters empty; integer data keeps every distance exact
+    X = np.repeat(np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0],
+                            [2.0, 2.0, 0.0]]), 4, axis=0)
+    filled = []
+    fill = design._fill_empty_clusters
+
+    def spy(assign, d2, k):
+        filled.append(np.bincount(assign, minlength=k).min() == 0)
+        fill(assign, d2, k)
+
+    monkeypatch.setattr(design, "_fill_empty_clusters", spy)
+    rng = CountingRng(11)
+    assign = design._kmeans(X, 5, rng)
+    assert rng.integers_calls > design.KMEANS_RESTARTS  # total <= 0 drew
+    assert any(filled)
+    assert partition(assign) == partition(
+        reference_kmeans(X, 5, np.random.default_rng(11)))
+    assert np.bincount(assign, minlength=5).min() >= 1
+
+
+def test_fill_empty_clusters_refills_a_cluster_it_empties():
+    # cluster 2 is empty and takes frame 0, the worst-served; that empties
+    # cluster 0, which takes frame 1, the first of the next worst; frames
+    # moved in this step do not move again
+    assign = np.array([0, 1, 1, 1])
+    d2 = np.zeros((3, 4))
+    d2[0, 0], d2[1, 1:] = 5.0, 1.0
+    design._fill_empty_clusters(assign, d2, 3)
+    assert assign.tolist() == [2, 0, 1, 1]
+
+
 def test_cluster_too_few_members_reports_scenario(rng):
     # third blob has only 2 points, too few for a 3-dim subspace
     frames = np.vstack([
