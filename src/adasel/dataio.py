@@ -408,7 +408,7 @@ def read_profile(path) -> DesignProfile:
 
 def _array_sha256(values) -> str:
     return hashlib.sha256(
-        np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+        np.ascontiguousarray(values, dtype="<f8")).hexdigest()
 
 
 def profile_digest(profile: DesignProfile) -> str:

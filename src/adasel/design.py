@@ -8,8 +8,8 @@ platform.  Everything is deterministic given the seed; clustering is also
 invariant to the order of the input frames (frames are put in lexicographic
 order before seeding k-means++: a stable sort of the first feature, and of
 every feature only when two frames tie in the first).  The k-means restarts
-run their Lloyd steps in lockstep, one stacked product with the frames per
-step, and each restart's SSE comes from its last step's distances.
+are seeded and run their Lloyd steps in lockstep, one stacked product with
+the frames per step; each restart's SSE comes from its last step's distances.
 """
 
 from __future__ import annotations
@@ -113,26 +113,32 @@ def scenario_ids(means) -> list[str]:
 
 
 def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii 2007): k rows of X, each
-    drawn with probability proportional to its squared distance from the
-    nearest center drawn so far (uniformly once every distance is 0)."""
-    n = X.shape[0]
-
-    def dist2_to(center):
-        return np.maximum(sq - 2.0 * (X @ center) + center @ center, 0.0)
-
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = dist2_to(centers[0])
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[j] = X[rng.integers(n)]
-        else:
-            centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, dist2_to(centers[j]))
-    return centers
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007) of KMEANS_RESTARTS
+    restarts in lockstep: their (R, k, a) centers, and which restarts fell
+    back to uniform weights.  Each restart draws rng.integers(n), then
+    rng.random(k - 1), in restart order.  A later center inverts its uniform
+    through cumulative weights as rng.choice(n, p=...) does: the squared
+    distances to the nearest center so far, or uniform weights once every
+    distance is 0.  One product with X per step updates every restart."""
+    n, R = X.shape[0], KMEANS_RESTARTS
+    firsts, laters = zip(*[(rng.integers(n), rng.random(k - 1))
+                           for _ in range(R)])
+    picks, u = np.array(firsts), np.array(laters)
+    centers = np.empty((R, k, X.shape[1]))
+    d2, uniform = np.full((R, n), np.inf), np.zeros(R, dtype=bool)
+    for j in range(k):
+        centers[:, j] = C = X[picks]
+        P = C @ X.T
+        d2 = np.minimum(d2, np.maximum(
+            -2.0 * P + sq + np.einsum("ij,ij->i", C, C)[:, None], 0.0))
+        if j + 1 < k:
+            flat = d2.sum(axis=1) <= 0.0
+            uniform |= flat
+            w = np.where(flat[:, None], 1.0, d2)
+            cdf = (w / w.sum(axis=1)[:, None]).cumsum(axis=1)
+            picks = (cdf / cdf[:, -1:] <= u[:, j, None]).sum(axis=1)
+    return centers, uniform
 
 
 def _fill_empty_clusters(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
@@ -158,13 +164,13 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Best of KMEANS_RESTARTS k-means++ / Lloyd runs on the rows of X
     (lowest within-cluster SSE, the first on a tie); returns assignments.
 
-    Every restart is seeded first, in restart order, since Lloyd steps draw
-    no random numbers.  The restarts still moving then step in lockstep: one
-    product of their stacked centers with X gives all distances, and one of
-    their stacked one-hot assignments with X all center sums.  After the
-    argmin, empty clusters are filled by :func:`_fill_empty_clusters`, and
-    only then is each center the mean of its members, moved frames counted
-    only where they went.  A restart stops once its assignment repeats; its
+    All restarts are seeded first, together, by :func:`_seed_centers`.  The
+    restarts still moving then step in lockstep: one product of their
+    stacked centers with X gives all distances, and one of their stacked
+    one-hot assignments with X all center sums.  After the argmin, empty
+    clusters are filled by :func:`_fill_empty_clusters`, and only then is
+    each center the mean of its members, moved frames counted only where
+    they went.  A restart stops once its assignment repeats; its
     SSE is the sum of that step's distances from each frame to its own
     center, which is its cluster's mean.  A restart that has not converged
     after KMEANS_MAX_ITER steps keeps its last assignment, and one more
@@ -172,8 +178,7 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """
     n, a = X.shape
     sq = np.einsum("ij,ij->i", X, X)
-    centers = np.stack([_seed_centers(X, sq, k, rng)
-                        for _ in range(KMEANS_RESTARTS)])
+    centers, uniform = _seed_centers(X, sq, k, rng)
     assign = np.full((KMEANS_RESTARTS, n), -1)
     steps = np.zeros(KMEANS_RESTARTS, dtype=int)
     sse = np.empty(KMEANS_RESTARTS)
@@ -207,8 +212,11 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         del onehot, sums
     steps = np.minimum(steps, KMEANS_MAX_ITER)
     best = int(np.argmin(sse))
+    # the record's args stay (steps, chosen restart, SSE)
     log.debug("clustering: Lloyd steps per restart %s; chose restart %d, "
-              "SSE %.6g", steps.tolist(), best, sse[best])
+              "SSE %.6g; uniform-weight seeding in restarts "
+              + str(np.flatnonzero(uniform).tolist()),
+              steps.tolist(), best, sse[best])
     return assign[best]
 
 
@@ -218,9 +226,9 @@ def cluster_scenarios(frames, n_scenarios: int, subspace_dim: int,
 
     k-means on the raw feature vectors (k-means++ init, <=300 iterations,
     convergence on stable assignments, best of several seeded restarts by
-    within-cluster SSE).  The restarts step in lockstep, and each SSE is
-    summed from the distances of the restart's converged step; see
-    :func:`_kmeans`.
+    within-cluster SSE).  The restarts are seeded and step in lockstep, and
+    each SSE is summed from the distances of the restart's converged step;
+    see :func:`_kmeans`.
     Scenario ids ("s000", ...) are assigned by lexicographic order of the
     cluster means, so the result is independent of the input frame order
     for a fixed seed.

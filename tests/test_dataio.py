@@ -503,6 +503,17 @@ def test_profile_digest_sees_one_ulp_of_a_representative_feature():
     assert dataio.profile_digest(profile) != d1
 
 
+def test_profile_digest_of_a_fortran_ordered_basis_equals_its_c_copy():
+    _, profile = pipeline_profile()
+    for s in profile.scenarios:
+        s.basis = np.ascontiguousarray(s.basis)
+    d1 = dataio.profile_digest(profile)
+    for s in profile.scenarios:
+        s.basis = np.asfortranarray(s.basis)
+    assert not profile.scenarios[0].basis.flags.c_contiguous
+    assert dataio.profile_digest(profile) == d1
+
+
 # --------------------------------------------------------------------------
 # platforms file
 

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -174,25 +175,33 @@ def reference_kmeans(X, k, rng):
     return best[1]
 
 
-def reference_kmeans_once(X, k, rng):
-    """One seeded k-means++ / Lloyd run on rows of X; returns assignments."""
+def reference_seed_centers(X, k, rng):
+    """One sequential k-means++ seeding of the rows of X: each later center
+    is drawn by rng.choice, from uniform weights once every distance is 0."""
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
 
     def dist2_to(center):
         return np.maximum(sq - 2.0 * (X @ center) + center @ center, 0.0)
 
-    # k-means++ initialization
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
     d2 = dist2_to(centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            centers[j] = X[rng.integers(n)]
+            centers[j] = X[rng.choice(n, p=np.full(n, 1.0 / n))]
         else:
             centers[j] = X[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, dist2_to(centers[j]))
+    return centers
+
+
+def reference_kmeans_once(X, k, rng):
+    """One seeded k-means++ / Lloyd run on rows of X; returns assignments."""
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)
+    centers = reference_seed_centers(X, k, rng)
 
     assign = np.full(n, -1)
     for _ in range(design.KMEANS_MAX_ITER):
@@ -235,6 +244,9 @@ class CountingRng:
 
     def choice(self, *args, **kwargs):
         return self.rng.choice(*args, **kwargs)
+
+    def random(self, *args):
+        return self.rng.random(*args)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -285,14 +297,78 @@ def test_kmeans_matches_the_sequential_reference_with_fewer_distinct_frames(
         filled.append(np.bincount(assign, minlength=k).min() == 0)
         fill(assign, d2, k)
 
+    seeded = []
+    seed_centers = design._seed_centers
+
+    def seed_spy(*args):
+        seeded.append(seed_centers(*args))
+        return seeded[-1]
+
     monkeypatch.setattr(design, "_fill_empty_clusters", spy)
+    monkeypatch.setattr(design, "_seed_centers", seed_spy)
     rng = CountingRng(11)
     assign = design._kmeans(X, 5, rng)
-    assert rng.integers_calls > design.KMEANS_RESTARTS  # total <= 0 drew
+    assert seeded[0][1].any()  # a restart seeded from uniform weights
+    assert rng.integers_calls == design.KMEANS_RESTARTS  # and drew no more
     assert any(filled)
     assert partition(assign) == partition(
         reference_kmeans(X, 5, np.random.default_rng(11)))
     assert np.bincount(assign, minlength=5).min() >= 1
+
+
+# three distinct integer frames, four copies each, as in the test above
+FEWER_DISTINCT = np.repeat(np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0],
+                                     [2.0, 2.0, 0.0]]), 4, axis=0)
+
+
+def seeding_case(case):
+    """(X, k, seed) for a lockstep seeding check."""
+    rng = np.random.default_rng(7)
+    if case.startswith("separated"):
+        seed = int(case[-1])
+        X, _ = gaussian_blobs(rng, [rng.normal(scale=10.0, size=12)
+                                    for _ in range(2 + seed)],
+                              per_cluster=20, sigma=1.0)
+        return X, 2 + seed, seed
+    if case == "duplicated":
+        # integer frames, three copies each, as many clusters as distinct
+        # frames: a copy of a center is exactly 0 away, the rest stay > 0
+        return np.repeat(rng.integers(-5, 6, size=(6, 4)).astype(float), 3,
+                         axis=0), 6, 3
+    if case == "fewer-distinct":
+        # every distance is 0 after three picks: the rest are uniform draws
+        return FEWER_DISTINCT, 8, 11
+    X = rng.standard_normal((15, 8))
+    return X, {"k=1": 1, "k=n": 15}[case], 4
+
+
+@pytest.mark.parametrize("case", [f"separated-{s}" for s in range(5)]
+                         + ["duplicated", "k=1", "k=n", "fewer-distinct"])
+def test_lockstep_seeding_matches_the_sequential_draws(case):
+    X, k, seed = seeding_case(case)
+    rng = np.random.default_rng(seed)
+    centers, uniform = design._seed_centers(
+        X, np.einsum("ij,ij->i", X, X), k, rng)
+    reference = np.random.default_rng(seed)
+    assert centers.shape == (design.KMEANS_RESTARTS, k, X.shape[1])
+    for restart in centers:
+        assert np.array_equal(restart, reference_seed_centers(X, k, reference))
+    assert (uniform == (case == "fewer-distinct")).all()
+    # the same draws were made, no more and no fewer
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_kmeans_logs_the_restarts_seeded_from_uniform_weights(caplog):
+    separated, k, seed = seeding_case("separated-2")
+    with caplog.at_level(logging.DEBUG, logger="adasel.design"):
+        design._kmeans(separated, k, np.random.default_rng(seed))
+        design._kmeans(FEWER_DISTINCT, 5, np.random.default_rng(11))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "adasel.design"]
+    assert len(lines) == 2
+    assert lines[0].endswith("; uniform-weight seeding in restarts []")
+    assert lines[1].endswith("; uniform-weight seeding in restarts "
+                             f"{list(range(design.KMEANS_RESTARTS))}")
 
 
 def test_fill_empty_clusters_refills_a_cluster_it_empties():
