@@ -26,6 +26,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -112,6 +113,7 @@ _EXPECTED = {_INT: "an integer", _NUMBER: "a number", _STR: "a string",
 # (container, element types): each element of a list, or each value of an
 # object, must be of one of the element types
 _STR_LIST, _INT_LIST = (_LIST, _STR), (_LIST, _INT)
+_NUMBER_LIST = (_LIST, _NUMBER)
 _STR_MAP, _NUMBER_MAP = (_OBJECT, _STR), (_OBJECT, _NUMBER)
 
 _STREAM_KEYS = {"dim": _INT, "frame_count": _INT, "matrices": _STR_LIST}
@@ -129,25 +131,34 @@ _PLATFORM_KEYS = {"id": _STR, "cost": _NUMBER,
                   "combo_capabilities": _NUMBER_MAP}
 
 
-def _require(entry, spec, where) -> dict:
+def _json_object(text, where, error) -> dict:
+    """The JSON object in ``text``; text that is not JSON, or holds no
+    object, raises ``error`` naming where."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: not JSON ({exc})") from None
+    return _require(doc, {}, where, error)
+
+
+def _require(entry, spec, where, error=ManifestInvalid) -> dict:
     """``entry``, a JSON object holding each key of spec with a value of one
     of its types (and, for a container spec, elements of one of its element
-    types); errors name where, the key and the element."""
+    types); errors, of type ``error``, name where, the key and the element."""
     if not isinstance(entry, dict):
-        raise ManifestInvalid(f"{where}: expected a JSON object")
+        raise error(f"{where}: expected a JSON object")
     for key, types in spec.items():
         if key not in entry:
-            raise ManifestInvalid(f"{where}: missing key {key!r}")
+            raise error(f"{where}: missing key {key!r}")
         types, items = types if isinstance(types[0], tuple) else (types, ())
         value = entry[key]
         if type(value) not in types:
-            raise ManifestInvalid(
-                f"{where}: {key}: expected {_EXPECTED[types]}")
+            raise error(f"{where}: {key}: expected {_EXPECTED[types]}")
         if not items:
             continue
         for k, v in value.items() if type(value) is dict else enumerate(value):
             if type(v) not in items:
-                raise ManifestInvalid(
+                raise error(
                     f"{where}: {key}[{k!r}]: expected {_EXPECTED[items]}")
     return entry
 
@@ -167,11 +178,7 @@ def _entries(doc, name, spec, path, id_key="id") -> list[dict]:
 
 def _read_doc(path, spec) -> dict:
     """The versioned JSON object in ``path``, checked against spec."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestInvalid(f"{path}: not JSON ({exc})") from None
-    _require(doc, {}, path)
+    doc = _json_object(Path(path).read_text(), path, ManifestInvalid)
     _check_version(doc, path)
     return _require(doc, spec, path)
 
@@ -456,9 +463,11 @@ def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
 # --------------------------------------------------------------------------
 # selection traces (JSON lines + CSV projection)
 
-# every SelectionDecision field, in declaration order; all_similarities,
-# an array, is the one field that is converted on the way in and out
-_DECISION_FIELDS = tuple(f.name for f in dataclasses.fields(SelectionDecision))
+# each SelectionDecision field, in declaration order, and the JSON type of
+# its annotation; all_similarities, an array, is converted in and out
+_DECISION_KEYS = {name: {int: _INT, str: _STR, float: _NUMBER,
+                         np.ndarray: _NUMBER_LIST}[hint]
+                  for name, hint in get_type_hints(SelectionDecision).items()}
 
 
 def write_trace(path, trace: SelectionTrace) -> None:
@@ -468,39 +477,30 @@ def write_trace(path, trace: SelectionTrace) -> None:
         "profile_reference": trace.profile_reference,
     }, sort_keys=True)]
     for d in trace.decisions:
-        rec = {name: getattr(d, name) for name in _DECISION_FIELDS}
+        rec = {name: getattr(d, name) for name in _DECISION_KEYS}
         rec["all_similarities"] = [float(v) for v in d.all_similarities]
         lines.append(json.dumps(rec, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _trace_record(path, lineno: int, line: str, fields) -> dict:
-    """One trace line as a JSON object holding ``fields``."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRow(f"{path}:{lineno}: not JSON ({exc.msg})") from None
-    if not isinstance(rec, dict):
-        raise MalformedRow(f"{path}:{lineno}: expected a JSON object")
-    missing = [f for f in fields if f not in rec]
-    if missing:
-        raise MalformedRow(f"{path}:{lineno}: missing field {missing[0]!r}")
-    return rec
-
-
 def read_trace(path) -> SelectionTrace:
-    """Parse a trace; a bad line raises MalformedRow naming ``path:line``."""
+    """Parse a trace; a line that is not a JSON object, lacks a key or holds
+    a value of the wrong type raises MalformedRow naming ``path:line``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise MalformedRow(f"{path}: empty trace")
-    header = _trace_record(path, 1, lines[0], ("profile_reference",))
+    where = f"{path}:1"
+    header = _require(_json_object(lines[0], where, MalformedRow),
+                      {"profile_reference": _STR}, where, MalformedRow)
     _check_version(header, path)
     decisions = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = _trace_record(path, lineno, line, _DECISION_FIELDS)
-        fields = {name: rec[name] for name in _DECISION_FIELDS}
+        where = f"{path}:{lineno}"
+        rec = _require(_json_object(line, where, MalformedRow),
+                       _DECISION_KEYS, where, MalformedRow)
+        fields = {name: rec[name] for name in _DECISION_KEYS}
         fields["all_similarities"] = np.asarray(rec["all_similarities"])
         decisions.append(SelectionDecision(**fields))
     return SelectionTrace(decisions=decisions,
@@ -589,12 +589,7 @@ def _index_pair(key: str) -> tuple[int, int]:
 
 def read_synth_config(path, default_seed: int) -> SyntheticConfig:
     """SyntheticConfig from a JSON file; unknown keys are rejected."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"{path}: not JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(f"{path}: expected a JSON object")
+    doc = _json_object(Path(path).read_text(), path, ConfigInvalid)
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
     unknown = set(doc) - known
     if unknown:

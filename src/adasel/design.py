@@ -212,11 +212,10 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         del onehot, sums
     steps = np.minimum(steps, KMEANS_MAX_ITER)
     best = int(np.argmin(sse))
-    # the record's args stay (steps, chosen restart, SSE)
     log.debug("clustering: Lloyd steps per restart %s; chose restart %d, "
-              "SSE %.6g; uniform-weight seeding in restarts "
-              + str(np.flatnonzero(uniform).tolist()),
-              steps.tolist(), best, sse[best])
+              "SSE %.6g; uniform-weight seeding in restarts %s",
+              steps.tolist(), best, sse[best],
+              np.flatnonzero(uniform).tolist())
     return assign[best]
 
 

@@ -59,6 +59,17 @@ def test_only_dataio_knows_a_file_format():
     assert not found
 
 
+def test_dataio_parses_json_in_one_place():
+    # documents, trace lines and synth settings all go through one checked
+    # reader, so every JSON input gets the same typed errors
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", ""))
+             == "loads"]
+    assert len(calls) == 1, calls
+
+
 def _names_used(tree):
     """(line, name) for each name a syntax tree imports from a module, reads
     or takes as an attribute."""

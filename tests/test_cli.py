@@ -272,7 +272,7 @@ def test_eval_malformed_trace_exits_1_naming_the_line(tmp_path, capsys):
                "--truth", str(out / "window_truth.csv"),
                "--out", str(out / "r2.csv")])
     assert rc == 1
-    assert (f"error: MalformedRow: {bad}:2: missing field 'elapsed_ms'"
+    assert (f"error: MalformedRow: {bad}:2: missing key 'elapsed_ms'"
             in capsys.readouterr().err)
 
 
@@ -314,7 +314,7 @@ def test_profile_verbose_logs_one_clustering_line(tmp_path, caplog):
         assert main(profile + ["--verbose"]) == 0
     lines = [r for r in caplog.records if r.name == "adasel.design"]
     assert len(lines) == 1
-    steps, best, sse = lines[0].args
+    steps, best, sse = lines[0].args[:3]
     assert len(steps) == adasel.design.KMEANS_RESTARTS
     assert all(1 <= s <= adasel.design.KMEANS_MAX_ITER for s in steps)
     assert 0 <= best < len(steps) and sse >= 0.0

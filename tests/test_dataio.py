@@ -777,8 +777,8 @@ def test_trace_bad_lines_raise_malformed_row_naming_the_line(tmp_path):
     first = json.loads(lines[1])
     del first["elapsed_ms"]
     cases = [
-        (0, json.dumps(header), ":1: missing field 'profile_reference'"),
-        (1, json.dumps(first), ":2: missing field 'elapsed_ms'"),
+        (0, json.dumps(header), ":1: missing key 'profile_reference'"),
+        (1, json.dumps(first), ":2: missing key 'elapsed_ms'"),
         (2, "{not json", ":3: not JSON"),
         (2, "[1, 2]", ":3: expected a JSON object"),
     ]
@@ -789,6 +789,28 @@ def test_trace_bad_lines_raise_malformed_row_naming_the_line(tmp_path):
         with pytest.raises(MalformedRow) as exc:
             dataio.read_trace(bad)
         assert str(exc.value).startswith(f"{bad}{message}")
+
+
+def test_trace_values_of_the_wrong_type_raise_malformed_row_naming_the_line(
+        tmp_path):
+    dataset, profile = pipeline_profile()
+    trace = run_selection(dataset.test_stream, profile, "p1",
+                          dataset.config.frames_per_scenario)
+    path = tmp_path / "trace.jsonl"
+    dataio.write_trace(path, trace)
+    lines = path.read_text().splitlines()
+    # each case is (line index, key, a value of the wrong JSON type)
+    cases = [(0, "profile_reference", 7), (1, "window_id", "0"),
+             (2, "all_similarities", [0.5, "x"]), (3, "elapsed_ms", None)]
+    for index, key, value in cases:
+        rec = json.loads(lines[index])
+        rec[key] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:index] + [json.dumps(rec)]
+                                 + lines[index + 1:]) + "\n")
+        with pytest.raises(MalformedRow) as exc:
+            dataio.read_trace(bad)
+        assert str(exc.value).startswith(f"{bad}:{index + 1}: {key}")
 
 
 def test_trace_reference_matches_profile_digest(tmp_path):
