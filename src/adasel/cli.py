@@ -74,6 +74,7 @@ def cmd_profile(args) -> int:
         n_scenarios=len({r.scenario_id for r in performance}),
         subspace_dim=args.subspace_dim,
         window_length=args.window_length, seed=args.seed)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     dataio.write_profile(args.out, profile)
     print(f"selected platform: {profile.selected_platform}")
     for s in profile.scenarios:
@@ -92,6 +93,7 @@ def cmd_select(args) -> int:
               stream.frames.shape[0], platform_id, window_length)
     trace = run_selection(stream.frames, profile, platform_id, window_length)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_trace(out, trace)
     dataio.write_trace_csv(out.with_suffix(".csv"), trace)
     print(f"{len(trace.decisions)} windows, {trace.switch_count()} switches, "
@@ -105,6 +107,7 @@ def cmd_eval(args) -> int:
     log.debug("%d trace windows, %d ground-truth windows",
               len(trace.decisions), len(truth))
     report = evaluate_regret(trace, truth)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     dataio.write_report(args.out, report)
     accuracy = ("n/a" if report.scenario_match_accuracy is None
                 else f"{report.scenario_match_accuracy:.4f}")

@@ -94,16 +94,6 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _check_version(doc, path) -> None:
-    version = doc.get("format_version")
-    if not isinstance(version, int):
-        raise ManifestInvalid(f"{path}: missing integer format_version")
-    if version > FORMAT_VERSION:
-        raise UnsupportedVersion(
-            f"{path}: format_version {version} is newer than supported "
-            f"({FORMAT_VERSION})")
-
-
 # the exact JSON types a key may hold; json.loads gives bool, never int, for
 # true, so an exact type check also keeps booleans out of numeric fields
 _INT, _NUMBER, _STR = (int,), (int, float), (str,)
@@ -163,6 +153,17 @@ def _require(entry, spec, where, error=ManifestInvalid) -> dict:
     return entry
 
 
+def _check_version(doc, where, error) -> None:
+    """An integer ``format_version`` no newer than this reader's; a missing
+    or mistyped one raises ``error`` naming where."""
+    version = _require(doc, {"format_version": _INT}, where,
+                       error)["format_version"]
+    if version > FORMAT_VERSION:
+        raise UnsupportedVersion(
+            f"{where}: format_version {version} is newer than supported "
+            f"({FORMAT_VERSION})")
+
+
 def _entries(doc, name, spec, path, id_key="id") -> list[dict]:
     """The entries of the list ``doc[name]``, each checked against spec;
     two entries with one ``id_key`` value raise DuplicateKey."""
@@ -179,7 +180,7 @@ def _entries(doc, name, spec, path, id_key="id") -> list[dict]:
 def _read_doc(path, spec) -> dict:
     """The versioned JSON object in ``path``, checked against spec."""
     doc = _json_object(Path(path).read_text(), path, ManifestInvalid)
-    _check_version(doc, path)
+    _check_version(doc, path, ManifestInvalid)
     return _require(doc, spec, path)
 
 
@@ -235,7 +236,6 @@ class FeatureStream:
 
     frames: np.ndarray
     labels: list[str] | None
-    source: str
 
 
 def write_stream(manifest_path, frames, source: str = "",
@@ -284,8 +284,7 @@ def read_stream(manifest_path) -> FeatureStream:
         raise ManifestInvalid(
             f"{manifest_path}: {len(labels)} frame_labels for "
             f"{X.shape[0]} frames")
-    return FeatureStream(frames=X, labels=labels,
-                         source=doc.get("source", ""))
+    return FeatureStream(frames=X, labels=labels)
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +331,9 @@ def read_performance_table(path) -> list[PerformanceRecord]:
 # --------------------------------------------------------------------------
 # design profiles (JSON + matrix sidecars)
 
-def _profile_doc(profile: DesignProfile, basis_refs, feature_refs) -> dict:
+def _profile_doc(profile: DesignProfile, ref) -> dict:
+    """The profile's JSON document, in which ``ref(scenario, kind, matrix)``
+    names each array: kind is "basis" or "feature"."""
     cfg = profile.config
     return {
         "format_version": FORMAT_VERSION,
@@ -346,23 +347,21 @@ def _profile_doc(profile: DesignProfile, basis_refs, feature_refs) -> dict:
             "scenario_id": s.scenario_id,
             "member_count": int(s.member_count),
             "labels": s.labels,
-            "feature_file": feature_refs[s.scenario_id],
-            "basis_file": basis_refs[s.scenario_id],
+            "feature_file": ref(s, "feature", [s.representative_feature]),
+            "basis_file": ref(s, "basis", s.basis),
         } for s in profile.scenarios],
     }
 
 
 def write_profile(path, profile: DesignProfile) -> None:
     path = Path(path)
-    files = {"basis": {}, "feature": {}}
-    for s in profile.scenarios:
-        for kind, M in (("basis", s.basis),
-                        ("feature", [s.representative_feature])):
-            name = f"{path.stem}.{s.scenario_id}.{kind}.mat"
-            write_matrix(path.parent / name, M)
-            files[kind][s.scenario_id] = name
-    path.write_text(_canonical_json(
-        _profile_doc(profile, files["basis"], files["feature"])))
+
+    def sidecar(s, kind, matrix) -> str:
+        name = f"{path.stem}.{s.scenario_id}.{kind}.mat"
+        write_matrix(path.parent / name, matrix)
+        return name
+
+    path.write_text(_canonical_json(_profile_doc(profile, sidecar)))
 
 
 def _read_sidecar(path, name, shape) -> np.ndarray:
@@ -413,21 +412,12 @@ def read_profile(path) -> DesignProfile:
                          config=config)
 
 
-def _array_sha256(values) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(values, dtype="<f8")).hexdigest()
-
-
 def profile_digest(profile: DesignProfile) -> str:
     """Content hash of a profile, independent of where its files live: the
     sha256 of its canonical JSON with each basis and each representative
     feature replaced by the sha256 of its ``<f8`` bytes."""
-    doc = _profile_doc(
-        profile,
-        {s.scenario_id: _array_sha256(s.basis)
-         for s in profile.scenarios},
-        {s.scenario_id: _array_sha256(s.representative_feature)
-         for s in profile.scenarios})
+    doc = _profile_doc(profile, lambda s, kind, matrix: hashlib.sha256(
+        np.ascontiguousarray(matrix, dtype="<f8")).hexdigest())
     return hashlib.sha256(_canonical_json(doc).encode()).hexdigest()
 
 
@@ -490,9 +480,9 @@ def read_trace(path) -> SelectionTrace:
     if not lines:
         raise MalformedRow(f"{path}: empty trace")
     where = f"{path}:1"
-    header = _require(_json_object(lines[0], where, MalformedRow),
-                      {"profile_reference": _STR}, where, MalformedRow)
-    _check_version(header, path)
+    header = _json_object(lines[0], where, MalformedRow)
+    _check_version(header, where, MalformedRow)
+    _require(header, {"profile_reference": _STR}, where, MalformedRow)
     decisions = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -588,16 +578,14 @@ def _index_pair(key: str) -> tuple[int, int]:
 
 
 def read_synth_config(path, default_seed: int) -> SyntheticConfig:
-    """SyntheticConfig from a JSON file; unknown keys are rejected."""
+    """SyntheticConfig from a JSON file, error_model's "i,h" keys read as
+    (i, h) pairs; unknown keys are rejected, and validate checks the rest."""
     doc = _json_object(Path(path).read_text(), path, ConfigInvalid)
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
     unknown = set(doc) - known
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    model = doc.get("error_model")
-    if model is not None:
-        if not isinstance(model, dict):
-            raise ConfigInvalid("error_model must be a JSON object")
+    if type(model := doc.get("error_model")) is dict:
         doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
     doc.setdefault("seed", default_seed)
     return SyntheticConfig(**doc)

@@ -84,6 +84,26 @@ class SyntheticConfig:
         for ok, reason in checks:
             if not ok:
                 raise ConfigInvalid(reason)
+        if self.error_model is None:
+            return
+        model, M, H = self.error_model, self.n_scenarios, self.n_combos
+        if not isinstance(model, dict):
+            raise ConfigInvalid(f"error_model must be a mapping of "
+                                f"(scenario, combo) pairs, got {model!r}")
+        grid = {(i, h) for i in range(M) for h in range(H)}
+        for key in model:
+            if key not in grid:
+                raise ConfigInvalid(f"error_model key {key!r} is outside "
+                                    f"{M} scenarios x {H} combos")
+        for i, h in sorted(grid):
+            if (i, h) not in model:
+                raise ConfigInvalid(
+                    f"error_model lacks entry for scenario {i}, combo {h}")
+            value = model[(i, h)]
+            if not _is_number(value, Real) or value < 0.0:
+                raise ConfigInvalid(
+                    f"error_model[{i}, {h}] must be a number >= 0, "
+                    f"got {value!r}")
 
 
 @dataclass
@@ -177,21 +197,6 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     # scenario-conditional error means
     if config.error_model is not None:
         mean_err = dict(config.error_model)
-        grid = {(i, h) for i in range(M) for h in range(H)}
-        for key in mean_err:
-            if key not in grid:
-                raise ConfigInvalid(f"error_model key {key!r} is outside "
-                                    f"{M} scenarios x {H} combos")
-        for i in range(M):
-            for h in range(H):
-                if (i, h) not in mean_err:
-                    raise ConfigInvalid(
-                        f"error_model lacks entry for scenario {i}, combo {h}")
-                value = mean_err[(i, h)]
-                if not _is_number(value, Real) or value < 0.0:
-                    raise ConfigInvalid(
-                        f"error_model[{i}, {h}] must be a number >= 0, "
-                        f"got {value!r}")
     else:
         mean_err = {(i, h): 2.0 if h == i % H else float(rng.uniform(5.0, 9.0))
                     for i in range(M) for h in range(H)}

@@ -70,6 +70,24 @@ def test_dataio_parses_json_in_one_place():
     assert len(calls) == 1, calls
 
 
+def test_dataio_checks_json_scalars_by_exact_type():
+    # bool is a subclass of int and passes isinstance against int, float,
+    # Integral and Real, so a JSON true would read as a number; every JSON
+    # scalar goes through _require's exact types instead
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"):
+            continue
+        kinds = node.args[1]
+        for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+            name = getattr(kind, "id", getattr(kind, "attr", None))
+            if name in {"int", "float", "Integral", "Real"}:
+                found.append(f"dataio.py:{node.lineno}: {name}")
+    assert not found
+
+
 def _names_used(tree):
     """(line, name) for each name a syntax tree imports from a module, reads
     or takes as an attribute."""

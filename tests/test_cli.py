@@ -185,6 +185,32 @@ def test_eval_misaligned_exits_1(tmp_path, capsys):
     assert "Misaligned" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, inputs, name", [
+    ("profile", {"--train": "train_manifest.json",
+                 "--perf": "performance.csv",
+                 "--platforms": "platforms.json"}, "profile.json"),
+    ("select", {"--profile": "profile.json",
+                "--stream": "test_manifest.json"}, "trace.jsonl"),
+    ("eval", {"--trace": "trace.jsonl",
+              "--truth": "window_truth.csv"}, "report.csv"),
+], ids=["profile", "select", "eval"])
+def test_command_writes_into_a_new_nested_directory(tmp_path, command,
+                                                    inputs, name):
+    out = run_pipeline(tmp_path)
+    target = tmp_path / "new" / "nested" / name
+    argv = [command, "--out", str(target)]
+    for flag, file in inputs.items():
+        argv += [flag, str(out / file)]
+    if command == "profile":
+        argv += ["--subspace-dim", "3", "--max-error", "3.5",
+                 "--required-fps", "1.0", "--max-cost", "10.0",
+                 "--window-length", "10", "--seed", "13"]
+    assert main(argv) == 0
+    assert target.exists()
+    if command != "select":  # a trace holds wall times
+        assert target.read_bytes() == (out / name).read_bytes()
+
+
 def test_synth_rejects_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, frames_per_scenario=2)
     rc = main(["synth", "--config", str(cfg),

@@ -125,7 +125,6 @@ def test_stream_round_trip_with_labels(tmp_path, rng):
     stream = dataio.read_stream(path)
     assert np.array_equal(stream.frames, frames)
     assert stream.labels == labels
-    assert stream.source == "unit test"
 
 
 def test_stream_manifest_dim_mismatch(tmp_path, rng):
@@ -811,6 +810,46 @@ def test_trace_values_of_the_wrong_type_raise_malformed_row_naming_the_line(
         with pytest.raises(MalformedRow) as exc:
             dataio.read_trace(bad)
         assert str(exc.value).startswith(f"{bad}:{index + 1}: {key}")
+
+
+def test_trace_header_without_a_version_raises_malformed_row_on_line_1(
+        tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps({"kind": "adasel-trace",
+                                "profile_reference": "x" * 64}) + "\n")
+    with pytest.raises(MalformedRow) as exc:
+        dataio.read_trace(path)
+    assert str(exc.value) == f"{path}:1: missing key 'format_version'"
+
+
+@pytest.mark.parametrize("kind, error, where", [
+    ("stream", ManifestInvalid, ""), ("profile", ManifestInvalid, ""),
+    ("platforms", ManifestInvalid, ""), ("trace", MalformedRow, ":1")],
+    ids=["stream", "profile", "platforms", "trace"])
+def test_a_true_format_version_is_rejected(tmp_path, kind, error, where):
+    # json.loads gives True for true, and bool is a subclass of int, so
+    # only an exact type check keeps it from reading as version 1
+    dataset, profile = pipeline_profile()
+    path = tmp_path / f"{kind}.json"
+    if kind == "stream":
+        dataio.write_stream(path, dataset.test_stream)
+    elif kind == "profile":
+        dataio.write_profile(path, profile)
+    elif kind == "platforms":
+        dataio.write_platforms(path, dataset.combos, dataset.platforms)
+    else:
+        dataio.write_trace(path, run_selection(
+            dataset.test_stream, profile, "p1",
+            dataset.config.frames_per_scenario))
+    text = path.read_text()
+    stamp = f'"format_version": {dataio.FORMAT_VERSION}'
+    assert stamp in text
+    path.write_text(text.replace(stamp, '"format_version": true', 1))
+    reader = getattr(dataio, f"read_{kind}")
+    with pytest.raises(error) as exc:
+        reader(path)
+    assert str(exc.value) == (
+        f"{path}{where}: format_version: expected an integer")
 
 
 def test_trace_reference_matches_profile_digest(tmp_path):

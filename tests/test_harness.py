@@ -164,6 +164,26 @@ def test_custom_error_model_rejects_negative_means():
         generate_synthetic(tiny_config(error_model=model))
 
 
+FULL_MODEL = {(i, h): 1.0 for i in range(3) for h in range(3)}
+
+
+@pytest.mark.parametrize("model, message", [
+    ([1.0], "must be a mapping"),
+    ({**FULL_MODEL, (7, 7): 0.0}, r"\(7, 7\)"),
+    ({**FULL_MODEL, "0,0": 0.0}, "'0,0'"),
+    ({(0, 0): 1.0}, "lacks entry for scenario 0, combo 1"),
+    ({**FULL_MODEL, (1, 2): -0.5}, r"error_model\[1, 2\]"),
+    ({**FULL_MODEL, (2, 0): "1.0"}, r"error_model\[2, 0\]"),
+    ({**FULL_MODEL, (2, 1): True}, r"error_model\[2, 1\]"),
+], ids=["list", "off-grid", "unparsed-key", "incomplete", "negative",
+        "string", "bool"])
+def test_validate_checks_the_error_model(model, message):
+    # the config checks its own error model, so a config that validates
+    # is one the generator can run
+    with pytest.raises(ConfigInvalid, match=message):
+        tiny_config(error_model=model).validate()
+
+
 def test_custom_error_model_respected():
     model = {(i, h): float(1 + i + 10 * h) for i in range(3) for h in range(3)}
     dataset = generate_synthetic(tiny_config(error_model=model))
@@ -381,3 +401,35 @@ def test_decision_quality_sweep_over_mean_scale(seed):
         regret.append(report.regret)
     assert accuracy[-1] == 1.0 and regret[-1] == 0.0
     assert all(lo <= hi for lo, hi in zip(accuracy, accuracy[1:])), accuracy
+
+
+STALL_SCALES = [4.0, 8.0, 16.0]
+
+
+def stalled_accuracy(dataset, profile, distinct):
+    """Match accuracy over the dataset's test stream when each window
+    repeats its first ``distinct`` frames."""
+    L, a = dataset.config.frames_per_scenario, dataset.config.dim_ambient
+    windows = dataset.test_stream.reshape(-1, L, a)
+    stalled = windows[:, np.arange(L) % distinct].reshape(-1, a)
+    trace = run_selection(stalled, profile, "p1", L)
+    return evaluate_regret(trace, dataset.window_truth).scenario_match_accuracy
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stalled_windows_over_mean_scale(seed):
+    # windows of rank 2 or 4 (3 or 5 distinct frames) fall below the
+    # subspace dimension, and the kernel distance misses many of them at
+    # the default mean_scale; only the trends and the point it already
+    # gets right are asserted
+    accuracy = {3: [], 5: []}
+    for scale in STALL_SCALES:
+        dataset = generate_synthetic(SyntheticConfig(seed=seed,
+                                                     mean_scale=scale))
+        profile = labeled_profile(dataset)
+        for distinct, curve in accuracy.items():
+            curve.append(stalled_accuracy(dataset, profile, distinct))
+    for curve in accuracy.values():
+        assert all(lo <= hi for lo, hi in zip(curve, curve[1:])), accuracy
+    assert all(a3 <= a5 for a3, a5 in zip(accuracy[3], accuracy[5])), accuracy
+    assert accuracy[5][-1] == 1.0, accuracy
