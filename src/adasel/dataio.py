@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -121,11 +122,23 @@ _PLATFORM_KEYS = {"id": _STR, "cost": _NUMBER,
                   "combo_capabilities": _NUMBER_MAP}
 
 
+class _NonFinite:
+    """A JSON ``NaN``, ``Infinity`` or ``-Infinity``: no type check takes it,
+    so a key that is read refuses it with the reader's error, and a key that
+    is not (the Infinity in an old profile's constraints) may hold it."""
+
+    def __init__(self, token):
+        self.token = token
+
+    def __repr__(self):
+        return self.token
+
+
 def _json_object(text, where, error) -> dict:
     """The JSON object in ``text``; text that is not JSON, or holds no
     object, raises ``error`` naming where."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not JSON ({exc})") from None
     return _require(doc, {}, where, error)
@@ -195,36 +208,55 @@ def _write_csv(path, header, rows) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-def _csv_rows(path, required) -> tuple[list[str], list[tuple[int, list]]]:
-    """The stripped header of the CSV file ``path`` and its non-blank rows,
-    each with its line number; the header must start with ``required``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedRow(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if header[:len(required)] != required:
-        raise MalformedRow(
-            f"{path}: header must start with {','.join(required)}")
-    return header, [(lineno, row) for lineno, row in enumerate(rows[1:], 2)
-                    if len(row) > 1 or (row and row[0].strip())]
-
-
-def _cell(kind, text, name, path, lineno):
+def _cell(kind, text, name, where):
     """``kind(text)``; a cell it cannot parse raises MalformedRow."""
     try:
         return kind(text)
     except ValueError:
+        raise MalformedRow(f"{where}: bad {name} value {text!r}") from None
+
+
+def _table_rows(path, ids) -> tuple[list[str], list[tuple]]:
+    """The stripped header of the CSV table ``path`` and a (line number,
+    key, error, remaining cells) tuple for each non-blank row.
+
+    The header starts with the columns of ``ids``, a {name: type} dict, and
+    then ``error``.  Each row has the header's width, non-empty ids that
+    parse by their types into a key no other row has (window ids ``0`` and
+    ``00`` are one key), and a finite error >= 0.
+    """
+    names = [*ids, "error"]
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise MalformedRow(f"{path}: empty file")
+    header = [h.strip() for h in lines[0]]
+    if header[:len(names)] != names:
         raise MalformedRow(
-            f"{path}:{lineno}: bad {name} value {text!r}") from None
-
-
-def _first_seen(seen: dict, key, what, path, lineno) -> None:
-    """Record the line of key's first row; a repeat raises DuplicateKey."""
-    if key in seen:
-        raise DuplicateKey(f"{path}:{lineno}: duplicate {what} {key} "
-                           f"(first seen at line {seen[key]})")
-    seen[key] = lineno
+            f"{path}: header must start with {','.join(names)}")
+    rows, seen = [], {}
+    for lineno, row in enumerate(lines[1:], 2):
+        where, cells = f"{path}:{lineno}", [c.strip() for c in row]
+        if cells in ([], [""]):
+            continue
+        if len(cells) != len(header):
+            raise MalformedRow(f"{where}: expected {len(header)} columns, "
+                               f"got {len(cells)}")
+        if not all(cells[:len(ids)]):
+            raise MalformedRow(f"{where}: empty id field")
+        key = tuple(_cell(kind, text, name, where)
+                    for (name, kind), text in zip(ids.items(), cells))
+        error = _cell(float, cells[len(ids)], "error", where)
+        if not math.isfinite(error):
+            raise MalformedRow(f"{where}: bad error value {cells[len(ids)]!r}")
+        if error < 0.0:
+            raise NegativeError(f"{where}: error must be >= 0, got {error}")
+        if key in seen:
+            raise DuplicateKey(f"{where}: duplicate {'/'.join(ids)} {key} "
+                               f"(first seen at line {seen[key]})")
+        seen[key] = lineno
+        rows.append((lineno, key, error, cells[len(names):]))
+    return header, rows
 
 
 # --------------------------------------------------------------------------
@@ -297,35 +329,16 @@ def write_performance_table(path, records: list[PerformanceRecord]) -> None:
 
 
 def read_performance_table(path) -> list[PerformanceRecord]:
-    """Parse a performance CSV; rejects duplicates and negative errors.
-
-    Header must start with scenario_id,combo_id,platform_id,error; any
-    further columns (MT, IDS, ...) must hold numbers or be empty, and are
-    not kept: design ranks combos by error alone.
-    """
-    header, rows = _csv_rows(
-        path, ["scenario_id", "combo_id", "platform_id", "error"])
-    records = []
-    seen: dict[tuple, int] = {}
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise MalformedRow(
-                f"{path}:{lineno}: expected {len(header)} columns, "
-                f"got {len(row)}")
-        sid, cid, pid = (c.strip() for c in row[:3])
-        if not sid or not cid or not pid:
-            raise MalformedRow(f"{path}:{lineno}: empty id field")
-        error = _cell(float, row[3], "error", path, lineno)
-        if error < 0.0:
-            raise NegativeError(
-                f"{path}:{lineno}: error must be >= 0, got {error}")
-        _first_seen(seen, (sid, cid, pid), "triple", path, lineno)
-        for name, cell in zip(header[4:], row[4:]):
-            if cell.strip():
-                _cell(float, cell.strip(), name, path, lineno)
-        records.append(PerformanceRecord(
-            scenario_id=sid, combo_id=cid, platform_id=pid, error=error))
-    return records
+    """Parse a performance CSV under the rules of ``_table_rows``; columns
+    after the error (MT, IDS, ...) must hold numbers or be empty, and are
+    not kept: design ranks combos by error alone."""
+    header, rows = _table_rows(
+        path, dict(scenario_id=str, combo_id=str, platform_id=str))
+    for lineno, _, _, rest in rows:
+        for name, cell in zip(header[4:], rest):
+            if cell:
+                _cell(float, cell, name, f"{path}:{lineno}")
+    return [PerformanceRecord(*key, error=error) for _, key, error, _ in rows]
 
 
 # --------------------------------------------------------------------------
@@ -515,20 +528,13 @@ def write_window_truth(path, truths: list[WindowTruth]) -> None:
 
 
 def read_window_truth(path) -> list[WindowTruth]:
-    """Parse window truth; rejects repeated (window, combo) pairs and rows of
-    one window that disagree on its true scenario id."""
-    _, rows = _csv_rows(path, ["window_id", "combo_id", "error"])
+    """Parse window truth under the rules of ``_table_rows``; the rows of one
+    window must agree on its true scenario id, an optional fourth column."""
+    _, rows = _table_rows(path, dict(window_id=int, combo_id=str))
     by_window: dict[int, WindowTruth] = {}
-    seen: dict[tuple[int, str], int] = {}
     first_line: dict[int, int] = {}
-    for lineno, row in rows:
-        if len(row) < 3:
-            raise MalformedRow(f"{path}:{lineno}: expected >= 3 columns")
-        wid = _cell(int, row[0], "window_id", path, lineno)
-        error = _cell(float, row[2], "error", path, lineno)
-        key = (wid, row[1].strip())
-        _first_seen(seen, key, "(window, combo)", path, lineno)
-        sid = row[3].strip() if len(row) > 3 and row[3].strip() else None
+    for lineno, (wid, cid), error, rest in rows:
+        sid = rest[0] if rest and rest[0] else None
         truth = by_window.setdefault(
             wid, WindowTruth(window_id=wid, true_scenario_id=sid, errors={}))
         first_line.setdefault(wid, lineno)
@@ -537,7 +543,7 @@ def read_window_truth(path) -> list[WindowTruth]:
                 f"{path}:{lineno}: window {wid} has true_scenario_id "
                 f"{sid!r}, but line {first_line[wid]} gave "
                 f"{truth.true_scenario_id!r}")
-        truth.errors[key[1]] = error
+        truth.errors[cid] = error
     return [by_window[w] for w in sorted(by_window)]
 
 
@@ -578,14 +584,18 @@ def _index_pair(key: str) -> tuple[int, int]:
 
 
 def read_synth_config(path, default_seed: int) -> SyntheticConfig:
-    """SyntheticConfig from a JSON file, error_model's "i,h" keys read as
-    (i, h) pairs; unknown keys are rejected, and validate checks the rest."""
+    """The validated SyntheticConfig in a JSON file, error_model's "i,h" keys
+    read as (i, h) pairs; every error is a ConfigInvalid naming the file."""
     doc = _json_object(Path(path).read_text(), path, ConfigInvalid)
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    if type(model := doc.get("error_model")) is dict:
-        doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
-    doc.setdefault("seed", default_seed)
-    return SyntheticConfig(**doc)
+    try:
+        if unknown := set(doc) - known:
+            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+        if type(model := doc.get("error_model")) is dict:
+            doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
+        doc.setdefault("seed", default_seed)
+        config = SyntheticConfig(**doc)
+        config.validate()
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from None
+    return config

@@ -36,8 +36,9 @@ ERROR_NOISE = 0.5  # half-width of the uniform noise on a window's true errors
 
 
 def _is_number(value, kind) -> bool:
-    """isinstance for numbers, with bool (a subclass of int) excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """isinstance for finite numbers, bool (a subclass of int) excluded."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) < np.inf)
 
 
 @dataclass
@@ -68,7 +69,7 @@ class SyntheticConfig:
                     f"{f.name} must be an integer, got {value!r}")
             if type(f.default) is float and not _is_number(value, Real):
                 raise ConfigInvalid(
-                    f"{f.name} must be a number, got {value!r}")
+                    f"{f.name} must be a finite number, got {value!r}")
         checks = [
             (self.dim_ambient >= 2, "dim_ambient must be >= 2"),
             (self.dim_subspace >= 1, "dim_subspace must be >= 1"),
@@ -102,7 +103,7 @@ class SyntheticConfig:
             value = model[(i, h)]
             if not _is_number(value, Real) or value < 0.0:
                 raise ConfigInvalid(
-                    f"error_model[{i}, {h}] must be a number >= 0, "
+                    f"error_model[{i}, {h}] must be a finite number >= 0, "
                     f"got {value!r}")
 
 

@@ -70,6 +70,17 @@ def test_dataio_parses_json_in_one_place():
     assert len(calls) == 1, calls
 
 
+def test_dataio_reads_csv_in_one_place():
+    # the performance table and the window truth go through one table
+    # reader, so every row rule is stated once
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", ""))
+             == "reader"]
+    assert len(calls) == 1, calls
+
+
 def test_dataio_checks_json_scalars_by_exact_type():
     # bool is a subclass of int and passes isinstance against int, float,
     # Integral and Real, so a JSON true would read as a number; every JSON

@@ -232,7 +232,8 @@ def test_synth_config_naming_a_fixed_setting_exits_1(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "ConfigInvalid: unknown config keys" in err and name in err
+        assert f"ConfigInvalid: {cfg}: unknown config keys" in err
+        assert name in err
 
 
 def test_synth_config_bad_error_model_key_exits_1(tmp_path, capsys):
@@ -240,7 +241,7 @@ def test_synth_config_bad_error_model_key_exits_1(tmp_path, capsys):
     rc = main(["synth", "--config", str(cfg),
                "--out-dir", str(tmp_path / "x")])
     assert rc == 1
-    assert "error: ConfigInvalid: error_model key '1'" in \
+    assert f"error: ConfigInvalid: {cfg}: error_model key '1'" in \
         capsys.readouterr().err
 
 
@@ -270,7 +271,21 @@ def test_synth_config_string_dimension_exits_1(tmp_path, capsys):
     rc = main(["synth", "--config", str(cfg),
                "--out-dir", str(tmp_path / "x")])
     assert rc == 1
-    assert "error: ConfigInvalid: dim_ambient" in capsys.readouterr().err
+    assert (f"error: ConfigInvalid: {cfg}: dim_ambient"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim_ambient": "16"}, {"error_model": {"1": 2.0}},
+    {"error_model": {"0,0": 1.0}}],
+    ids=["string-dimension", "bad-error-model-key", "incomplete-error-model"])
+def test_synth_config_errors_name_the_file(tmp_path, capsys, doc):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["synth", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert f"error: ConfigInvalid: {cfg}: " in capsys.readouterr().err
 
 
 def test_select_and_eval_take_no_seed(tmp_path, capsys):

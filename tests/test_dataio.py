@@ -1,3 +1,4 @@
+import functools
 import json
 import struct
 import tracemalloc
@@ -8,10 +9,11 @@ import pytest
 from adasel import dataio
 from adasel.design import (PerformanceRecord, SelectionConstraints,
                            build_design_profile)
-from adasel.errors import (BadMagic, DimensionMismatch, DimensionOverflow,
-                           DuplicateKey, MalformedRow, ManifestInvalid,
-                           NegativeError, NonFiniteFeatures, NotOrthonormal,
-                           TruncatedPayload, UnsupportedVersion)
+from adasel.errors import (BadMagic, ConfigInvalid, DimensionMismatch,
+                           DimensionOverflow, DuplicateKey, MalformedRow,
+                           ManifestInvalid, NegativeError, NonFiniteFeatures,
+                           NotOrthonormal, TruncatedPayload,
+                           UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import run_selection
 
@@ -273,6 +275,43 @@ def test_performance_table_malformed_rows(tmp_path):
     path.write_text("wrong,header,entirely,here\n")
     with pytest.raises(MalformedRow):
         dataio.read_performance_table(path)
+
+
+TRUTH = "window_id,combo_id,error,true_scenario_id\n"
+TRUTH3 = "window_id,combo_id,error\n"
+PERF = "scenario_id,combo_id,platform_id,error\n"
+
+
+@pytest.mark.parametrize("table, text, error, message", [
+    ("window_truth", TRUTH + "0,c00,1.0\n", MalformedRow,
+     "2: expected 4 columns, got 3"),
+    ("window_truth", TRUTH3 + "0,c00,1.0,s000\n", MalformedRow,
+     "2: expected 3 columns, got 4"),
+    ("window_truth", TRUTH3 + "0,,1.0\n", MalformedRow, "2: empty id field"),
+    ("window_truth", TRUTH3 + "0,c00,-1.0\n", NegativeError,
+     "2: error must be >= 0, got -1.0"),
+    ("window_truth", TRUTH3 + "0,c00,nan\n", MalformedRow,
+     "2: bad error value 'nan'"),
+    ("window_truth", TRUTH3 + "0,c00,inf\n", MalformedRow,
+     "2: bad error value 'inf'"),
+    ("performance_table", PERF + "s000,c00,p1,nan\ns000,c01,p1,2.0\n",
+     MalformedRow, "2: bad error value 'nan'"),
+    ("performance_table", PERF + "s000,c00,p1,inf\n", MalformedRow,
+     "2: bad error value 'inf'"),
+    ("window_truth", TRUTH3 + "0,c00,1.0\n00,c00,2.0\n", DuplicateKey,
+     "3: duplicate window_id/combo_id (0, 'c00') (first seen at line 2)"),
+], ids=["truth-short-row", "truth-extra-cell", "truth-empty-combo",
+        "truth-negative", "truth-nan", "truth-inf", "perf-nan", "perf-inf",
+        "truth-0-and-00"])
+def test_both_csv_tables_follow_one_set_of_row_rules(
+        tmp_path, table, text, error, message):
+    # a row has the header's width, non-empty ids, a finite error >= 0 and
+    # a key no other row has, in the performance table and the window truth
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        getattr(dataio, f"read_{table}")(path)
+    assert str(exc.value) == f"{path}:{message}"
 
 
 # --------------------------------------------------------------------------
@@ -887,3 +926,40 @@ def test_trace_future_version_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(UnsupportedVersion):
         dataio.read_trace(path)
+
+
+@pytest.mark.parametrize("kind, token", [
+    ("platforms", "NaN"), ("synth_config", "Infinity"), ("trace", "-Infinity")])
+def test_json_nan_and_infinity_are_rejected_naming_the_file(
+        tmp_path, kind, token):
+    # json.loads reads NaN, Infinity and -Infinity as floats; a number that
+    # any reader reads must be finite
+    path = tmp_path / f"{kind}.json"
+    if kind == "platforms":
+        dataset, _ = pipeline_profile()
+        dataio.write_platforms(path, dataset.combos, dataset.platforms)
+        doc = json.loads(path.read_text())
+        doc["platforms"][0]["cost"] = float(token)
+        path.write_text(json.dumps(doc))
+        read = dataio.read_platforms
+        error, where = ManifestInvalid, f"{path}: platforms[0]: cost"
+    elif kind == "synth_config":
+        path.write_text(json.dumps({"mean_scale": float(token)}))
+        read = functools.partial(dataio.read_synth_config, default_seed=1)
+        error, where = ConfigInvalid, f"{path}: mean_scale"
+    else:
+        dataset, profile = pipeline_profile()
+        dataio.write_trace(path, run_selection(
+            dataset.test_stream, profile, "p1",
+            dataset.config.frames_per_scenario))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["elapsed_ms"] = float(token)
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        read = dataio.read_trace
+        error, where = MalformedRow, f"{path}:2: elapsed_ms"
+    assert token in path.read_text()
+    with pytest.raises(error) as exc:
+        read(path)
+    assert str(exc.value).startswith(where)

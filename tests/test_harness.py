@@ -184,6 +184,19 @@ def test_validate_checks_the_error_model(model, message):
         tiny_config(error_model=model).validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"mean_scale": float("nan")}, {"mean_scale": float("inf")},
+    {"mean_scale": float("-inf")}, {"noise_sigma": float("inf")},
+    {"error_model": {**FULL_MODEL, (0, 0): float("nan")}}],
+    ids=["mean-scale-nan", "mean-scale-inf", "mean-scale-minus-inf",
+         "noise-sigma-inf", "error-model-nan"])
+def test_validate_rejects_non_finite_numbers(overrides):
+    # a non-finite mean_scale or noise_sigma generates non-finite frames, and
+    # a NaN error_model entry writes error=nan into the performance table
+    with pytest.raises(ConfigInvalid, match="must be a finite number"):
+        tiny_config(**overrides).validate()
+
+
 def test_custom_error_model_respected():
     model = {(i, h): float(1 + i + 10 * h) for i in range(3) for h in range(3)}
     dataset = generate_synthetic(tiny_config(error_model=model))
