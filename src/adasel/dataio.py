@@ -9,10 +9,11 @@ round-trip exactly.  Matrices use a fixed little-endian binary layout (magic
 are written with sorted keys and repr-exact floats so that identical
 inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
-A version 4 profile stores only what selection reads, and every array in it
-is a matrix sidecar: each scenario's basis and its representative feature
-(a 1 x a matrix).  Profiles of versions 1 to 3, which held the features as
-inline JSON lists, are not read; ``adasel profile`` writes them anew.
+A version 5 profile stores only what selection reads, and each scenario's
+arrays are one matrix sidecar: its a x b basis with its representative
+feature as one more column.  Profiles of versions 1 to 4, which held the
+feature inline or in a sidecar of its own, are not read; ``adasel profile``
+writes them anew.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .runtime import SelectionDecision, SelectionTrace
 from .subspace import ORTHO_TOL
 
 MATRIX_MAGIC = b"ADSLMAT1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 REPORT_VERSION = 1
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
@@ -112,9 +113,8 @@ _PROFILE_KEYS = {"config": _OBJECT, "selected_platform": _STR,
                  "scenarios": _LIST}
 _CONFIG_KEYS = {"dim_ambient": _INT, "dim_subspace": _INT,
                 "window_length": _INT}
-_SCENARIO_KEYS = {"scenario_id": _STR, "basis_file": _STR,
-                  "feature_file": _STR, "member_count": _INT,
-                  "labels": _STR_MAP}
+_SCENARIO_KEYS = {"scenario_id": _STR, "matrix_file": _STR,
+                  "member_count": _INT, "labels": _STR_MAP}
 _PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
 _COMBO_KEYS = {"id": _STR, "algorithm": _STR, "fps": _NUMBER,
                "resolution": _INT_LIST}
@@ -209,11 +209,14 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _cell(kind, text, name, where):
-    """``kind(text)``; a cell it cannot parse raises MalformedRow."""
+    """``kind(text)``; a cell it cannot parse, or an int cell that is not
+    plain ASCII digits (``int`` takes ``1_0`` and ``-1``), is MalformedRow."""
     try:
-        return kind(text)
+        if kind is not int or text.isascii() and text.isdigit():
+            return kind(text)
     except ValueError:
-        raise MalformedRow(f"{where}: bad {name} value {text!r}") from None
+        pass
+    raise MalformedRow(f"{where}: bad {name} value {text!r}")
 
 
 def _table_rows(path, ids) -> tuple[list[str], list[tuple]]:
@@ -222,8 +225,8 @@ def _table_rows(path, ids) -> tuple[list[str], list[tuple]]:
 
     The header starts with the columns of ``ids``, a {name: type} dict, and
     then ``error``.  Each row has the header's width, non-empty ids that
-    parse by their types into a key no other row has (window ids ``0`` and
-    ``00`` are one key), and a finite error >= 0.
+    parse by their types (an int as plain digits) into a key no other row
+    has (window ids ``0`` and ``00`` are one key), and a finite error >= 0.
     """
     names = [*ids, "error"]
     with open(path, newline="") as fh:
@@ -345,8 +348,9 @@ def read_performance_table(path) -> list[PerformanceRecord]:
 # design profiles (JSON + matrix sidecars)
 
 def _profile_doc(profile: DesignProfile, ref) -> dict:
-    """The profile's JSON document, in which ``ref(scenario, kind, matrix)``
-    names each array: kind is "basis" or "feature"."""
+    """The profile's JSON document, in which ``ref(scenario, matrix)`` names
+    each scenario's a x (b+1) matrix: columns 0..b-1 hold the basis and
+    column b the representative feature."""
     cfg = profile.config
     return {
         "format_version": FORMAT_VERSION,
@@ -360,8 +364,8 @@ def _profile_doc(profile: DesignProfile, ref) -> dict:
             "scenario_id": s.scenario_id,
             "member_count": int(s.member_count),
             "labels": s.labels,
-            "feature_file": ref(s, "feature", [s.representative_feature]),
-            "basis_file": ref(s, "basis", s.basis),
+            "matrix_file": ref(s, np.column_stack(
+                (s.basis, s.representative_feature))),
         } for s in profile.scenarios],
     }
 
@@ -369,27 +373,18 @@ def _profile_doc(profile: DesignProfile, ref) -> dict:
 def write_profile(path, profile: DesignProfile) -> None:
     path = Path(path)
 
-    def sidecar(s, kind, matrix) -> str:
-        name = f"{path.stem}.{s.scenario_id}.{kind}.mat"
+    def sidecar(s, matrix) -> str:
+        name = f"{path.stem}.{s.scenario_id}.mat"
         write_matrix(path.parent / name, matrix)
         return name
 
     path.write_text(_canonical_json(_profile_doc(profile, sidecar)))
 
 
-def _read_sidecar(path, name, shape) -> np.ndarray:
-    """The matrix in the profile sidecar ``path``, which must have ``shape``
-    and only finite entries; errors name the sidecar."""
-    M = read_matrix(path)
-    if M.shape != shape:
-        raise DimensionMismatch(f"{path}: {name} has shape {M.shape}; "
-                                f"the profile config needs {shape}")
-    if not np.isfinite(M).all():
-        raise NonFiniteFeatures(f"{path}: {name} contains NaN or Inf")
-    return M
-
-
 def read_profile(path) -> DesignProfile:
+    """The profile in ``path``; each scenario's sidecar must hold an
+    a x (b+1) finite matrix whose first b columns are orthonormal, and each
+    error names the sidecar."""
     path = Path(path)
     doc = _read_doc(path, _PROFILE_KEYS)
     cfg = _require(doc["config"], _CONFIG_KEYS, f"{path}: config")
@@ -409,15 +404,20 @@ def read_profile(path) -> DesignProfile:
         raise ManifestInvalid(f"{path}: scenarios: expected at least one")
     scenarios = []
     for s in _entries(doc, "scenarios", _SCENARIO_KEYS, path, "scenario_id"):
-        basis_path = path.parent / s["basis_file"]
-        basis = _read_sidecar(basis_path, "basis", (a, b))
+        sidecar = path.parent / s["matrix_file"]
+        M = read_matrix(sidecar)
+        if M.shape != (a, b + 1):
+            raise DimensionMismatch(
+                f"{sidecar}: matrix has shape {M.shape}; the profile config "
+                f"needs {(a, b + 1)}, a basis and a representative feature")
+        if not np.isfinite(M).all():
+            raise NonFiniteFeatures(f"{sidecar}: matrix contains NaN or Inf")
+        basis = M[:, :b]
         if np.abs(basis.T @ basis - np.eye(b)).max() > ORTHO_TOL:
             raise NotOrthonormal(
-                f"{basis_path}: basis columns are not orthonormal")
-        feature = _read_sidecar(path.parent / s["feature_file"],
-                                "representative feature", (1, a))[0]
+                f"{sidecar}: basis columns are not orthonormal")
         scenarios.append(ScenarioProfile(
-            scenario_id=s["scenario_id"], representative_feature=feature,
+            scenario_id=s["scenario_id"], representative_feature=M[:, b],
             basis=basis, member_count=s["member_count"],
             labels=dict(s["labels"])))
     return DesignProfile(scenarios=scenarios,
@@ -427,9 +427,9 @@ def read_profile(path) -> DesignProfile:
 
 def profile_digest(profile: DesignProfile) -> str:
     """Content hash of a profile, independent of where its files live: the
-    sha256 of its canonical JSON with each basis and each representative
-    feature replaced by the sha256 of its ``<f8`` bytes."""
-    doc = _profile_doc(profile, lambda s, kind, matrix: hashlib.sha256(
+    sha256 of its canonical JSON with each scenario's matrix (basis and
+    representative feature) replaced by the sha256 of its ``<f8`` bytes."""
+    doc = _profile_doc(profile, lambda s, matrix: hashlib.sha256(
         np.ascontiguousarray(matrix, dtype="<f8")).hexdigest())
     return hashlib.sha256(_canonical_json(doc).encode()).hexdigest()
 

@@ -314,6 +314,18 @@ def test_both_csv_tables_follow_one_set_of_row_rules(
     assert str(exc.value) == f"{path}:{message}"
 
 
+@pytest.mark.parametrize("cell", ["1_0", "+3", "-1", "\u0663"],
+                         ids=["underscore", "plus", "minus", "arabic-indic"])
+def test_window_truth_ids_are_plain_digits(tmp_path, cell):
+    # int() reads each of these as a window (10, 3, -1, 3), so a typo could
+    # land on a real window; an id is ASCII digits or the row is malformed
+    path = tmp_path / "truth.csv"
+    path.write_text(TRUTH3 + f"{cell},c00,1.0\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as exc:
+        dataio.read_window_truth(path)
+    assert str(exc.value) == f"{path}:2: bad window_id value {cell!r}"
+
+
 # --------------------------------------------------------------------------
 # design profiles
 
@@ -336,18 +348,33 @@ def test_profile_round_trip(tmp_path):
 
 def test_profile_writes_the_json_and_only_the_sidecars_its_scenarios_name(
         tmp_path):
-    # every array is a sidecar named by a scenario's *_file key, so the json
-    # plus those files is the whole profile (perfbench sizes it that way)
+    # each scenario's arrays are one sidecar named by its *_file key, so the
+    # json plus those M files is the whole profile (perfbench sizes it that
+    # way)
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     doc = json.loads(path.read_text())
     for s in doc["scenarios"]:
         assert set(s) == {"scenario_id", "member_count", "labels",
-                          "basis_file", "feature_file"}
+                          "matrix_file"}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["profile.json"] + [v for s in doc["scenarios"]
                             for k, v in s.items() if k.endswith("_file")])
+    assert len(list(tmp_path.iterdir())) == 1 + len(profile.scenarios)
+
+
+def test_read_profile_reads_one_matrix_per_scenario(tmp_path, monkeypatch):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    calls = []
+    read_matrix = dataio.read_matrix
+    monkeypatch.setattr(dataio, "read_matrix",
+                        lambda p: calls.append(p) or read_matrix(p))
+    dataio.read_profile(path)
+    assert calls == [tmp_path / f"profile.{s.scenario_id}.mat"
+                     for s in profile.scenarios]
 
 
 def test_profile_serialization_deterministic(tmp_path):
@@ -359,10 +386,9 @@ def test_profile_serialization_deterministic(tmp_path):
     dataio.write_profile(p2, profile)
     assert p1.read_bytes() == p2.read_bytes()
     for s in profile.scenarios:
-        for kind in ("basis", "feature"):
-            name = f"profile.{s.scenario_id}.{kind}.mat"
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
+        name = f"profile.{s.scenario_id}.mat"
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
 def test_profile_future_version_rejected(tmp_path):
@@ -394,7 +420,7 @@ def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
     # per scenario; the reader reads none of it, opens no such file, and
     # refuses only a newer stamp.  Their features were inline, which is
     # refused as in the version 3 test below, so the document edited here
-    # keeps the feature sidecars just written
+    # keeps the sidecars just written
     dataset, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
@@ -433,21 +459,47 @@ def test_profile_version_3_with_inline_features_raises_manifest_invalid(
     doc = json.loads(path.read_text())
     doc["format_version"] = 3
     for s, entry in zip(profile.scenarios, doc["scenarios"]):
-        del entry["feature_file"]
+        entry["basis_file"] = entry.pop("matrix_file")
         entry["representative_feature"] = s.representative_feature.tolist()
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestInvalid) as exc:
         dataio.read_profile(path)
     assert str(exc.value) == (
-        f"{path}: scenarios[0]: missing key 'feature_file'")
+        f"{path}: scenarios[0]: missing key 'matrix_file'")
+
+
+def test_profile_version_4_with_a_sidecar_per_array_raises_manifest_invalid(
+        tmp_path):
+    # version 4 kept each scenario's basis and its 1 x a representative
+    # feature in two sidecars, basis_file and feature_file; such a profile is
+    # not read, and is written anew
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 4
+    for s, entry in zip(profile.scenarios, doc["scenarios"]):
+        del entry["matrix_file"]
+        for kind, matrix in [("basis", s.basis),
+                             ("feature", [s.representative_feature])]:
+            name = f"profile.{s.scenario_id}.{kind}.mat"
+            entry[f"{kind}_file"] = name
+            dataio.write_matrix(tmp_path / name, matrix)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (
+        f"{path}: scenarios[0]: missing key 'matrix_file'")
 
 
 def test_profile_rejects_basis_of_wrong_shape(tmp_path):
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
-    sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.basis.mat"
-    dataio.write_matrix(sidecar, profile.scenarios[1].basis[:, :-1])
+    s = profile.scenarios[1]
+    sidecar = tmp_path / f"profile.{s.scenario_id}.mat"
+    dataio.write_matrix(sidecar, np.column_stack(
+        (s.basis[:, :-1], s.representative_feature)))
     with pytest.raises(DimensionMismatch, match=sidecar.name):
         dataio.read_profile(path)
 
@@ -456,8 +508,7 @@ def test_profile_rejects_non_orthonormal_basis_naming_the_sidecar(tmp_path):
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
-    sidecar = (tmp_path
-               / f"profile.{profile.scenarios[1].scenario_id}.basis.mat")
+    sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.mat"
     dataio.write_matrix(sidecar, 2.0 * dataio.read_matrix(sidecar))
     with pytest.raises(NotOrthonormal) as exc:
         dataio.read_profile(path)
@@ -467,9 +518,9 @@ def test_profile_rejects_non_orthonormal_basis_naming_the_sidecar(tmp_path):
 @pytest.mark.parametrize("b", [0, 12], ids=["zero", "ambient"])
 def test_profile_rejects_subspace_dim_out_of_range_naming_the_profile(
         tmp_path, b):
-    # every basis sidecar gets the shape the edited config names, 12 x 0
-    # (header only) or a square orthogonal matrix, so only the range of b
-    # is wrong
+    # every sidecar gets the shape the edited config names, a 12 x 0 basis
+    # or a square orthogonal one beside a feature column, so only the range
+    # of b is wrong
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
@@ -478,9 +529,9 @@ def test_profile_rejects_subspace_dim_out_of_range_naming_the_profile(
     doc["config"]["window_length"] = b + 1
     path.write_text(json.dumps(doc))
     for s in doc["scenarios"]:
-        (tmp_path / s["basis_file"]).write_bytes(
-            dataio.MATRIX_MAGIC + struct.pack("<QQ", 12, b)
-            + np.eye(12)[:, :b].astype("<f8").tobytes())
+        (tmp_path / s["matrix_file"]).write_bytes(
+            dataio.MATRIX_MAGIC + struct.pack("<QQ", 12, b + 1)
+            + np.eye(12, b + 1).astype("<f8").tobytes())
     with pytest.raises(DimensionMismatch) as exc:
         dataio.read_profile(path)
     assert str(exc.value) == (
@@ -493,13 +544,14 @@ def test_profile_rejects_representative_feature_of_wrong_length(tmp_path):
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     s = profile.scenarios[1]
-    sidecar = tmp_path / f"profile.{s.scenario_id}.feature.mat"
-    dataio.write_matrix(sidecar, [s.representative_feature[:-1]])
+    sidecar = tmp_path / f"profile.{s.scenario_id}.mat"
+    dataio.write_matrix(sidecar, np.column_stack(
+        (s.basis[:-1], s.representative_feature[:-1])))
     with pytest.raises(DimensionMismatch) as exc:
         dataio.read_profile(path)
     assert str(exc.value) == (
-        f"{sidecar}: representative feature has shape (1, 11); the profile "
-        "config needs (1, 12)")
+        f"{sidecar}: matrix has shape (11, 3); the profile config needs "
+        "(12, 3), a basis and a representative feature")
 
 
 @pytest.mark.parametrize("kind", ["basis", "feature"])
@@ -510,10 +562,9 @@ def test_profile_sidecar_with_a_nan_raises_non_finite_features(tmp_path,
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
-    sidecar = (tmp_path
-               / f"profile.{profile.scenarios[1].scenario_id}.{kind}.mat")
+    sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.mat"
     M = dataio.read_matrix(sidecar)
-    M[0, 1] = np.nan
+    M[0, {"basis": 1, "feature": -1}[kind]] = np.nan
     dataio.write_matrix(sidecar, M)
     with pytest.raises(NonFiniteFeatures) as exc:
         dataio.read_profile(path)
@@ -633,11 +684,12 @@ def test_profile_scenario_without_a_key_raises_manifest_invalid(tmp_path):
     path = tmp_path / "profile.json"
     dataio.write_profile(path, profile)
     doc = json.loads(path.read_text())
-    del doc["scenarios"][1]["basis_file"]
+    del doc["scenarios"][1]["matrix_file"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestInvalid) as exc:
         dataio.read_profile(path)
-    assert str(exc.value) == f"{path}: scenarios[1]: missing key 'basis_file'"
+    assert str(exc.value) == (
+        f"{path}: scenarios[1]: missing key 'matrix_file'")
 
 
 def test_platforms_combo_without_a_key_raises_manifest_invalid(tmp_path):
