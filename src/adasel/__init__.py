@@ -8,11 +8,10 @@ geodesic-flow kernel on the Grassmann manifold of feature subspaces, and
 the scenario's label becomes the window's selection.
 """
 
-from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
-                     PlatformSpec, ProfileConfig, ScenarioProfile,
-                     SelectionConstraints, build_design_profile,
-                     cluster_scenarios, feasible_combos, label_scenarios,
-                     select_platform)
+from .design import (AlgoParamCombo, DesignProfile, PlatformSpec,
+                     ProfileConfig, ScenarioProfile, SelectionConstraints,
+                     build_design_profile, cluster_scenarios, feasible_combos,
+                     label_scenarios, select_platform)
 from .gfk import gfk_kernel, kernel_integral_oracle, similarity
 from .harness import (RegretReport, SyntheticConfig, SyntheticDataset,
                       WindowTruth, evaluate_regret, generate_synthetic)
@@ -26,7 +25,7 @@ from .subspace import (PrincipalDecomposition, SubspaceBasis,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgoParamCombo", "DesignProfile", "PerformanceRecord", "PlatformSpec",
+    "AlgoParamCombo", "DesignProfile", "PlatformSpec",
     "PrincipalDecomposition", "ProfileConfig", "RegretReport",
     "ScenarioProfile", "SelectionConstraints", "SelectionDecision",
     "SelectionTrace", "SubspaceBasis", "SyntheticConfig", "SyntheticDataset",

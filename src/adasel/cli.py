@@ -71,7 +71,7 @@ def cmd_profile(args) -> int:
         max_cost=args.max_cost)
     profile = build_design_profile(
         stream.frames, combos, platforms, performance, constraints,
-        n_scenarios=len({r.scenario_id for r in performance}),
+        n_scenarios=len({sid for sid, _, _ in performance}),
         subspace_dim=args.subspace_dim,
         window_length=args.window_length, seed=args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -27,14 +27,14 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
-                     PlatformSpec, ProfileConfig, ScenarioProfile,
-                     check_window_length)
+from .design import (AlgoParamCombo, DesignProfile, PlatformSpec,
+                     ProfileConfig, ScenarioProfile, check_window_length)
 from .errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                      DimensionOverflow, DuplicateKey, MalformedRow,
                      ManifestInvalid, Misaligned, NegativeError,
@@ -104,22 +104,14 @@ _EXPECTED = {_INT: "an integer", _NUMBER: "a number", _STR: "a string",
              _LIST: "a JSON list", _OBJECT: "a JSON object"}
 # (container, element types): each element of a list, or each value of an
 # object, must be of one of the element types
-_STR_LIST, _INT_LIST = (_LIST, _STR), (_LIST, _INT)
-_NUMBER_LIST = (_LIST, _NUMBER)
-_STR_MAP, _NUMBER_MAP = (_OBJECT, _STR), (_OBJECT, _NUMBER)
+_STR_LIST, _STR_MAP = (_LIST, _STR), (_OBJECT, _STR)
 
 _STREAM_KEYS = {"dim": _INT, "frame_count": _INT, "matrices": _STR_LIST}
 _PROFILE_KEYS = {"config": _OBJECT, "selected_platform": _STR,
                  "scenarios": _LIST}
-_CONFIG_KEYS = {"dim_ambient": _INT, "dim_subspace": _INT,
-                "window_length": _INT}
 _SCENARIO_KEYS = {"scenario_id": _STR, "matrix_file": _STR,
                   "member_count": _INT, "labels": _STR_MAP}
 _PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
-_COMBO_KEYS = {"id": _STR, "algorithm": _STR, "fps": _NUMBER,
-               "resolution": _INT_LIST}
-_PLATFORM_KEYS = {"id": _STR, "cost": _NUMBER,
-                  "combo_capabilities": _NUMBER_MAP}
 
 
 class _NonFinite:
@@ -177,12 +169,13 @@ def _check_version(doc, where, error) -> None:
             f"({FORMAT_VERSION})")
 
 
-def _entries(doc, name, spec, path, id_key="id") -> list[dict]:
-    """The entries of the list ``doc[name]``, each checked against spec;
-    two entries with one ``id_key`` value raise DuplicateKey."""
-    entries = [_require(entry, spec, f"{path}: {name}[{i}]")
+def _entries(doc, name, read, path, id_key="id") -> list:
+    """``read(entry, where=...)`` of each entry of the list ``doc[name]``,
+    which checks that the entry holds ``id_key``; two entries with one
+    ``id_key`` value raise DuplicateKey."""
+    entries = [read(entry, where=f"{path}: {name}[{i}]")
                for i, entry in enumerate(doc[name])]
-    ids = [entry[id_key] for entry in entries]
+    ids = [entry[id_key] for entry in doc[name]]
     for i, key in enumerate(ids):
         if (j := ids.index(key)) != i:
             raise DuplicateKey(f"{path}: {name}[{j}] and {name}[{i}] "
@@ -195,6 +188,41 @@ def _read_doc(path, spec) -> dict:
     doc = _json_object(Path(path).read_text(), path, ManifestInvalid)
     _check_version(doc, path, ManifestInvalid)
     return _require(doc, spec, path)
+
+
+# a record is a dataclass written as a JSON object of its fields; each field
+# annotation gives (its JSON types, the write conversion, the read one), and
+# a read of None keeps the checked value as read
+_FIELD_TYPES = {
+    int: (_INT, int, None), float: (_NUMBER, float, None),
+    str: (_STR, str, None),
+    tuple[int, int]: ((_LIST, _INT), lambda v: [int(x) for x in v], tuple),
+    dict[str, float]: ((_OBJECT, _NUMBER),
+                       lambda v: {k: float(x) for k, x in v.items()}, dict),
+    np.ndarray: ((_LIST, _NUMBER), np.ndarray.tolist, np.asarray),
+}
+# each record class's fields in declaration order with their _FIELD_TYPES
+# entries, and its _require spec; derived once (get_type_hints is slow)
+_RECORDS = {cls: {name: _FIELD_TYPES[hint]
+                  for name, hint in get_type_hints(cls).items()}
+            for cls in (AlgoParamCombo, PlatformSpec, ProfileConfig,
+                        SelectionDecision)}
+_RECORD_KEYS = {cls: {name: kinds for name, (kinds, _, _) in fields.items()}
+                for cls, fields in _RECORDS.items()}
+
+
+def _record_doc(record) -> dict:
+    """The JSON object of a record: each field by its write conversion."""
+    return {name: write(getattr(record, name))
+            for name, (_, write, _) in _RECORDS[type(record)].items()}
+
+
+def _record(cls, entry, where, error=ManifestInvalid):
+    """The cls record in the JSON object ``entry``, checked by ``_require``
+    against its fields' JSON types; errors name where."""
+    _require(entry, _RECORD_KEYS[cls], where, error)
+    return cls(**{name: read(entry[name]) if read else entry[name]
+                  for name, (_, _, read) in _RECORDS[cls].items()})
 
 
 # --------------------------------------------------------------------------
@@ -325,23 +353,25 @@ def read_stream(manifest_path) -> FeatureStream:
 # --------------------------------------------------------------------------
 # performance tables (CSV)
 
-def write_performance_table(path, records: list[PerformanceRecord]) -> None:
+def write_performance_table(
+        path, table: dict[tuple[str, str, str], float]) -> None:
+    """One row per key of ``table``, in its order."""
     _write_csv(path, ["scenario_id", "combo_id", "platform_id", "error"],
-               ([r.scenario_id, r.combo_id, r.platform_id,
-                 repr(float(r.error))] for r in records))
+               ([*key, repr(float(error))] for key, error in table.items()))
 
 
-def read_performance_table(path) -> list[PerformanceRecord]:
-    """Parse a performance CSV under the rules of ``_table_rows``; columns
-    after the error (MT, IDS, ...) must hold numbers or be empty, and are
-    not kept: design ranks combos by error alone."""
+def read_performance_table(path) -> dict[tuple[str, str, str], float]:
+    """{(scenario id, combo id, platform id): error}, in file order, of a
+    performance CSV under the rules of ``_table_rows``; columns after the
+    error (MT, IDS, ...) must hold numbers or be empty, and are not kept:
+    design ranks combos by error alone."""
     header, rows = _table_rows(
         path, dict(scenario_id=str, combo_id=str, platform_id=str))
     for lineno, _, _, rest in rows:
         for name, cell in zip(header[4:], rest):
             if cell:
                 _cell(float, cell, name, f"{path}:{lineno}")
-    return [PerformanceRecord(*key, error=error) for _, key, error, _ in rows]
+    return {key: error for _, key, error, _ in rows}
 
 
 # --------------------------------------------------------------------------
@@ -351,14 +381,9 @@ def _profile_doc(profile: DesignProfile, ref) -> dict:
     """The profile's JSON document, in which ``ref(scenario, matrix)`` names
     each scenario's a x (b+1) matrix: columns 0..b-1 hold the basis and
     column b the representative feature."""
-    cfg = profile.config
     return {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "dim_ambient": int(cfg.dim_ambient),
-            "dim_subspace": int(cfg.dim_subspace),
-            "window_length": int(cfg.window_length),
-        },
+        "config": _record_doc(profile.config),
         "selected_platform": profile.selected_platform,
         "scenarios": [{
             "scenario_id": s.scenario_id,
@@ -387,10 +412,7 @@ def read_profile(path) -> DesignProfile:
     error names the sidecar."""
     path = Path(path)
     doc = _read_doc(path, _PROFILE_KEYS)
-    cfg = _require(doc["config"], _CONFIG_KEYS, f"{path}: config")
-    config = ProfileConfig(
-        dim_ambient=cfg["dim_ambient"], dim_subspace=cfg["dim_subspace"],
-        window_length=cfg["window_length"])
+    config = _record(ProfileConfig, doc["config"], f"{path}: config")
     try:
         check_window_length(config.window_length, config.dim_subspace)
     except TooFewFrames as exc:
@@ -403,7 +425,8 @@ def read_profile(path) -> DesignProfile:
     if not doc["scenarios"]:
         raise ManifestInvalid(f"{path}: scenarios: expected at least one")
     scenarios = []
-    for s in _entries(doc, "scenarios", _SCENARIO_KEYS, path, "scenario_id"):
+    for s in _entries(doc, "scenarios", partial(_require, spec=_SCENARIO_KEYS),
+                      path, "scenario_id"):
         sidecar = path.parent / s["matrix_file"]
         M = read_matrix(sidecar)
         if M.shape != (a, b + 1):
@@ -439,39 +462,31 @@ def profile_digest(profile: DesignProfile) -> str:
 
 def write_platforms(path, combos: list[AlgoParamCombo],
                     platforms: list[PlatformSpec]) -> None:
-    doc = {
+    Path(path).write_text(_canonical_json({
         "format_version": FORMAT_VERSION,
-        "combos": [{"id": c.id, "algorithm": c.algorithm, "fps": float(c.fps),
-                    "resolution": [int(v) for v in c.resolution]}
-                   for c in combos],
-        "platforms": [{"id": p.id, "cost": float(p.cost),
-                       "combo_capabilities": {k: float(v) for k, v
-                                              in p.combo_capabilities.items()}}
-                      for p in platforms],
-    }
-    Path(path).write_text(_canonical_json(doc))
+        "combos": [_record_doc(c) for c in combos],
+        "platforms": [_record_doc(p) for p in platforms]}))
 
 
 def read_platforms(path) -> tuple[list[AlgoParamCombo], list[PlatformSpec]]:
+    """The combos and platforms in ``path``; a capability of a combo id that
+    no combo has raises ManifestInvalid naming the platform and the id."""
     doc = _read_doc(path, _PLATFORMS_KEYS)
-    combos = [AlgoParamCombo(id=c["id"], algorithm=c["algorithm"],
-                             fps=c["fps"], resolution=tuple(c["resolution"]))
-              for c in _entries(doc, "combos", _COMBO_KEYS, path)]
-    platforms = [PlatformSpec(id=p["id"], cost=p["cost"],
-                              combo_capabilities=dict(p["combo_capabilities"]))
-                 for p in _entries(doc, "platforms", _PLATFORM_KEYS, path)]
+    combos = _entries(doc, "combos", partial(_record, AlgoParamCombo), path)
+    platforms = _entries(doc, "platforms", partial(_record, PlatformSpec),
+                         path)
+    ids = {c.id for c in combos}
+    for i, p in enumerate(platforms):
+        for cid in p.combo_capabilities:
+            if cid not in ids:
+                raise ManifestInvalid(
+                    f"{path}: platforms[{i}]: combo_capabilities[{cid!r}]: "
+                    "no combo has this id")
     return combos, platforms
 
 
 # --------------------------------------------------------------------------
 # selection traces (JSON lines + CSV projection)
-
-# each SelectionDecision field, in declaration order, and the JSON type of
-# its annotation; all_similarities, an array, is converted in and out
-_DECISION_KEYS = {name: {int: _INT, str: _STR, float: _NUMBER,
-                         np.ndarray: _NUMBER_LIST}[hint]
-                  for name, hint in get_type_hints(SelectionDecision).items()}
-
 
 def write_trace(path, trace: SelectionTrace) -> None:
     lines = [json.dumps({
@@ -479,10 +494,8 @@ def write_trace(path, trace: SelectionTrace) -> None:
         "kind": "adasel-trace",
         "profile_reference": trace.profile_reference,
     }, sort_keys=True)]
-    for d in trace.decisions:
-        rec = {name: getattr(d, name) for name in _DECISION_KEYS}
-        rec["all_similarities"] = [float(v) for v in d.all_similarities]
-        lines.append(json.dumps(rec, sort_keys=True))
+    lines += [json.dumps(_record_doc(d), sort_keys=True)
+              for d in trace.decisions]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -501,11 +514,8 @@ def read_trace(path) -> SelectionTrace:
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
-        rec = _require(_json_object(line, where, MalformedRow),
-                       _DECISION_KEYS, where, MalformedRow)
-        fields = {name: rec[name] for name in _DECISION_KEYS}
-        fields["all_similarities"] = np.asarray(rec["all_similarities"])
-        decisions.append(SelectionDecision(**fields))
+        decisions.append(_record(SelectionDecision, _json_object(
+            line, where, MalformedRow), where, MalformedRow))
     return SelectionTrace(decisions=decisions,
                           profile_reference=header["profile_reference"])
 

@@ -4,7 +4,9 @@ The offline workflow turns a labeled performance table plus training
 features into a :class:`DesignProfile`: M unique scenarios (k-means
 clusters with a mean feature and a PCA subspace each), a platform chosen
 under cost/error constraints, and a best-combo label per scenario per
-platform.  Everything is deterministic given the seed; clustering is also
+platform.  The performance table maps each (scenario id, combo id,
+platform id) to the error design ranks combos by (missed detections per
+window).  Everything is deterministic given the seed; clustering is also
 invariant to the order of the input frames (frames are put in lexicographic
 order before seeding k-means++: a stable sort of the first feature, and of
 every feature only when two frames tie in the first).  The k-means restarts
@@ -20,8 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (InvalidM, MissingRecord, NoFeasiblePlatform, TooFewFrames,
-                     TooFewSamples)
+from .errors import (InvalidM, MissingRecord, NoFeasiblePlatform, OutOfRange,
+                     TooFewFrames, TooFewSamples)
 from .subspace import as_feature_matrix, pca_basis
 
 KMEANS_MAX_ITER = 300
@@ -50,20 +52,6 @@ class PlatformSpec:
 
 
 @dataclass
-class PerformanceRecord:
-    """Measured error of one combo on one scenario under one platform.
-
-    ``error`` is the primary metric (missed detections per window), the
-    one design ranks combos by.
-    """
-
-    scenario_id: str
-    combo_id: str
-    platform_id: str
-    error: float
-
-
-@dataclass
 class ScenarioProfile:
     """A unique training scenario: representative feature, labels, and the
     a x b ``basis`` of its subspace (orthonormal columns)."""
@@ -77,9 +65,16 @@ class ScenarioProfile:
 
 @dataclass
 class SelectionConstraints:
+    """Design's limits: an infinite one is no limit, a NaN is OutOfRange."""
+
     max_mean_error: float
     required_fps: float
     max_cost: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if np.isnan(value):
+                raise OutOfRange(f"{name} must be a number, got nan")
 
 
 @dataclass
@@ -280,7 +275,7 @@ def feasible_combos(platform: PlatformSpec, combos: list[AlgoParamCombo],
 
 
 def _best_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],
-                 performance: list[PerformanceRecord],
+                 performance: dict[tuple[str, str, str], float],
                  required_fps: float) -> dict[str, dict[str, tuple]]:
     """{platform id: {scenario id: (error, -fps, combo id)}}, the best
     feasible combo of each scenario the table names, in sorted id order.
@@ -289,23 +284,21 @@ def _best_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],
     combo id; a platform that runs no combo at required_fps maps to {}.
     Raises MissingRecord if the table lacks a feasible combo's entry.
     """
-    table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in performance}
-    ids = sorted({r.scenario_id for r in performance})
+    ids = sorted({sid for sid, _, _ in performance})
     best = {}
     for p in platforms:
         rows = best[p.id] = {}
         for sid, cid in product(ids, feasible_combos(p, combos, required_fps)):
-            if (sid, cid, p.id) not in table:
+            if (error := performance.get((sid, cid, p.id))) is None:
                 raise MissingRecord(f"no performance record for scenario={sid} "
                                     f"combo={cid} platform={p.id}")
-            row = (table[sid, cid, p.id], -p.combo_capabilities[cid], cid)
+            row = (error, -p.combo_capabilities[cid], cid)
             rows[sid] = min(rows.get(sid, row), row)
     return best
 
 
 def select_platform(platforms: list[PlatformSpec],
-                    performance: list[PerformanceRecord],
+                    performance: dict[tuple[str, str, str], float],
                     constraints: SelectionConstraints,
                     combos: list[AlgoParamCombo]) -> str:
     """Cheapest platform whose best achievable mean error meets the ceiling.
@@ -343,7 +336,7 @@ def select_platform(platforms: list[PlatformSpec],
 def label_scenarios(scenarios: list[ScenarioProfile],
                     combos: list[AlgoParamCombo],
                     platforms: list[PlatformSpec],
-                    performance: list[PerformanceRecord],
+                    performance: dict[tuple[str, str, str], float],
                     required_fps: float) -> None:
     """Fill labels[platform] = best feasible combo per scenario; idempotent.
 
@@ -353,7 +346,7 @@ def label_scenarios(scenarios: list[ScenarioProfile],
     platform) entry.
     """
     best = _best_combos(platforms, combos, performance, required_fps)
-    named = {r.scenario_id for r in performance}
+    named = {sid for sid, _, _ in performance}
     for scenario in scenarios:
         sid = scenario.scenario_id
         if sid not in named:
@@ -375,7 +368,7 @@ def check_window_length(window_length: int, subspace_dim: int) -> None:
 
 def build_design_profile(frames, combos: list[AlgoParamCombo],
                          platforms: list[PlatformSpec],
-                         performance: list[PerformanceRecord],
+                         performance: dict[tuple[str, str, str], float],
                          constraints: SelectionConstraints,
                          n_scenarios: int, subspace_dim: int,
                          window_length: int, seed: int) -> DesignProfile:
@@ -387,7 +380,7 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
     n_scenarios scenarios.
     """
     check_window_length(window_length, subspace_dim)
-    table_ids = {r.scenario_id for r in performance}
+    table_ids = {sid for sid, _, _ in performance}
     if table_ids and len(table_ids) != n_scenarios:
         raise InvalidM(
             f"n_scenarios is {n_scenarios}, but the performance table "

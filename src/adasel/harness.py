@@ -25,8 +25,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
-                     scenario_ids)
+from .design import AlgoParamCombo, PlatformSpec, scenario_ids
 from .errors import ConfigInvalid, Misaligned
 from .runtime import SelectionTrace
 
@@ -125,7 +124,7 @@ class SyntheticDataset:
     window_truth: list[WindowTruth]
     combos: list[AlgoParamCombo]
     platforms: list[PlatformSpec]
-    performance: list[PerformanceRecord]
+    performance: dict[tuple[str, str, str], float]
     scenario_map: dict[str, str]  # generating id -> id design gives it
 
 
@@ -216,11 +215,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     ids = scenario_ids(training_frames.reshape(
         M, config.frames_per_scenario, a).mean(axis=1))
 
-    performance = [
-        PerformanceRecord(scenario_id=ids[i],
-                          combo_id=combos[h].id, platform_id=p.id,
-                          error=mean_err[(i, h)])
-        for p in platforms for i in range(M) for h in range(H)]
+    performance = {(ids[i], combos[h].id, p.id): mean_err[(i, h)]
+                   for p in platforms for i in range(M) for h in range(H)}
 
     window_truth = []
     for w, s in enumerate(states):

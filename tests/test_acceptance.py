@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from adasel import dataio
-from adasel.design import (AlgoParamCombo, DesignProfile, PerformanceRecord,
-                           PlatformSpec, ProfileConfig, ScenarioProfile,
+from adasel.design import (AlgoParamCombo, DesignProfile, PlatformSpec,
+                           ProfileConfig, ScenarioProfile,
                            SelectionConstraints, build_design_profile,
                            feasible_combos, label_scenarios, select_platform)
 from adasel.errors import BadMagic, DuplicateKey, TruncatedPayload
@@ -180,10 +180,9 @@ def _random_instance(rng):
             representative_feature=rng.standard_normal(a) * 3.0,
             basis=random_subspace(rng, a, b).basis,
             member_count=b + 3))
-    performance = [
-        PerformanceRecord(s.scenario_id, c.id, p.id,
-                          float(np.round(rng.uniform(0, 10), 3)))
-        for s in scenarios for c in combos for p in platforms]
+    performance = {(s.scenario_id, c.id, p.id):
+                   float(np.round(rng.uniform(0, 10), 3))
+                   for s in scenarios for c in combos for p in platforms}
     label_scenarios(scenarios, combos, platforms, performance, 10.0)
     profile = DesignProfile(
         scenarios=scenarios, selected_platform="p1",
@@ -213,9 +212,7 @@ def _brute_force_two_step(profile, window, platform_id, design_inputs):
     # step 2: explicit scan of the performance table over feasible combos
     platform = next(p for p in platforms if p.id == platform_id)
     feas = feasible_combos(platform, combos, 10.0)
-    table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in performance}
-    best = min(feas, key=lambda cid: (table[(matched, cid, platform_id)],
+    best = min(feas, key=lambda cid: (performance[matched, cid, platform_id],
                                       -platform.combo_capabilities[cid], cid))
     return matched, best
 
@@ -296,7 +293,7 @@ def test_criterion_7_platform_selection():
     ]
     rng = np.random.default_rng(707)
     scenario_ids = [f"s{k:03d}" for k in range(15)]
-    records = []
+    records = {}
     for k, sid in enumerate(scenario_ids):
         # high-resolution ACF wins in most scenarios (structurally Fig. 3b)
         base = {"HOG-240x320": 6.0, "HOG-480x640": 5.5,
@@ -305,8 +302,7 @@ def test_criterion_7_platform_selection():
             base["ACF-240x320"] = 0.8
         for p in platforms:
             for cid, err in base.items():
-                records.append(PerformanceRecord(
-                    sid, cid, p.id, err + float(rng.uniform(0, 0.1))))
+                records[sid, cid, p.id] = err + float(rng.uniform(0, 0.1))
 
     loose = SelectionConstraints(max_mean_error=6.0, required_fps=10.0,
                                  max_cost=10.0)

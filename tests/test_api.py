@@ -1,15 +1,17 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import adasel
-from adasel.design import build_design_profile
+from adasel.design import (AlgoParamCombo, PlatformSpec, ProfileConfig,
+                           build_design_profile)
 from adasel.harness import SyntheticConfig
 
-REMOVED = ["FlowPoint", "GeodesicKernel", "as_feature_vector",
-           "emit_report", "geodesic_flow", "kernel_distance", "parse_report",
-           "select_combo"]
+REMOVED = ["FlowPoint", "GeodesicKernel", "PerformanceRecord",
+           "as_feature_vector", "emit_report", "geodesic_flow",
+           "kernel_distance", "parse_report", "select_combo"]
 
 PACKAGE = Path(adasel.__file__).parent
 BENCHMARK = Path(__file__).parent.parent / "perfbench"
@@ -96,6 +98,19 @@ def test_dataio_checks_json_scalars_by_exact_type():
             name = getattr(kind, "id", getattr(kind, "attr", None))
             if name in {"int", "float", "Integral", "Real"}:
                 found.append(f"dataio.py:{node.lineno}: {name}")
+    assert not found
+
+
+def test_dataio_takes_record_keys_from_the_dataclasses():
+    # a combo's, a platform's and a profile config's JSON keys are their
+    # field names, read from the annotations; a key spelled out in dataio
+    # could drift from its field
+    names = {f.name for cls in (AlgoParamCombo, PlatformSpec, ProfileConfig)
+             for f in dataclasses.fields(cls)} - {"id"}
+    tree = ast.parse((PACKAGE / "dataio.py").read_text())
+    found = [f"dataio.py:{node.lineno}: {node.value!r}"
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and node.value in names]
     assert not found
 
 

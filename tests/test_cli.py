@@ -139,6 +139,33 @@ def test_profile_infeasible_constraints_exit_2(tmp_path, capsys):
     assert err.count("best mean error=") == len(platforms)
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("--max-error", "max_mean_error"), ("--required-fps", "required_fps"),
+    ("--max-cost", "max_cost")], ids=["max-error", "required-fps", "max-cost"])
+def test_profile_nan_constraint_exits_1_naming_the_field(
+        tmp_path, capsys, flag, field):
+    # every comparison with NaN is false, so a NaN limit read as "no
+    # platform meets ..." (exit 2); it is bad input, and exits 1
+    out = tmp_path / "run"
+    assert main(["synth", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(out)]) == 0
+    limits = {"--max-error": "3.5", "--required-fps": "1.0",
+              "--max-cost": "10.0", flag: "nan"}
+    capsys.readouterr()
+    rc = main([
+        "profile",
+        "--train", str(out / "train_manifest.json"),
+        "--perf", str(out / "performance.csv"),
+        "--platforms", str(out / "platforms.json"),
+        "--subspace-dim", "3",
+        *[arg for pair in limits.items() for arg in pair],
+        "--out", str(out / "profile.json"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: OutOfRange: {field} must be a number, got nan\n")
+
+
 def test_select_dimension_mismatch_exits_1(tmp_path, capsys):
     out = run_pipeline(tmp_path)
     other = tmp_path / "other"

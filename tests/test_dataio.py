@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from adasel import dataio
-from adasel.design import (PerformanceRecord, SelectionConstraints,
-                           build_design_profile)
+from adasel.design import SelectionConstraints, build_design_profile
 from adasel.errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                            DimensionOverflow, DuplicateKey, MalformedRow,
                            ManifestInvalid, NegativeError, NonFiniteFeatures,
@@ -205,14 +204,12 @@ def test_stream_part_of_the_wrong_width_raises_manifest_invalid_naming_it(
 # performance tables
 
 def test_performance_table_round_trip(tmp_path):
-    records = [
-        PerformanceRecord("s000", "c00", "p1", 3.5),
-        PerformanceRecord("s000", "c01", "p1", 1.25),
-        PerformanceRecord("s001", "c00", "p1", 0.0),
-    ]
+    table = {("s000", "c00", "p1"): 3.5, ("s000", "c01", "p1"): 1.25,
+             ("s001", "c00", "p1"): 0.0}
     path = tmp_path / "perf.csv"
-    dataio.write_performance_table(path, records)
-    assert dataio.read_performance_table(path) == records
+    dataio.write_performance_table(path, table)
+    back = dataio.read_performance_table(path)
+    assert back == table and list(back) == list(table)
 
 
 def test_performance_table_two_rows(tmp_path):
@@ -220,9 +217,9 @@ def test_performance_table_two_rows(tmp_path):
     path.write_text("scenario_id,combo_id,platform_id,error\n"
                     "s0,c0,p0,1.5\n"
                     "s0,c1,p0,2.5\n")
-    records = dataio.read_performance_table(path)
-    assert len(records) == 2
-    assert records[1].error == 2.5
+    table = dataio.read_performance_table(path)
+    assert len(table) == 2
+    assert table["s0", "c1", "p0"] == 2.5
 
 
 def test_performance_table_extra_columns_must_be_numbers_and_are_not_kept(
@@ -231,9 +228,8 @@ def test_performance_table_extra_columns_must_be_numbers_and_are_not_kept(
     path.write_text("scenario_id,combo_id,platform_id,error,MT,IDS\n"
                     "s0,c0,p0,1.5,0.8,4\n"
                     "s0,c1,p0,2.5,,\n")
-    assert dataio.read_performance_table(path) == [
-        PerformanceRecord("s0", "c0", "p0", 1.5),
-        PerformanceRecord("s0", "c1", "p0", 2.5)]
+    assert dataio.read_performance_table(path) == {
+        ("s0", "c0", "p0"): 1.5, ("s0", "c1", "p0"): 2.5}
 
     path.write_text("scenario_id,combo_id,platform_id,error,MT,IDS\n"
                     "s0,c0,p0,1.5,0.8,4\n"
@@ -435,9 +431,9 @@ def test_profile_older_versions_load_ignoring_unread_keys(tmp_path, version):
     catalog = json.loads((tmp_path / "platforms.json").read_text())
     doc["combos"], doc["platforms"] = catalog["combos"], catalog["platforms"]
     doc["performance"] = [
-        {"scenario_id": r.scenario_id, "combo_id": r.combo_id,
-         "platform_id": r.platform_id, "error": r.error, "extras": {}}
-        for r in dataset.performance]
+        {"scenario_id": sid, "combo_id": cid, "platform_id": pid,
+         "error": error, "extras": {}}
+        for (sid, cid, pid), error in dataset.performance.items()]
     if version == 1:
         for s in doc["scenarios"]:
             s["complement_file"] = f"profile.{s['scenario_id']}.complement.mat"
@@ -789,6 +785,22 @@ def test_platforms_element_of_the_wrong_type_raises_manifest_invalid(
         dataio.read_platforms(path)
     assert str(exc.value) == (
         f"{path}: {entry}[1]: {key}{element}: expected {expected}")
+
+
+def test_platforms_capability_of_no_combo_raises_manifest_invalid(tmp_path):
+    # a typo in a capability key would drop that combo from the platform
+    dataset, _ = pipeline_profile()
+    path = tmp_path / "platforms.json"
+    dataio.write_platforms(path, dataset.combos, dataset.platforms)
+    doc = json.loads(path.read_text())
+    caps = doc["platforms"][0]["combo_capabilities"]
+    caps["c0O"] = caps.pop("c00")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_platforms(path)
+    assert str(exc.value) == (
+        f"{path}: platforms[0]: combo_capabilities['c0O']: "
+        "no combo has this id")
 
 
 def test_profile_label_that_is_not_a_combo_id_raises_manifest_invalid(

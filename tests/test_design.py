@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adasel import design
-from adasel.design import (AlgoParamCombo, PerformanceRecord, PlatformSpec,
-                           ScenarioProfile, SelectionConstraints,
-                           build_design_profile, cluster_scenarios,
-                           feasible_combos, label_scenarios, scenario_ids,
-                           select_platform)
+from adasel.design import (AlgoParamCombo, PlatformSpec, ScenarioProfile,
+                           SelectionConstraints, build_design_profile,
+                           cluster_scenarios, feasible_combos,
+                           label_scenarios, scenario_ids, select_platform)
 from adasel.errors import (InvalidM, MissingRecord, NoFeasiblePlatform,
                            TooFewFrames, TooFewSamples)
 from conftest import random_subspace
@@ -444,8 +443,7 @@ def test_combo_the_platform_does_not_list_is_not_runnable(rng):
     platform = PlatformSpec("p0", {"c0": 5.0}, cost=1.0)
     assert feasible_combos(platform, combos, 0.0) == ["c0"]
     # c1 has the lower error, but p0 cannot run it
-    performance = [PerformanceRecord("s000", "c0", "p0", 0.5),
-                   PerformanceRecord("s000", "c1", "p0", 0.1)]
+    performance = {("s000", "c0", "p0"): 0.5, ("s000", "c1", "p0"): 0.1}
     constraints = SelectionConstraints(
         max_mean_error=1.0, required_fps=0.0, max_cost=1.0)
     assert select_platform([platform], performance, constraints,
@@ -462,12 +460,10 @@ def test_combo_the_platform_does_not_list_is_not_runnable(rng):
 
 def synthetic_performance(errors_by_platform):
     """errors_by_platform: {platform_id: {scenario_id: {combo_id: error}}}"""
-    records = []
-    for pid, by_scenario in errors_by_platform.items():
-        for sid, by_combo in by_scenario.items():
-            for cid, err in by_combo.items():
-                records.append(PerformanceRecord(sid, cid, pid, err))
-    return records
+    return {(sid, cid, pid): err
+            for pid, by_scenario in errors_by_platform.items()
+            for sid, by_combo in by_scenario.items()
+            for cid, err in by_combo.items()}
 
 
 def two_platform_table(p1_errors, p2_errors, scenarios=("s000", "s001")):
@@ -533,15 +529,12 @@ def test_select_platform_matches_exhaustive_enumeration(rng):
                                    for c in combos},
                          cost=float(rng.integers(1, 5)))
             for i in range(4)]
-        records = [PerformanceRecord(sid, c.id, p.id,
-                                     float(np.round(rng.uniform(0, 8), 3)))
-                   for sid in ("s000", "s001", "s002")
-                   for c in combos for p in platforms]
+        table = {(sid, c.id, p.id): float(np.round(rng.uniform(0, 8), 3))
+                 for sid in ("s000", "s001", "s002")
+                 for c in combos for p in platforms}
         constraints = SelectionConstraints(
             max_mean_error=float(rng.uniform(2.0, 6.0)),
             required_fps=10.0, max_cost=3.0)
-        table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-                 for r in records}
         candidates = []
         for p in platforms:
             feas = feasible_combos(p, combos, constraints.required_fps)
@@ -556,10 +549,10 @@ def test_select_platform_matches_exhaustive_enumeration(rng):
                 candidates.append((p.cost, best, p.id))
         if not candidates:
             with pytest.raises(NoFeasiblePlatform):
-                select_platform(platforms, records, constraints, combos)
+                select_platform(platforms, table, constraints, combos)
         else:
             expected = min(candidates)[2]
-            assert select_platform(platforms, records, constraints,
+            assert select_platform(platforms, table, constraints,
                                    combos) == expected
 
 
@@ -623,15 +616,9 @@ def test_labels_match_brute_force_on_full_table(rng):
     combos = table_ii_combos()
     platforms = table_ii_platforms()
     scenario_ids = [f"s{k:03d}" for k in range(15)]
-    records = []
-    errors = {}
-    for sid in scenario_ids:
-        for p in platforms:
-            for c in combos:
-                e = float(np.round(rng.uniform(0.0, 10.0), 3))
-                errors[(sid, c.id, p.id)] = e
-                records.append(PerformanceRecord(sid, c.id, p.id, e))
-    scenarios = labeled_scenarios(rng, records, scenario_ids=scenario_ids,
+    errors = {(sid, c.id, p.id): float(np.round(rng.uniform(0.0, 10.0), 3))
+              for sid in scenario_ids for p in platforms for c in combos}
+    scenarios = labeled_scenarios(rng, errors, scenario_ids=scenario_ids,
                                   required_fps=5.0)
     for s in scenarios:
         for p in platforms:
@@ -648,9 +635,7 @@ def test_label_missing_record_raises(rng):
          "ACF-480x640": 7.0},
         {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 3.0,
          "ACF-480x640": 7.0})
-    perf = [r for r in perf if not (
-        r.scenario_id == "s001" and r.combo_id == "ACF-240x320"
-        and r.platform_id == "platform2")]
+    del perf["s001", "ACF-240x320", "platform2"]
     with pytest.raises(MissingRecord) as exc:
         labeled_scenarios(rng, perf)
     assert "s001" in str(exc.value) and "ACF-240x320" in str(exc.value)
@@ -703,19 +688,17 @@ def test_build_design_profile_end_to_end(rng):
     assert profile.selected_platform == "platform1"
     assert all(s.labels for s in profile.scenarios)
     # label optimality: no feasible combo beats the labeled one
-    table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in perf}
     for s in profile.scenarios:
         for p in platforms:
-            labeled = table[(s.scenario_id, s.labels[p.id], p.id)]
+            labeled = perf[s.scenario_id, s.labels[p.id], p.id]
             for cid in feasible_combos(p, combos, 8.0):
-                assert table[(s.scenario_id, cid, p.id)] >= labeled
+                assert perf[s.scenario_id, cid, p.id] >= labeled
 
 
 def test_build_design_profile_rejects_windows_too_short_for_the_subspace(rng):
     # raised up front, before the frames are clustered or the table is read
     with pytest.raises(TooFewFrames, match="window_length 4 .*subspace_dim 5"):
-        build_design_profile(rng.standard_normal((20, 8)), [], [], [],
+        build_design_profile(rng.standard_normal((20, 8)), [], [], {},
                              SelectionConstraints(1.0, 1.0, 1.0),
                              n_scenarios=2, subspace_dim=5, window_length=4,
                              seed=3)

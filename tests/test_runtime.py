@@ -376,8 +376,7 @@ def test_trace_decisions_internally_consistent(rng):
     profile = profile_for(dataset)
     trace = run_selection(dataset.test_stream, profile, "p2",
                           dataset.config.frames_per_scenario)
-    table = {(r.scenario_id, r.combo_id, r.platform_id): r.error
-             for r in dataset.performance}
+    table = dataset.performance
     labels = {s.scenario_id: s.labels for s in profile.scenarios}
     for d in trace.decisions:
         assert d.similarity == d.all_similarities.max()
