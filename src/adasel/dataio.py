@@ -115,9 +115,10 @@ _PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
 
 
 class _NonFinite:
-    """A JSON ``NaN``, ``Infinity`` or ``-Infinity``: no type check takes it,
-    so a key that is read refuses it with the reader's error, and a key that
-    is not (the Infinity in an old profile's constraints) may hold it."""
+    """A JSON ``NaN``, ``Infinity`` or ``-Infinity``, or a number too large
+    for a float (``1e999``): no type check takes it, so a key that is read
+    refuses it with the reader's error, and a key that is not (the Infinity
+    in an old profile's constraints) may hold it."""
 
     def __init__(self, token):
         self.token = token
@@ -126,11 +127,17 @@ class _NonFinite:
         return self.token
 
 
+def _json_float(token):
+    value = float(token)
+    return value if math.isfinite(value) else _NonFinite(token)
+
+
 def _json_object(text, where, error) -> dict:
     """The JSON object in ``text``; text that is not JSON, or holds no
     object, raises ``error`` naming where."""
     try:
-        doc = json.loads(text, parse_constant=_NonFinite)
+        doc = json.loads(text, parse_constant=_NonFinite,
+                         parse_float=_json_float)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not JSON ({exc})") from None
     return _require(doc, {}, where, error)
@@ -196,7 +203,6 @@ def _read_doc(path, spec) -> dict:
 _FIELD_TYPES = {
     int: (_INT, int, None), float: (_NUMBER, float, None),
     str: (_STR, str, None),
-    tuple[int, int]: ((_LIST, _INT), lambda v: [int(x) for x in v], tuple),
     dict[str, float]: ((_OBJECT, _NUMBER),
                        lambda v: {k: float(x) for k, x in v.items()}, dict),
     np.ndarray: ((_LIST, _NUMBER), np.ndarray.tolist, np.asarray),
@@ -237,10 +243,13 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _cell(kind, text, name, where):
-    """``kind(text)``; a cell it cannot parse, or an int cell that is not
-    plain ASCII digits (``int`` takes ``1_0`` and ``-1``), is MalformedRow."""
+    """``kind(text)``; a cell it cannot parse, a number cell that is not
+    ASCII or holds a ``_`` (``float`` takes ``1_0`` and ``\u0663``), or an
+    int cell that is not plain digits (``int`` takes ``-1``) is
+    MalformedRow."""
     try:
-        if kind is not int or text.isascii() and text.isdigit():
+        if kind is str or text.isascii() and (
+                text.isdigit() if kind is int else "_" not in text):
             return kind(text)
     except ValueError:
         pass
@@ -254,7 +263,8 @@ def _table_rows(path, ids) -> tuple[list[str], list[tuple]]:
     The header starts with the columns of ``ids``, a {name: type} dict, and
     then ``error``.  Each row has the header's width, non-empty ids that
     parse by their types (an int as plain digits) into a key no other row
-    has (window ids ``0`` and ``00`` are one key), and a finite error >= 0.
+    has (window ids ``0`` and ``00`` are one key), and a finite error >= 0
+    written in ASCII with no ``_``.
     """
     names = [*ids, "error"]
     with open(path, newline="") as fh:
@@ -395,15 +405,36 @@ def _profile_doc(profile: DesignProfile, ref) -> dict:
     }
 
 
+def _sidecar_names(path) -> set[str]:
+    """The bare file names (no directory part) under any ``*_file`` key of
+    a scenario entry of the profile in ``path``; none if it does not parse."""
+    try:
+        doc = _json_object(path.read_text(), path, ManifestInvalid)
+    except (OSError, ValueError, ManifestInvalid):
+        return set()
+    scenarios = doc.get("scenarios")
+    return {name for entry in scenarios if type(entry) is dict
+            for key, name in entry.items() if key.endswith("_file")
+            and type(name) is str and name == os.path.basename(name)
+            } if type(scenarios) is list else set()
+
+
 def write_profile(path, profile: DesignProfile) -> None:
+    """Write the profile and its sidecars; the sidecars of a profile it
+    replaces at ``path`` that it does not name itself are removed."""
     path = Path(path)
+    stale = _sidecar_names(path) - {path.name}
 
     def sidecar(s, matrix) -> str:
         name = f"{path.stem}.{s.scenario_id}.mat"
         write_matrix(path.parent / name, matrix)
+        stale.discard(name)
         return name
 
     path.write_text(_canonical_json(_profile_doc(profile, sidecar)))
+    for name in stale:  # is_file: "", "." and ".." name directories
+        if (old := path.parent / name).is_file():
+            old.unlink()
 
 
 def read_profile(path) -> DesignProfile:
@@ -595,14 +626,21 @@ def _index_pair(key: str) -> tuple[int, int]:
 
 def read_synth_config(path, default_seed: int) -> SyntheticConfig:
     """The validated SyntheticConfig in a JSON file, error_model's "i,h" keys
-    read as (i, h) pairs; every error is a ConfigInvalid naming the file."""
+    read as (i, h) pairs, no two for one pair (``0,1`` and ``0, 1``); every
+    error is a ConfigInvalid naming the file."""
     doc = _json_object(Path(path).read_text(), path, ConfigInvalid)
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
     try:
         if unknown := set(doc) - known:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         if type(model := doc.get("error_model")) is dict:
-            doc["error_model"] = {_index_pair(k): v for k, v in model.items()}
+            keys = {}
+            for key in model:
+                pair = _index_pair(key)
+                if (first := keys.setdefault(pair, key)) != key:
+                    raise ConfigInvalid(f"error_model keys {first!r} and "
+                                        f"{key!r} both name pair {pair}")
+            doc["error_model"] = {pair: model[k] for pair, k in keys.items()}
         doc.setdefault("seed", default_seed)
         config = SyntheticConfig(**doc)
         config.validate()

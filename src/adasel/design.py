@@ -34,12 +34,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class AlgoParamCombo:
-    """One selectable algorithm configuration: family + fps + resolution."""
+    """One selectable algorithm/parameter combination, named by its id (such
+    as ``HOG-480x640``); what a platform achieves with it is the platform's."""
 
     id: str
-    algorithm: str
-    fps: float
-    resolution: tuple[int, int]
 
 
 @dataclass

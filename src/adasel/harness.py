@@ -201,14 +201,12 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         mean_err = {(i, h): 2.0 if h == i % H else float(rng.uniform(5.0, 9.0))
                     for i in range(M) for h in range(H)}
 
-    combos = [AlgoParamCombo(id=f"c{h:02d}", algorithm=f"alg{h}",
-                             fps=5.0 * (h + 1), resolution=(320, 240))
-              for h in range(H)]
+    combos = [AlgoParamCombo(id=f"c{h:02d}") for h in range(H)]
+    fps = {c.id: 5.0 * (h + 1) for h, c in enumerate(combos)}  # nominal
     platforms = [
-        PlatformSpec(id="p1", cost=1.0,
-                     combo_capabilities={c.id: c.fps for c in combos}),
+        PlatformSpec(id="p1", cost=1.0, combo_capabilities=fps),
         PlatformSpec(id="p2", cost=2.0,
-                     combo_capabilities={c.id: 2.0 * c.fps for c in combos}),
+                     combo_capabilities={c: 2.0 * f for c, f in fps.items()}),
     ]
 
     # key the table by the ids design gives the training blocks it recovers

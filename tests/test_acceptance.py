@@ -166,8 +166,7 @@ def _random_instance(rng):
     b = 2
     M = int(rng.integers(1, 7))
     H = int(rng.integers(2, 7))
-    combos = [AlgoParamCombo(f"c{h:02d}", f"alg{h}", float(5 * (h + 1)),
-                             (320, 240)) for h in range(H)]
+    combos = [AlgoParamCombo(f"c{h:02d}") for h in range(H)]
     platforms = []
     for pid in ["p1", "p2"]:
         caps = {c.id: float(rng.choice([5.0, 15.0])) for c in combos}
@@ -278,10 +277,10 @@ def test_criterion_6_end_to_end_synthetic(tmp_path):
 
 def test_criterion_7_platform_selection():
     combos = [
-        AlgoParamCombo("HOG-240x320", "HOG", 15.0, (320, 240)),
-        AlgoParamCombo("HOG-480x640", "HOG", 8.0, (640, 480)),
-        AlgoParamCombo("ACF-240x320", "ACF", 10.0, (320, 240)),
-        AlgoParamCombo("ACF-480x640", "ACF", 5.0, (640, 480)),
+        AlgoParamCombo("HOG-240x320"),
+        AlgoParamCombo("HOG-480x640"),
+        AlgoParamCombo("ACF-240x320"),
+        AlgoParamCombo("ACF-480x640"),
     ]
     platforms = [
         PlatformSpec("platform1", {"HOG-240x320": 15.0, "HOG-480x640": 8.0,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import adasel
 from adasel.design import (AlgoParamCombo, PlatformSpec, ProfileConfig,
-                           build_design_profile)
+                           ScenarioProfile, build_design_profile)
 from adasel.harness import SyntheticConfig
 
 REMOVED = ["FlowPoint", "GeodesicKernel", "PerformanceRecord",
@@ -112,6 +112,20 @@ def test_dataio_takes_record_keys_from_the_dataclasses():
              for node in ast.walk(tree) if isinstance(node, ast.Constant)
              and isinstance(node.value, str) and node.value in names]
     assert not found
+
+
+def test_every_design_record_field_is_read_by_the_selector():
+    # a field that design, the runtime and the CLI never read is carried,
+    # type-checked, written and read back for no decision
+    read = {node.attr for name in ["design.py", "runtime.py", "cli.py"]
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{f.name}"
+              for cls in (AlgoParamCombo, PlatformSpec, ProfileConfig,
+                          ScenarioProfile)
+              for f in dataclasses.fields(cls) if f.name not in read]
+    assert not unread
 
 
 def _names_used(tree):

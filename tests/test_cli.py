@@ -411,10 +411,10 @@ def test_profile_with_table_ii_platforms_strict_bound(tmp_path, capsys):
     from adasel.design import AlgoParamCombo, PlatformSpec
 
     combos = [
-        AlgoParamCombo("HOG-240x320", "HOG", 15.0, (320, 240)),
-        AlgoParamCombo("HOG-480x640", "HOG", 8.0, (640, 480)),
-        AlgoParamCombo("ACF-240x320", "ACF", 10.0, (320, 240)),
-        AlgoParamCombo("ACF-480x640", "ACF", 5.0, (640, 480)),
+        AlgoParamCombo("HOG-240x320"),
+        AlgoParamCombo("HOG-480x640"),
+        AlgoParamCombo("ACF-240x320"),
+        AlgoParamCombo("ACF-480x640"),
     ]
     platforms = [
         PlatformSpec("platform1", {"HOG-240x320": 15.0, "HOG-480x640": 8.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import struct
@@ -238,6 +239,15 @@ def test_performance_table_extra_columns_must_be_numbers_and_are_not_kept(
         dataio.read_performance_table(path)
     assert str(exc.value) == f"{path}:3: bad IDS value 'many'"
 
+    # float() reads both as numbers (25.0 and 3.0); a number cell is ASCII
+    # with no underscore
+    for cell in ["2_5", "\u0663"]:
+        path.write_text("scenario_id,combo_id,platform_id,error,MT\n"
+                        f"s0,c0,p0,1.5,{cell}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as exc:
+            dataio.read_performance_table(path)
+        assert str(exc.value) == f"{path}:2: bad MT value {cell!r}"
+
 
 def test_performance_table_duplicate_key_reports_both_lines(tmp_path):
     path = tmp_path / "perf.csv"
@@ -296,15 +306,22 @@ PERF = "scenario_id,combo_id,platform_id,error\n"
      "2: bad error value 'inf'"),
     ("window_truth", TRUTH3 + "0,c00,1.0\n00,c00,2.0\n", DuplicateKey,
      "3: duplicate window_id/combo_id (0, 'c00') (first seen at line 2)"),
+    ("performance_table", PERF + "s0,c0,p0,1_0\n", MalformedRow,
+     "2: bad error value '1_0'"),
+    ("window_truth", TRUTH3 + "0,c0,1_0\n", MalformedRow,
+     "2: bad error value '1_0'"),
+    ("window_truth", TRUTH3 + "0,c0,\u0663\n", MalformedRow,
+     "2: bad error value '\u0663'"),
 ], ids=["truth-short-row", "truth-extra-cell", "truth-empty-combo",
         "truth-negative", "truth-nan", "truth-inf", "perf-nan", "perf-inf",
-        "truth-0-and-00"])
+        "truth-0-and-00", "perf-underscore", "truth-underscore",
+        "truth-arabic-indic"])
 def test_both_csv_tables_follow_one_set_of_row_rules(
         tmp_path, table, text, error, message):
     # a row has the header's width, non-empty ids, a finite error >= 0 and
     # a key no other row has, in the performance table and the window truth
     path = tmp_path / "table.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(error) as exc:
         getattr(dataio, f"read_{table}")(path)
     assert str(exc.value) == f"{path}:{message}"
@@ -358,6 +375,64 @@ def test_profile_writes_the_json_and_only_the_sidecars_its_scenarios_name(
         ["profile.json"] + [v for s in doc["scenarios"]
                             for k, v in s.items() if k.endswith("_file")])
     assert len(list(tmp_path.iterdir())) == 1 + len(profile.scenarios)
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_rewriting_a_profile_removes_the_version_4_sidecars_it_named(
+        tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    expected = _names(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 4
+    for s, entry in zip(profile.scenarios, doc["scenarios"]):
+        del entry["matrix_file"]
+        for kind in ("basis", "feature"):
+            entry[f"{kind}_file"] = f"profile.{s.scenario_id}.{kind}.mat"
+            dataio.write_matrix(tmp_path / entry[f"{kind}_file"], s.basis)
+    path.write_text(json.dumps(doc))
+    dataio.write_profile(path, profile)
+    assert _names(tmp_path) == expected
+
+
+def test_rewriting_a_profile_removes_a_dropped_scenarios_sidecar(tmp_path):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    kept, _ = profile.scenarios
+    dataio.write_profile(path, dataclasses.replace(profile, scenarios=[kept]))
+    assert _names(tmp_path) == ["profile.json",
+                                f"profile.{kept.scenario_id}.mat"]
+    assert len(dataio.read_profile(path).scenarios) == 1
+
+
+def test_rewriting_a_profile_keeps_the_files_it_did_not_name(tmp_path):
+    # an unrelated sidecar, a name with a directory part, and any file
+    # beside an old profile that does not parse are left alone
+    _, profile = pipeline_profile()
+    path = tmp_path / "run" / "profile.json"
+    path.parent.mkdir()
+    dataio.write_profile(path, profile)
+    doc = json.loads(path.read_text())
+    doc["scenarios"][0]["matrix_file"] = "../x.mat"
+    path.write_text(json.dumps(doc))
+    for name in ["x.mat", "run/other.mat"]:
+        dataio.write_matrix(tmp_path / name, profile.scenarios[0].basis)
+    dataio.write_profile(path, profile)
+    assert (tmp_path / "x.mat").is_file()
+    assert (tmp_path / "run" / "other.mat").is_file()
+
+    stale = path.parent / "profile.old.mat"
+    dataio.write_matrix(stale, profile.scenarios[0].basis)
+    doc = json.loads(path.read_text())
+    doc["scenarios"][0]["matrix_file"] = stale.name
+    path.write_text(json.dumps(doc)[:-1])  # cut the closing brace
+    dataio.write_profile(path, profile)
+    assert stale.is_file()
 
 
 def test_read_profile_reads_one_matrix_per_scenario(tmp_path, monkeypatch):
@@ -693,11 +768,11 @@ def test_platforms_combo_without_a_key_raises_manifest_invalid(tmp_path):
     path = tmp_path / "platforms.json"
     dataio.write_platforms(path, dataset.combos, dataset.platforms)
     doc = json.loads(path.read_text())
-    del doc["combos"][0]["algorithm"]
+    del doc["combos"][0]["id"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestInvalid) as exc:
         dataio.read_platforms(path)
-    assert str(exc.value) == f"{path}: combos[0]: missing key 'algorithm'"
+    assert str(exc.value) == f"{path}: combos[0]: missing key 'id'"
 
 
 @pytest.mark.parametrize("entry, key, value, expected", [
@@ -722,7 +797,6 @@ def test_profile_value_of_the_wrong_type_raises_manifest_invalid(
 
 
 @pytest.mark.parametrize("entry, key, value, expected", [
-    ("combos", "fps", "fast", "a number"),
     ("combos", "id", 7, "a string"),
     ("platforms", "cost", False, "a number"),
     ("platforms", "combo_capabilities", [], "a JSON object"),
@@ -769,10 +843,9 @@ def test_stream_manifest_element_of_the_wrong_type_raises_manifest_invalid(
 
 
 @pytest.mark.parametrize("entry, key, value, element, expected", [
-    ("combos", "resolution", [320, "240"], "[1]", "an integer"),
     ("platforms", "combo_capabilities", {"c00": "fast"}, "['c00']",
      "a number"),
-], ids=["resolution", "capabilities"])
+], ids=["capabilities"])
 def test_platforms_element_of_the_wrong_type_raises_manifest_invalid(
         tmp_path, entry, key, value, element, expected):
     dataset, _ = pipeline_profile()
@@ -993,22 +1066,24 @@ def test_trace_future_version_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("kind, token", [
-    ("platforms", "NaN"), ("synth_config", "Infinity"), ("trace", "-Infinity")])
+    ("platforms", "NaN"), ("synth_config", "Infinity"), ("trace", "-Infinity"),
+    ("platforms", "-1e999"), ("trace", "1e999")])
 def test_json_nan_and_infinity_are_rejected_naming_the_file(
         tmp_path, kind, token):
-    # json.loads reads NaN, Infinity and -Infinity as floats; a number that
-    # any reader reads must be finite
+    # json.loads reads NaN, Infinity and -Infinity as floats, and a number
+    # too large for a float as an infinity; a number that any reader reads
+    # must be finite
     path = tmp_path / f"{kind}.json"
     if kind == "platforms":
         dataset, _ = pipeline_profile()
         dataio.write_platforms(path, dataset.combos, dataset.platforms)
         doc = json.loads(path.read_text())
-        doc["platforms"][0]["cost"] = float(token)
-        path.write_text(json.dumps(doc))
+        doc["platforms"][0]["cost"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', token))
         read = dataio.read_platforms
         error, where = ManifestInvalid, f"{path}: platforms[0]: cost"
     elif kind == "synth_config":
-        path.write_text(json.dumps({"mean_scale": float(token)}))
+        path.write_text(json.dumps({"mean_scale": "@"}).replace('"@"', token))
         read = functools.partial(dataio.read_synth_config, default_seed=1)
         error, where = ConfigInvalid, f"{path}: mean_scale"
     else:
@@ -1018,8 +1093,8 @@ def test_json_nan_and_infinity_are_rejected_naming_the_file(
             dataset.config.frames_per_scenario))
         lines = path.read_text().splitlines()
         rec = json.loads(lines[1])
-        rec["elapsed_ms"] = float(token)
-        lines[1] = json.dumps(rec)
+        rec["elapsed_ms"] = "@"
+        lines[1] = json.dumps(rec).replace('"@"', token)
         path.write_text("\n".join(lines) + "\n")
         read = dataio.read_trace
         error, where = MalformedRow, f"{path}:2: elapsed_ms"
@@ -1027,3 +1102,18 @@ def test_json_nan_and_infinity_are_rejected_naming_the_file(
     with pytest.raises(error) as exc:
         read(path)
     assert str(exc.value).startswith(where)
+
+
+@pytest.mark.parametrize("second", ["0, 1", "0,01", "+0,1"])
+def test_synth_config_two_keys_for_one_error_model_pair_raise(
+        tmp_path, second):
+    # int() reads each spelling as pair (0, 1), so the later value would
+    # silently replace the earlier one
+    path = tmp_path / "synth.json"
+    model = {"0,0": 1.0, "0,1": 1.0, "1,0": 1.0, "1,1": 1.0, second: 9.0}
+    path.write_text(json.dumps(
+        {"n_scenarios": 2, "n_combos": 2, "error_model": model}))
+    with pytest.raises(ConfigInvalid) as exc:
+        dataio.read_synth_config(path, default_seed=1)
+    assert str(exc.value) == (
+        f"{path}: error_model keys '0,1' and {second!r} both name pair (0, 1)")

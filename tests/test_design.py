@@ -19,10 +19,10 @@ from conftest import random_subspace
 
 def table_ii_combos():
     return [
-        AlgoParamCombo("HOG-240x320", "HOG", 15.0, (320, 240)),
-        AlgoParamCombo("HOG-480x640", "HOG", 8.0, (640, 480)),
-        AlgoParamCombo("ACF-240x320", "ACF", 10.0, (320, 240)),
-        AlgoParamCombo("ACF-480x640", "ACF", 5.0, (640, 480)),
+        AlgoParamCombo("HOG-240x320"),
+        AlgoParamCombo("HOG-480x640"),
+        AlgoParamCombo("ACF-240x320"),
+        AlgoParamCombo("ACF-480x640"),
     ]
 
 
@@ -438,8 +438,7 @@ def test_feasible_combos_impossible_fps():
 
 
 def test_combo_the_platform_does_not_list_is_not_runnable(rng):
-    combos = [AlgoParamCombo("c0", "HOG", 5.0, (320, 240)),
-              AlgoParamCombo("c1", "ACF", 5.0, (320, 240))]
+    combos = [AlgoParamCombo("c0"), AlgoParamCombo("c1")]
     platform = PlatformSpec("p0", {"c0": 5.0}, cost=1.0)
     assert feasible_combos(platform, combos, 0.0) == ["c0"]
     # c1 has the lower error, but p0 cannot run it
