@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .design import SelectionConstraints, build_design_profile
+from .design import KMEANS_SEED, SelectionConstraints, build_design_profile
 from .errors import AdaselError, NoFeasiblePlatform
 from .harness import SyntheticConfig, evaluate_regret, generate_synthetic
 from .runtime import mean_similarity, run_selection
@@ -32,10 +32,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        config = dataio.read_synth_config(args.config, args.seed)
-    else:
-        config = SyntheticConfig(seed=args.seed)
+    config = (dataio.read_synth_config(args.config) if args.config
+              else SyntheticConfig())
     log.debug("generator config: %s", config)
     dataset = generate_synthetic(config)
     out = Path(args.out_dir)
@@ -73,7 +71,7 @@ def cmd_profile(args) -> int:
         stream.frames, combos, platforms, performance, constraints,
         n_scenarios=len({sid for sid, _, _ in performance}),
         subspace_dim=args.subspace_dim,
-        window_length=args.window_length, seed=args.seed)
+        window_length=args.window_length, seed=KMEANS_SEED)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     dataio.write_profile(args.out, profile)
     print(f"selected platform: {profile.selected_platform}")
@@ -128,11 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--config", help="JSON file of generator settings")
+    p.add_argument("--config",
+                   help="JSON file of generator settings, seed included")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=42,
-                   help="generator seed unless the config sets one "
-                        "(default 42)")
     _common_flags(p)
     p.set_defaults(func=cmd_synth)
 
@@ -153,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-length", type=int, default=30,
                    help="frames per runtime window, stored in the profile")
     p.add_argument("--out", required=True, help="profile JSON output path")
-    p.add_argument("--seed", type=int, default=42,
-                   help="k-means seed (default 42)")
     _common_flags(p)
     p.set_defaults(func=cmd_profile)
 

@@ -11,9 +11,9 @@ inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
 A version 5 profile stores only what selection reads, and each scenario's
 arrays are one matrix sidecar: its a x b basis with its representative
-feature as one more column.  Profiles of versions 1 to 4, which held the
-feature inline or in a sidecar of its own, are not read; ``adasel profile``
-writes them anew.
+feature as one more column.  A profile stamped with any version up to 5
+loads if it has the version 5 layout; an older one, which held the feature
+inline or in a sidecar of its own, fails on its missing ``matrix_file``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -133,11 +134,18 @@ def _json_float(token):
 
 
 def _json_object(text, where, error) -> dict:
-    """The JSON object in ``text``; text that is not JSON, or holds no
-    object, raises ``error`` naming where."""
+    """The JSON object in ``text``; text that is not JSON, holds no object,
+    or repeats a key in an object (json keeps the last) raises ``error``."""
+    def unique(pairs) -> dict:
+        if len(obj := dict(pairs)) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for key in keys if keys.count(key) > 1)
+            raise error(f"{where}: repeated key {key!r}")
+        return obj
+
     try:
         doc = json.loads(text, parse_constant=_NonFinite,
-                         parse_float=_json_float)
+                         parse_float=_json_float, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not JSON ({exc})") from None
     return _require(doc, {}, where, error)
@@ -615,35 +623,22 @@ def write_report(path, report: RegretReport) -> None:
 # --------------------------------------------------------------------------
 # synth settings (input only: a JSON object of SyntheticConfig fields)
 
-def _index_pair(key: str) -> tuple[int, int]:
-    try:
-        i, h = (int(part) for part in key.split(","))
-    except ValueError:
-        raise ConfigInvalid(
-            f"error_model key {key!r} is not 'scenario,combo'") from None
-    return i, h
-
-
-def read_synth_config(path, default_seed: int) -> SyntheticConfig:
-    """The validated SyntheticConfig in a JSON file, error_model's "i,h" keys
-    read as (i, h) pairs, no two for one pair (``0,1`` and ``0, 1``); every
-    error is a ConfigInvalid naming the file."""
+def read_synth_config(path) -> SyntheticConfig:
+    """The SyntheticConfig in a JSON file, error_model's keys read as (i, h)
+    pairs from their one spelling, ``f"{i},{h}"`` (not ``0, 1`` or ``0,01``);
+    every error is a ConfigInvalid naming the file."""
     doc = _json_object(Path(path).read_text(), path, ConfigInvalid)
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
     try:
         if unknown := set(doc) - known:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         if type(model := doc.get("error_model")) is dict:
-            keys = {}
             for key in model:
-                pair = _index_pair(key)
-                if (first := keys.setdefault(pair, key)) != key:
-                    raise ConfigInvalid(f"error_model keys {first!r} and "
-                                        f"{key!r} both name pair {pair}")
-            doc["error_model"] = {pair: model[k] for pair, k in keys.items()}
-        doc.setdefault("seed", default_seed)
-        config = SyntheticConfig(**doc)
-        config.validate()
+                if not re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", key):
+                    raise ConfigInvalid(f"error_model key {key!r} is not "
+                                        "'scenario,combo' in plain digits")
+            doc["error_model"] = {tuple(map(int, key.split(","))): value
+                                  for key, value in model.items()}
+        return SyntheticConfig(**doc)
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"{path}: {exc}") from None
-    return config

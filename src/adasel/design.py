@@ -28,6 +28,7 @@ from .subspace import as_feature_matrix, pca_basis
 
 KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 10
+KMEANS_SEED = 42  # the seed adasel profile clusters with
 
 log = logging.getLogger(__name__)
 

@@ -19,9 +19,11 @@ unmodified.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from numbers import Integral, Real
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,9 +42,10 @@ def _is_number(value, kind) -> bool:
             and abs(value) < np.inf)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the synthetic scenario/stream generator.
+    """Knobs for the synthetic scenario/stream generator, checked when built
+    (ConfigInvalid) and frozen, ``error_model`` as a read-only copy.
 
     ``error_model`` maps each (scenario index, combo index) pair, and no
     other key, to a mean error; when None, a model is generated in which
@@ -57,10 +60,10 @@ class SyntheticConfig:
     n_windows: int = 200
     noise_sigma: float = 0.1
     seed: int = 42
-    error_model: dict[tuple[int, int], float] | None = None
+    error_model: Mapping[tuple[int, int], float] | None = None
     mean_scale: float = 4.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is int and not _is_number(value, Integral):
@@ -87,9 +90,11 @@ class SyntheticConfig:
         if self.error_model is None:
             return
         model, M, H = self.error_model, self.n_scenarios, self.n_combos
-        if not isinstance(model, dict):
+        if not isinstance(model, Mapping):
             raise ConfigInvalid(f"error_model must be a mapping of "
                                 f"(scenario, combo) pairs, got {model!r}")
+        model = MappingProxyType(dict(model))
+        object.__setattr__(self, "error_model", model)
         grid = {(i, h) for i in range(M) for h in range(H)}
         for key in model:
             if key not in grid:
@@ -104,6 +109,10 @@ class SyntheticConfig:
                 raise ConfigInvalid(
                     f"error_model[{i}, {h}] must be a finite number >= 0, "
                     f"got {value!r}")
+
+    def __reduce__(self):  # a mappingproxy cannot pickle: rebuild from fields
+        model = None if self.error_model is None else dict(self.error_model)
+        return partial(type(self), **{**vars(self), "error_model": model}), ()
 
 
 @dataclass
@@ -163,7 +172,6 @@ def _separated_means(rng, a, count, scale):
 
 def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     """Training frames, Markov test stream, and matching performance table."""
-    config.validate()
     a, b = config.dim_ambient, config.dim_subspace
     M, H = config.n_scenarios, config.n_combos
     rng = np.random.default_rng(config.seed)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .design import DesignProfile, ScenarioProfile
 from .errors import (AdaselError, DegenerateWindow, DimensionMismatch,
-                     EmptyStream, TooFewFrames, UnlabeledScenario)
+                     EmptyStream, InvalidM, OutOfRange, TooFewFrames,
+                     UnlabeledScenario)
 from .gfk import similarity, stacked_distances
 from .subspace import _principal_directions, as_feature_matrix
 
@@ -72,7 +73,7 @@ def segment_windows(stream, length: int,
     checked when their window is built, so run_selection names the window.
     """
     if length < 2:
-        raise ValueError(f"window length must be >= 2, got {length}")
+        raise OutOfRange(f"window length must be >= 2, got {length}")
     X = np.asarray(stream, dtype=np.float64)
     if X.size == 0:
         raise EmptyStream("feature stream has no frames")
@@ -108,7 +109,7 @@ def build_window(features, subspace_dim: int) -> TimeWindow:
 def _stack_scenarios(profile: DesignProfile) -> tuple[np.ndarray, np.ndarray]:
     """The profile's bases (M, a, b) and means (M, a), in profile order."""
     if not profile.scenarios:
-        raise ValueError("profile has no scenarios")
+        raise InvalidM("profile has no scenarios")
     return (np.stack([s.basis for s in profile.scenarios]),
             np.stack([s.representative_feature for s in profile.scenarios]))
 

@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
 
+from adasel.design import SelectionConstraints, build_design_profile
 from adasel.gfk import stacked_distances
 from adasel.subspace import SubspaceBasis, _fix_signs
+
+# no limit on error or cost, and any frame rate
+OPEN = SelectionConstraints(max_mean_error=float("inf"), required_fps=0.0,
+                            max_cost=float("inf"))
+
+
+def design_for(dataset, constraints=OPEN):
+    """The design profile of a synthetic dataset, built with its own
+    settings: one scenario per generating one, its subspace dimension and
+    seed, and windows of one generating block."""
+    cfg = dataset.config
+    return build_design_profile(
+        dataset.training_frames, dataset.combos, dataset.platforms,
+        dataset.performance, constraints, n_scenarios=cfg.n_scenarios,
+        subspace_dim=cfg.dim_subspace, window_length=cfg.frames_per_scenario,
+        seed=cfg.seed)
 
 
 def random_subspace(rng, a, b):

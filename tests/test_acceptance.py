@@ -23,7 +23,7 @@ from adasel.gfk import gfk_kernel, kernel_integral_oracle, similarity
 from adasel.harness import SyntheticConfig, evaluate_regret, generate_synthetic
 from adasel.runtime import build_window, match_scenario, run_selection
 from adasel.subspace import SubspaceBasis, principal_angles
-from conftest import random_subspace, runtime_distance
+from conftest import design_for, random_subspace, runtime_distance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,11 +136,7 @@ def test_criterion_4_invariance_suite():
     dataset = generate_synthetic(SyntheticConfig(
         dim_ambient=16, dim_subspace=3, n_scenarios=4, n_combos=3,
         frames_per_scenario=12, n_windows=12, noise_sigma=0.1, seed=17))
-    profile = build_design_profile(
-        dataset.training_frames, dataset.combos, dataset.platforms,
-        dataset.performance,
-        SelectionConstraints(float("inf"), 0.0, float("inf")),
-        n_scenarios=4, subspace_dim=3, window_length=12, seed=17)
+    profile = design_for(dataset)
     per = dataset.config.frames_per_scenario
     windows = [build_window(dataset.test_stream[i * per:(i + 1) * per], 3)
                for i in range(12)]
@@ -346,11 +342,7 @@ def test_criterion_8_latency():
     small = generate_synthetic(SyntheticConfig(
         dim_ambient=16, dim_subspace=3, n_scenarios=2, n_combos=2,
         frames_per_scenario=8, n_windows=1, noise_sigma=0.1, seed=1))
-    warm_profile = build_design_profile(
-        small.training_frames, small.combos, small.platforms,
-        small.performance,
-        SelectionConstraints(float("inf"), 0.0, float("inf")),
-        2, 3, 8, 1)
+    warm_profile = design_for(small)
     match_scenario(build_window(small.test_stream[:8], 3), warm_profile)
 
     t0 = time.perf_counter()
@@ -380,11 +372,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     dataset = generate_synthetic(SyntheticConfig(
         dim_ambient=12, dim_subspace=2, n_scenarios=2, n_combos=2,
         frames_per_scenario=8, n_windows=4, noise_sigma=0.05, seed=2))
-    profile = build_design_profile(
-        dataset.training_frames, dataset.combos, dataset.platforms,
-        dataset.performance,
-        SelectionConstraints(float("inf"), 0.0, float("inf")),
-        2, 2, 8, 2)
+    profile = design_for(dataset)
     dataio.write_profile(tmp_path / "p.json", profile)
     back = dataio.read_profile(tmp_path / "p.json")
     assert dataio.profile_digest(back) == dataio.profile_digest(profile)

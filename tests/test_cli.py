@@ -42,7 +42,6 @@ def run_pipeline(tmp_path, out_name="run"):
         "--max-error", "3.5", "--required-fps", "1.0", "--max-cost", "10.0",
         "--window-length", "10",
         "--out", str(out / "profile.json"),
-        "--seed", "13",
     ]) == 0
     assert main([
         "select",
@@ -95,7 +94,7 @@ def test_pipeline_is_byte_deterministic(tmp_path):
 
 def test_synth_without_config_uses_defaults(tmp_path, capsys):
     out = tmp_path / "default"
-    assert main(["synth", "--out-dir", str(out), "--seed", "3"]) == 0
+    assert main(["synth", "--out-dir", str(out)]) == 0
     assert "200 test windows" in capsys.readouterr().out
 
 
@@ -231,7 +230,7 @@ def test_command_writes_into_a_new_nested_directory(tmp_path, command,
     if command == "profile":
         argv += ["--subspace-dim", "3", "--max-error", "3.5",
                  "--required-fps", "1.0", "--max-cost", "10.0",
-                 "--window-length", "10", "--seed", "13"]
+                 "--window-length", "10"]
     assert main(argv) == 0
     assert target.exists()
     if command != "select":  # a trace holds wall times
@@ -329,6 +328,19 @@ def test_select_and_eval_take_no_seed(tmp_path, capsys):
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out-dir", "out"],
+    ["profile", "--train", "t.json", "--perf", "p.csv", "--platforms",
+     "p.json", "--max-error", "1", "--required-fps", "1", "--max-cost", "1",
+     "--out", "profile.json"]], ids=["synth", "profile"])
+def test_synth_and_profile_take_no_seed(capsys, argv):
+    # synth's seed is its config's, and profile clusters with a fixed seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_eval_malformed_trace_exits_1_naming_the_line(tmp_path, capsys):
     out = run_pipeline(tmp_path)
     lines = (out / "trace.jsonl").read_text().splitlines()
@@ -368,8 +380,7 @@ def test_profile_verbose_logs_one_clustering_line(tmp_path, caplog):
                "--platforms", str(out / "platforms.json"),
                "--subspace-dim", "3", "--max-error", "3.5",
                "--required-fps", "1.0", "--max-cost", "10.0",
-               "--window-length", "10", "--out", str(out / "p2.json"),
-               "--seed", "13"]
+               "--window-length", "10", "--out", str(out / "p2.json")]
     # without --verbose the command prints nothing to stderr
     src = str(Path(adasel.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -457,7 +468,7 @@ def test_cli_end_to_end_matches_golden_report(tmp_path):
     # the default-config synthetic pipeline, driven entirely through the CLI,
     # must reproduce the stored golden report byte-for-byte
     out = tmp_path / "golden_run"
-    assert main(["synth", "--out-dir", str(out), "--seed", "42"]) == 0
+    assert main(["synth", "--out-dir", str(out)]) == 0
     assert main([
         "profile",
         "--train", str(out / "train_manifest.json"),
@@ -467,7 +478,6 @@ def test_cli_end_to_end_matches_golden_report(tmp_path):
         "--max-error", "3.0", "--required-fps", "1.0", "--max-cost", "10.0",
         "--window-length", "40",
         "--out", str(out / "profile.json"),
-        "--seed", "42",
     ]) == 0
     assert main([
         "select",

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import struct
 import tracemalloc
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from adasel import dataio
-from adasel.design import SelectionConstraints, build_design_profile
 from adasel.errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                            DimensionOverflow, DuplicateKey, MalformedRow,
                            ManifestInvalid, NegativeError, NonFiniteFeatures,
@@ -16,22 +14,14 @@ from adasel.errors import (BadMagic, ConfigInvalid, DimensionMismatch,
                            UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import run_selection
-
-OPEN = SelectionConstraints(max_mean_error=float("inf"), required_fps=0.0,
-                            max_cost=float("inf"))
+from conftest import OPEN, design_for
 
 
 def pipeline_profile(tmp_path=None):
     dataset = generate_synthetic(SyntheticConfig(
         dim_ambient=12, dim_subspace=2, n_scenarios=2, n_combos=2,
         frames_per_scenario=8, n_windows=6, noise_sigma=0.05, seed=9))
-    cfg = dataset.config
-    profile = build_design_profile(
-        dataset.training_frames, dataset.combos, dataset.platforms,
-        dataset.performance, OPEN, n_scenarios=cfg.n_scenarios,
-        subspace_dim=cfg.dim_subspace, window_length=cfg.frames_per_scenario,
-        seed=cfg.seed)
-    return dataset, profile
+    return dataset, design_for(dataset)
 
 
 # --------------------------------------------------------------------------
@@ -1084,7 +1074,7 @@ def test_json_nan_and_infinity_are_rejected_naming_the_file(
         error, where = ManifestInvalid, f"{path}: platforms[0]: cost"
     elif kind == "synth_config":
         path.write_text(json.dumps({"mean_scale": "@"}).replace('"@"', token))
-        read = functools.partial(dataio.read_synth_config, default_seed=1)
+        read = dataio.read_synth_config
         error, where = ConfigInvalid, f"{path}: mean_scale"
     else:
         dataset, profile = pipeline_profile()
@@ -1108,12 +1098,54 @@ def test_json_nan_and_infinity_are_rejected_naming_the_file(
 def test_synth_config_two_keys_for_one_error_model_pair_raise(
         tmp_path, second):
     # int() reads each spelling as pair (0, 1), so the later value would
-    # silently replace the earlier one
+    # silently replace the earlier one; only "0,1" spells the pair
     path = tmp_path / "synth.json"
     model = {"0,0": 1.0, "0,1": 1.0, "1,0": 1.0, "1,1": 1.0, second: 9.0}
     path.write_text(json.dumps(
         {"n_scenarios": 2, "n_combos": 2, "error_model": model}))
     with pytest.raises(ConfigInvalid) as exc:
-        dataio.read_synth_config(path, default_seed=1)
+        dataio.read_synth_config(path)
     assert str(exc.value) == (
-        f"{path}: error_model keys '0,1' and {second!r} both name pair (0, 1)")
+        f"{path}: error_model key {second!r} is not 'scenario,combo' "
+        "in plain digits")
+
+
+@pytest.mark.parametrize("kind", ["platforms", "synth_config", "trace",
+                                  "profile"])
+def test_json_key_repeated_in_one_object_raises_naming_the_file_and_key(
+        tmp_path, kind):
+    # json.loads keeps the last of two equal keys, so "cost": 1.0,
+    # "cost": 0.5 would read as cost 0.5
+    path = tmp_path / f"{kind}.json"
+    if kind == "synth_config":
+        path.write_text(
+            '{"n_scenarios": 2, "n_combos": 2, "error_model": {"0,0": 1.0, '
+            '"0,1": 1.0, "1,0": 1.0, "1,1": 1.0, "0,1": 9.0}}')
+        read, error, where, key = (dataio.read_synth_config, ConfigInvalid,
+                                   f"{path}", "0,1")
+    elif kind == "trace":
+        dataset, profile = pipeline_profile()
+        dataio.write_trace(path, run_selection(
+            dataset.test_stream, profile, "p1",
+            dataset.config.frames_per_scenario))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"elapsed_ms": ',
+                                    '"elapsed_ms": 0.5, "elapsed_ms": ')
+        path.write_text("\n".join(lines) + "\n")
+        read, error, where, key = (dataio.read_trace, MalformedRow,
+                                   f"{path}:2", "elapsed_ms")
+    else:
+        dataset, profile = pipeline_profile()
+        if kind == "platforms":
+            dataio.write_platforms(path, dataset.combos, dataset.platforms)
+            read, key = dataio.read_platforms, "cost"
+        else:
+            dataio.write_profile(path, profile)
+            read, key = dataio.read_profile, "selected_platform"
+        text = path.read_text()
+        path.write_text(text.replace(f'"{key}": ', f'"{key}": 0.5, "{key}": ',
+                                     1))
+        error, where = ManifestInvalid, f"{path}"
+    with pytest.raises(error) as exc:
+        read(path)
+    assert str(exc.value) == f"{where}: repeated key {key!r}"

@@ -1,10 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
-                           SelectionConstraints, build_design_profile,
                            cluster_scenarios, label_scenarios)
 from adasel.errors import ConfigInvalid, DuplicateKey, Misaligned
 from adasel.dataio import read_window_truth, write_report, write_window_truth
@@ -13,9 +14,7 @@ from adasel.harness import (RegretReport, SyntheticConfig, WindowTruth,
                             generate_synthetic)
 from adasel.runtime import SelectionDecision, SelectionTrace, run_selection
 from adasel.subspace import pca_basis
-
-OPEN = SelectionConstraints(max_mean_error=float("inf"), required_fps=0.0,
-                            max_cost=float("inf"))
+from conftest import OPEN, design_for
 
 
 def tiny_config(**overrides):
@@ -27,14 +26,9 @@ def tiny_config(**overrides):
 
 
 def run_pipeline(dataset):
-    cfg = dataset.config
-    profile = build_design_profile(
-        dataset.training_frames, dataset.combos, dataset.platforms,
-        dataset.performance, OPEN, n_scenarios=cfg.n_scenarios,
-        subspace_dim=cfg.dim_subspace, window_length=cfg.frames_per_scenario,
-        seed=cfg.seed)
+    profile = design_for(dataset)
     trace = run_selection(dataset.test_stream, profile, "p1",
-                          cfg.frames_per_scenario)
+                          dataset.config.frames_per_scenario)
     return profile, trace
 
 
@@ -134,7 +128,7 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         generate_synthetic(tiny_config(noise_sigma=-0.1))
     with pytest.raises(ConfigInvalid):
-        SyntheticConfig(n_windows=0).validate()
+        SyntheticConfig(n_windows=0)
 
 
 def test_config_rejects_values_that_are_not_numbers():
@@ -181,10 +175,10 @@ FULL_MODEL = {(i, h): 1.0 for i in range(3) for h in range(3)}
 ], ids=["list", "off-grid", "unparsed-key", "incomplete", "negative",
         "string", "bool"])
 def test_validate_checks_the_error_model(model, message):
-    # the config checks its own error model, so a config that validates
-    # is one the generator can run
+    # the config checks its own error model when built, so a config that
+    # exists is one the generator can run
     with pytest.raises(ConfigInvalid, match=message):
-        tiny_config(error_model=model).validate()
+        tiny_config(error_model=model)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -197,7 +191,37 @@ def test_validate_rejects_non_finite_numbers(overrides):
     # a non-finite mean_scale or noise_sigma generates non-finite frames, and
     # a NaN error_model entry writes error=nan into the performance table
     with pytest.raises(ConfigInvalid, match="must be a finite number"):
-        tiny_config(**overrides).validate()
+        tiny_config(**overrides)
+
+
+def test_config_cannot_be_changed_into_an_invalid_state():
+    model = dict(FULL_MODEL)
+    config = tiny_config(error_model=model)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.n_windows = 0
+    with pytest.raises(TypeError):
+        config.error_model[(0, 0)] = -1.0
+    model[(0, 0)] = -1.0  # the config holds its own copy
+    assert config.error_model[(0, 0)] == 1.0
+    assert dataclasses.replace(config, seed=6).error_model == FULL_MODEL
+    # a copy is rebuilt, and checked, from the fields
+    assert copy.deepcopy(config) == config
+    assert pickle.loads(pickle.dumps(config)) == config
+
+
+@pytest.mark.parametrize("n_scenarios, message", [
+    (16, "could not place 16 subspaces with pairwise separation 0.2 in "
+         "dimension 2"),
+    (6, "could not place 6 separated means in dimension 2")],
+    ids=["subspaces", "means"])
+def test_generator_reports_scenarios_it_cannot_place(n_scenarios, message):
+    # in the plane, at most 15 lines are pairwise 0.2 rad apart (pi / 0.2),
+    # and at most 3 unit vectors have pairwise |cos| <= 0.5
+    config = SyntheticConfig(dim_ambient=2, dim_subspace=1,
+                             n_scenarios=n_scenarios)
+    with pytest.raises(ConfigInvalid) as exc:
+        generate_synthetic(config)
+    assert str(exc.value) == message
 
 
 def test_custom_error_model_respected():

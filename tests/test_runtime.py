@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
-                           SelectionConstraints, build_design_profile)
+from adasel.design import DesignProfile, ProfileConfig, ScenarioProfile
 from adasel.errors import (AdaselError, DegenerateWindow, DimensionMismatch,
-                           EmptyStream, NonFiniteFeatures, TooFewFrames,
-                           UnlabeledScenario)
+                           EmptyStream, InvalidM, NonFiniteFeatures,
+                           OutOfRange, TooFewFrames, UnlabeledScenario)
 from adasel.gfk import gfk_kernel, similarity, stacked_distances
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import (TimeWindow, _stack_scenarios, build_window,
                             match_scenario, mean_similarity, run_selection,
                             segment_windows)
 from adasel.subspace import SubspaceBasis, pca_basis, principal_angles
-from conftest import random_subspace
-
-OPEN_CONSTRAINTS = SelectionConstraints(
-    max_mean_error=float("inf"), required_fps=0.0, max_cost=float("inf"))
+from conftest import design_for, random_subspace
 
 
 def small_dataset(**overrides):
@@ -33,15 +29,6 @@ def small_dataset(**overrides):
 def default_dataset():
     """Default synth settings (a=64, b=5, seed 42) with 3 scenarios."""
     return generate_synthetic(SyntheticConfig(n_scenarios=3, n_windows=12))
-
-
-def profile_for(dataset):
-    cfg = dataset.config
-    return build_design_profile(
-        dataset.training_frames, dataset.combos, dataset.platforms,
-        dataset.performance, OPEN_CONSTRAINTS,
-        n_scenarios=cfg.n_scenarios, subspace_dim=cfg.dim_subspace,
-        window_length=cfg.frames_per_scenario, seed=cfg.seed)
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +70,7 @@ def test_segment_empty_stream():
 
 
 def test_segment_rejects_tiny_window_length(rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         segment_windows(rng.standard_normal((10, 4)), 1)
 
 
@@ -159,7 +146,7 @@ def test_build_window_too_few_frames(rng):
 
 def test_single_scenario_always_matches(rng):
     dataset = small_dataset(n_scenarios=1)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     w = build_window(rng.standard_normal((12, 16)) * 50.0, 3)
     scenario, sims = match_scenario(w, profile)
     assert scenario is profile.scenarios[0] and sims.shape == (1,)
@@ -167,7 +154,7 @@ def test_single_scenario_always_matches(rng):
 
 def test_window_of_scenario_members_matches_it(rng):
     dataset = small_dataset(noise_sigma=0.05)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     reps = np.stack([s.representative_feature for s in profile.scenarios])
     # windows rebuilt from each scenario's own training frames
     per = dataset.config.frames_per_scenario
@@ -184,7 +171,7 @@ def test_window_of_scenario_members_matches_it(rng):
 def test_match_monte_carlo_rate(rng):
     # 100 windows of noise-perturbed scenario-1 frames (sigma = 0.1 * signal)
     dataset = small_dataset(seed=29, noise_sigma=0.1)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     cfg = dataset.config
     target_cluster = dataset.scenario_map["g001"]
     per = cfg.frames_per_scenario
@@ -204,7 +191,7 @@ def test_match_monte_carlo_rate(rng):
 
 def test_match_tie_breaks_on_lowest_id(rng):
     dataset = small_dataset(n_scenarios=2)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     # duplicate scenario content under two ids: similarities tie bitwise
     dup = copy.deepcopy(profile)
     dup.scenarios[1].representative_feature = \
@@ -219,7 +206,7 @@ def test_match_tie_breaks_on_lowest_id(rng):
 
 def test_match_scaling_leaves_argmax_unchanged(rng):
     dataset = small_dataset(n_windows=12)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     per = dataset.config.frames_per_scenario
     windows = [build_window(dataset.test_stream[i * per:(i + 1) * per], 3)
                for i in range(12)]
@@ -239,7 +226,7 @@ def test_match_scaling_leaves_argmax_unchanged(rng):
 
 def test_match_degraded_window_still_compares(rng):
     dataset = small_dataset()
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     direction = rng.standard_normal(16)
     frames = profile.scenarios[0].representative_feature + \
         np.outer(np.linspace(-1, 1, 12), direction)
@@ -254,7 +241,7 @@ def test_match_ranks_by_distance_beyond_exp_underflow():
     # every d is in the thousands, so every exp(-d) underflows to 0.0,
     # and only the distances themselves can tell the scenarios apart
     dataset = default_dataset()
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     per = dataset.config.frames_per_scenario
     for k in range(12):
         frames = dataset.test_stream[k * per:(k + 1) * per]
@@ -328,7 +315,7 @@ def test_batched_distances_equal_dense_quadratic_form(case):
 
 def test_match_dimension_mismatch(rng):
     dataset = small_dataset()
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     w = build_window(rng.standard_normal((10, 8)), 3)
     with pytest.raises(DimensionMismatch):
         match_scenario(w, profile)
@@ -339,7 +326,7 @@ def test_match_dimension_mismatch(rng):
 
 def test_trace_switches_at_scenario_boundary(rng):
     dataset = small_dataset(noise_sigma=0.05)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     per = dataset.config.frames_per_scenario
     # pick two scenarios whose labels differ on platform p1
     by_label = {}
@@ -365,7 +352,7 @@ def test_trace_switches_at_scenario_boundary(rng):
 def test_trace_shape_for_29_windows(rng):
     dataset = small_dataset(n_windows=29, frames_per_scenario=10,
                             dim_subspace=3, dim_ambient=16)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     trace = run_selection(dataset.test_stream, profile, "p1", 10)
     assert [d.window_id for d in trace.decisions] == list(range(29))
     assert all(d.elapsed_ms >= 0.0 for d in trace.decisions)
@@ -373,7 +360,7 @@ def test_trace_shape_for_29_windows(rng):
 
 def test_trace_decisions_internally_consistent(rng):
     dataset = small_dataset(n_windows=15)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     trace = run_selection(dataset.test_stream, profile, "p2",
                           dataset.config.frames_per_scenario)
     table = dataset.performance
@@ -389,9 +376,9 @@ def test_trace_decisions_internally_consistent(rng):
 
 def test_run_selection_empty_profile(rng):
     dataset = small_dataset()
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     profile.scenarios = []
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidM):
         run_selection(dataset.test_stream, profile, "p1", 12)
 
 
@@ -400,7 +387,7 @@ def test_run_selection_merges_remainder_too_short_for_a_subspace():
     # than the b + 1 = 13 frames a 12-dim window subspace needs
     dataset = small_dataset(dim_ambient=64, dim_subspace=12,
                             frames_per_scenario=20, n_windows=6)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     stream = dataset.test_stream[:110]
     windows = segment_windows(stream, 20, min_frames=13)
     assert [w.shape[0] for w in windows] == [20] * 4 + [30]
@@ -432,7 +419,7 @@ def _non_finite(stream):
 def test_run_selection_names_the_failing_window_once(edit, platform, error,
                                                      window, reason):
     dataset = small_dataset()
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     with pytest.raises(AdaselError) as exc:
         run_selection(edit(dataset.test_stream), profile, platform, 12)
     message = str(exc.value)
@@ -444,7 +431,7 @@ def test_run_selection_names_the_failing_window_once(edit, platform, error,
 
 def test_run_selection_equals_matching_each_window_alone(rng):
     dataset = small_dataset(n_windows=6)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     stream = dataset.test_stream.copy()
     stream[12:24] = np.resize(stream[12:14], (12, 16))   # rank 1 of 3
     stream[36:48] = np.resize(stream[36:39], (12, 16))   # rank 2 of 3
@@ -463,7 +450,7 @@ def test_run_selection_equals_matching_each_window_alone(rng):
 
 def test_mean_similarity(rng):
     dataset = small_dataset(n_windows=10)
-    profile = profile_for(dataset)
+    profile = design_for(dataset)
     trace = run_selection(dataset.test_stream, profile, "p1",
                           dataset.config.frames_per_scenario)
     m = mean_similarity(trace)
