@@ -12,7 +12,7 @@ from .design import (AlgoParamCombo, DesignProfile, PlatformSpec,
                      ProfileConfig, ScenarioProfile, SelectionConstraints,
                      build_design_profile, cluster_scenarios, feasible_combos,
                      label_scenarios, select_platform)
-from .gfk import gfk_kernel, kernel_integral_oracle, similarity
+from .gfk import gfk_kernel, kernel_integral_oracle
 from .harness import (RegretReport, SyntheticConfig, SyntheticDataset,
                       WindowTruth, evaluate_regret, generate_synthetic)
 from .runtime import (SelectionDecision, SelectionTrace, TimeWindow,
@@ -34,5 +34,5 @@ __all__ = [
     "feasible_combos", "generate_synthetic", "gfk_kernel",
     "kernel_integral_oracle", "label_scenarios", "match_scenario",
     "orthogonal_complement", "pca_basis", "principal_angles",
-    "run_selection", "segment_windows", "select_platform", "similarity",
+    "run_selection", "segment_windows", "select_platform",
 ]

@@ -21,7 +21,7 @@ from . import dataio
 from .design import KMEANS_SEED, SelectionConstraints, build_design_profile
 from .errors import AdaselError, NoFeasiblePlatform
 from .harness import SyntheticConfig, evaluate_regret, generate_synthetic
-from .runtime import mean_similarity, run_selection
+from .runtime import run_selection
 
 log = logging.getLogger("adasel")
 
@@ -94,8 +94,7 @@ def cmd_select(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_trace(out, trace)
     dataio.write_trace_csv(out.with_suffix(".csv"), trace)
-    print(f"{len(trace.decisions)} windows, {trace.switch_count()} switches, "
-          f"mean similarity {mean_similarity(trace):.6f}")
+    print(f"{len(trace.decisions)} windows, {trace.switch_count()} switches")
     return 0
 
 

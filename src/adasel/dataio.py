@@ -9,11 +9,13 @@ round-trip exactly.  Matrices use a fixed little-endian binary layout (magic
 are written with sorted keys and repr-exact floats so that identical
 inputs produce byte-identical files.  Versioned documents carry
 ``format_version`` and readers reject versions newer than they understand.
-A version 5 profile stores only what selection reads, and each scenario's
-arrays are one matrix sidecar: its a x b basis with its representative
-feature as one more column.  A profile stamped with any version up to 5
-loads if it has the version 5 layout; an older one, which held the feature
-inline or in a sidecar of its own, fails on its missing ``matrix_file``.
+A profile stores only what selection reads, and each scenario's arrays are
+one matrix sidecar: its a x b basis with its representative feature as one
+more column.  A profile stamped with any version up to 6 loads if it has
+this layout, which came with version 5; an older one fails on its missing
+``matrix_file``.  A trace line holds each scenario's kernel distance,
+``costs``; a version 5 line held exp(-d) and fails on that missing key.
+Every text input is read as UTF-8.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .runtime import SelectionDecision, SelectionTrace
 from .subspace import ORTHO_TOL
 
 MATRIX_MAGIC = b"ADSLMAT1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 REPORT_VERSION = 1
 # rows * cols * 8 beyond this cannot be a real file; reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
@@ -198,9 +200,21 @@ def _entries(doc, name, read, path, id_key="id") -> list:
     return entries
 
 
+def _read_text(path, error) -> str:
+    """The UTF-8 text of the file ``path``; bytes that are not UTF-8 raise
+    ``error`` naming the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason}, byte offset "
+                    f"{exc.start})") from None
+
+
 def _read_doc(path, spec) -> dict:
     """The versioned JSON object in ``path``, checked against spec."""
-    doc = _json_object(Path(path).read_text(), path, ManifestInvalid)
+    doc = _json_object(_read_text(path, ManifestInvalid), path,
+                       ManifestInvalid)
     _check_version(doc, path, ManifestInvalid)
     return _require(doc, spec, path)
 
@@ -247,7 +261,7 @@ def _write_csv(path, header, rows) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def _cell(kind, text, name, where):
@@ -272,11 +286,16 @@ def _table_rows(path, ids) -> tuple[list[str], list[tuple]]:
     then ``error``.  Each row has the header's width, non-empty ids that
     parse by their types (an int as plain digits) into a key no other row
     has (window ids ``0`` and ``00`` are one key), and a finite error >= 0
-    written in ASCII with no ``_``.
+    written in ASCII with no ``_``.  A cell longer than the ``csv`` field
+    limit is MalformedRow naming the line where ``csv`` reports it.
     """
     names = [*ids, "error"]
-    with open(path, newline="") as fh:
-        lines = list(csv.reader(fh))
+    reader = csv.reader(io.StringIO(_read_text(path, MalformedRow),
+                                    newline=""))
+    try:
+        lines = list(reader)
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
     if not lines:
         raise MalformedRow(f"{path}: empty file")
     header = [h.strip() for h in lines[0]]
@@ -343,6 +362,10 @@ def write_stream(manifest_path, frames, source: str = "",
 def read_stream(manifest_path) -> FeatureStream:
     manifest_path = Path(manifest_path)
     doc = _read_doc(manifest_path, _STREAM_KEYS)
+    for key in ("dim", "frame_count"):
+        if doc[key] < 0:
+            raise ManifestInvalid(f"{manifest_path}: {key}: expected an "
+                                  f"integer >= 0, got {doc[key]}")
     if doc.get("frame_labels") is not None:
         _require(doc, {"frame_labels": _STR_LIST}, manifest_path)
     parts = [read_matrix(manifest_path.parent / name)
@@ -417,8 +440,9 @@ def _sidecar_names(path) -> set[str]:
     """The bare file names (no directory part) under any ``*_file`` key of
     a scenario entry of the profile in ``path``; none if it does not parse."""
     try:
-        doc = _json_object(path.read_text(), path, ManifestInvalid)
-    except (OSError, ValueError, ManifestInvalid):
+        doc = _json_object(_read_text(path, ManifestInvalid), path,
+                           ManifestInvalid)
+    except (OSError, ManifestInvalid):
         return set()
     scenarios = doc.get("scenarios")
     return {name for entry in scenarios if type(entry) is dict
@@ -541,7 +565,7 @@ def write_trace(path, trace: SelectionTrace) -> None:
 def read_trace(path) -> SelectionTrace:
     """Parse a trace; a line that is not a JSON object, lacks a key or holds
     a value of the wrong type raises MalformedRow naming ``path:line``."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path, MalformedRow).splitlines()
     if not lines:
         raise MalformedRow(f"{path}: empty trace")
     where = f"{path}:1"
@@ -560,9 +584,10 @@ def read_trace(path) -> SelectionTrace:
 
 
 def write_trace_csv(path, trace: SelectionTrace) -> None:
-    """Plot-friendly projection: one row per window decision."""
-    _write_csv(path, ["window_id", "combo_id", "similarity"],
-               ([d.window_id, d.chosen_combo_id, repr(float(d.similarity))]
+    """Plot-friendly projection: one row per window decision, with the
+    matched scenario's kernel distance."""
+    _write_csv(path, ["window_id", "combo_id", "matched_cost"],
+               ([d.window_id, d.chosen_combo_id, repr(float(d.costs.min()))]
                 for d in trace.decisions))
 
 
@@ -627,7 +652,7 @@ def read_synth_config(path) -> SyntheticConfig:
     """The SyntheticConfig in a JSON file, error_model's keys read as (i, h)
     pairs from their one spelling, ``f"{i},{h}"`` (not ``0, 1`` or ``0,01``);
     every error is a ConfigInvalid naming the file."""
-    doc = _json_object(Path(path).read_text(), path, ConfigInvalid)
+    doc = _json_object(_read_text(path, ConfigInvalid), path, ConfigInvalid)
     known = {f.name for f in dataclasses.fields(SyntheticConfig)}
     try:
         if unknown := set(doc) - known:

@@ -19,8 +19,6 @@ and oracles check those distances against.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
@@ -160,9 +158,3 @@ def kernel_integral_oracle(dec: PrincipalDecomposition, x: SubspaceBasis,
         W += G2 @ G1.T
     return (W + W.T) / 2.0
 
-
-def similarity(d: float) -> float:
-    """exp(-d): 1 at distance 0, strictly decreasing, always positive."""
-    if d < 0.0:
-        raise OutOfRange(f"distance must be nonnegative, got {d}")
-    return math.exp(-d)

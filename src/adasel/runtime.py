@@ -10,7 +10,6 @@ geodesic flow itself is never formed.  The design profile is read-only here.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .design import DesignProfile, ScenarioProfile
 from .errors import (AdaselError, DegenerateWindow, DimensionMismatch,
                      EmptyStream, InvalidM, OutOfRange, TooFewFrames,
                      UnlabeledScenario)
-from .gfk import similarity, stacked_distances
+from .gfk import stacked_distances
 from .subspace import _principal_directions, as_feature_matrix
 
 
@@ -43,11 +42,20 @@ class TimeWindow:
 class SelectionDecision:
     window_id: int
     matched_scenario_id: str
-    similarity: float
-    all_similarities: np.ndarray
+    costs: np.ndarray  # kernel distance to each scenario, in profile order
     chosen_combo_id: str
     platform_id: str
     elapsed_ms: float  # wall time to build, match and select this window
+
+    # exp(-costs): the benchmark's trace round-trip check reads these two
+    # names until it compares whole records; nothing in the package does
+    @property
+    def all_similarities(self) -> np.ndarray:
+        return np.exp(-self.costs)
+
+    @property
+    def similarity(self) -> float:
+        return float(self.all_similarities.max())
 
 
 @dataclass
@@ -118,12 +126,11 @@ def match_scenario(window: TimeWindow, profile: DesignProfile,
                    stacked=None) -> tuple[ScenarioProfile, np.ndarray]:
     """Nearest training scenario by kernel distance (ties: lowest id).
 
-    Returns (scenario, similarities): the matched ScenarioProfile, whose
-    labels give the window's combo, and one similarity exp(-d) per profile
-    scenario, in profile order.  Both sides are compared at the effective
-    dimension: the top min(window dim, profile dim) directions of each
-    basis.  The ranking uses d itself, so it stays right where every
-    exp(-d) underflows to 0.  A pass over many windows passes
+    Returns (scenario, costs): the matched ScenarioProfile, whose labels
+    give the window's combo, and the kernel distance d to each profile
+    scenario, in profile order, that the match is the argmin of.  Both sides
+    are compared at the effective dimension: the top min(window dim, profile
+    dim) directions of each basis.  A pass over many windows passes
     ``stacked = _stack_scenarios(profile)``, built once.
     """
     a = profile.config.dim_ambient
@@ -134,13 +141,12 @@ def match_scenario(window: TimeWindow, profile: DesignProfile,
 
     bases, means = stacked or _stack_scenarios(profile)
     k = min(window.basis.shape[1], profile.config.dim_subspace)
-    distances = stacked_distances(bases[:, :, :k], means,
-                                  window.basis[:, :k],
-                                  window.aggregated_feature).tolist()
+    costs = stacked_distances(bases[:, :, :k], means, window.basis[:, :k],
+                              window.aggregated_feature)
     scenarios = profile.scenarios
     best = min(range(len(scenarios)),
-               key=lambda j: (distances[j], scenarios[j].scenario_id))
-    return scenarios[best], np.array([similarity(d) for d in distances])
+               key=lambda j: (costs[j], scenarios[j].scenario_id))
+    return scenarios[best], costs
 
 
 def run_selection(stream, profile: DesignProfile, platform_id: str,
@@ -160,7 +166,7 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
         t0 = time.perf_counter()
         try:
             window = build_window(frames, profile.config.dim_subspace)
-            scenario, sims = match_scenario(window, profile, stacked)
+            scenario, costs = match_scenario(window, profile, stacked)
             combo = scenario.labels.get(platform_id)
             if combo is None:
                 raise UnlabeledScenario(
@@ -170,14 +176,7 @@ def run_selection(stream, profile: DesignProfile, platform_id: str,
             raise type(exc)(f"window {i}: {exc}") from exc
         decisions.append(SelectionDecision(
             window_id=i, matched_scenario_id=scenario.scenario_id,
-            similarity=float(sims.max()), all_similarities=sims,
-            chosen_combo_id=combo, platform_id=platform_id,
+            costs=costs, chosen_combo_id=combo, platform_id=platform_id,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0))
     return SelectionTrace(decisions=decisions,
                           profile_reference=profile_digest(profile))
-
-
-def mean_similarity(trace: SelectionTrace) -> float:
-    if not trace.decisions:
-        return math.nan
-    return float(np.mean([d.similarity for d in trace.decisions]))

@@ -19,7 +19,7 @@ from adasel.design import (AlgoParamCombo, DesignProfile, PlatformSpec,
                            SelectionConstraints, build_design_profile,
                            feasible_combos, label_scenarios, select_platform)
 from adasel.errors import BadMagic, DuplicateKey, TruncatedPayload
-from adasel.gfk import gfk_kernel, kernel_integral_oracle, similarity
+from adasel.gfk import gfk_kernel, kernel_integral_oracle
 from adasel.harness import SyntheticConfig, evaluate_regret, generate_synthetic
 from adasel.runtime import build_window, match_scenario, run_selection
 from adasel.subspace import SubspaceBasis, principal_angles
@@ -98,14 +98,12 @@ def test_criterion_3_psd_and_metric_properties():
         r = rng.standard_normal(a)
         d = runtime_distance(t, r, x, z)
         assert d >= 0.0
-        s = similarity(d)
-        assert 0.0 < s <= 1.0
         # under identical subspaces: zero distance iff equal features
         assert runtime_distance(t, t, x, x) == 0.0
         assert runtime_distance(t, r, x, x) > 0.0
         cases += 1
     _pass(3, f"{cases} random cases: W symmetric PSD (rank <= 2b), "
-             "distances nonnegative, similarity in (0, 1]")
+             "distances nonnegative")
 
 
 # --------------------------------------------------------------------------
@@ -194,15 +192,15 @@ def _random_instance(rng):
 
 def _brute_force_two_step(profile, window, platform_id, design_inputs):
     combos, platforms, performance = design_inputs
-    # step 1: independent composition of the primitives, explicit argmax
-    sims = []
+    # step 1: independent composition of the primitives, explicit argmin
+    costs = []
     for s in profile.scenarios:
         x = SubspaceBasis(s.basis)
         W = gfk_kernel(principal_angles(x, SubspaceBasis(window.basis)), x)
         delta = s.representative_feature - window.aggregated_feature
-        sims.append(similarity(max(float(delta @ W @ delta), 0.0)))
-    order = sorted(range(len(sims)),
-                   key=lambda i: (-sims[i], profile.scenarios[i].scenario_id))
+        costs.append(max(float(delta @ W @ delta), 0.0))
+    order = sorted(range(len(costs)),
+                   key=lambda i: (costs[i], profile.scenarios[i].scenario_id))
     matched = profile.scenarios[order[0]].scenario_id
     # step 2: explicit scan of the performance table over feasible combos
     platform = next(p for p in platforms if p.id == platform_id)
@@ -218,7 +216,7 @@ def test_criterion_5_two_step_matches_brute_force():
     for trial in range(500):
         profile, window, design_inputs = _random_instance(rng)
         platform_id = ["p1", "p2"][trial % 2]
-        matched, sims = match_scenario(window, profile)
+        matched, _ = match_scenario(window, profile)
         chosen = matched.labels[platform_id]
         bf_matched, bf_chosen = _brute_force_two_step(
             profile, window, platform_id, design_inputs)

@@ -1,17 +1,21 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
 import adasel
+from adasel import dataio
 from adasel.design import (AlgoParamCombo, PlatformSpec, ProfileConfig,
                            ScenarioProfile, build_design_profile)
-from adasel.harness import SyntheticConfig
+from adasel.harness import SyntheticConfig, generate_synthetic
+from conftest import design_for
 
 REMOVED = ["FlowPoint", "GeodesicKernel", "PerformanceRecord",
            "as_feature_vector", "emit_report", "geodesic_flow",
-           "kernel_distance", "parse_report", "select_combo"]
+           "kernel_distance", "mean_similarity", "parse_report",
+           "select_combo", "similarity"]
 
 PACKAGE = Path(adasel.__file__).parent
 BENCHMARK = Path(__file__).parent.parent / "perfbench"
@@ -238,3 +242,20 @@ def test_the_benchmark_calls_only_what_the_package_has():
     assert modules_used >= {"dataio", "design", "runtime"}
     assert called == set(signatures)
     assert not broken
+
+
+def test_the_benchmark_round_trips_a_trace_of_the_package(tmp_path):
+    # the benchmark's runtime pass reads decision attributes by name, which
+    # the check above does not see; run that pass on a small design
+    spec = importlib.util.spec_from_file_location("perfbench_stage",
+                                                  BENCHMARK / "stage.py")
+    stage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage)
+    dataset = generate_synthetic(SyntheticConfig(
+        dim_ambient=12, dim_subspace=2, n_scenarios=2, n_combos=2,
+        frames_per_scenario=8, n_windows=6, noise_sigma=0.05, seed=9))
+    profile = design_for(dataset)
+    stream = dataio.FeatureStream(frames=dataset.test_stream, labels=None)
+    result = stage._pass(profile, stream, tmp_path / "trace.jsonl", None)
+    assert result["roundtrip_ok"]
+    assert result["profile_reference"] == dataio.profile_digest(profile)

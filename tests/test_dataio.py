@@ -139,6 +139,19 @@ def test_stream_manifest_frame_count_mismatch(tmp_path, rng):
         dataio.read_stream(path)
 
 
+@pytest.mark.parametrize("key", ["dim", "frame_count"])
+def test_stream_manifest_negative_size_raises_manifest_invalid(tmp_path, key):
+    # with no matrices to check it against, a negative dim reached np.empty
+    # as a bare ValueError that named no file
+    path = tmp_path / "stream_manifest.json"
+    path.write_text(json.dumps({"format_version": dataio.FORMAT_VERSION,
+                                "dim": 5, "frame_count": 0, "matrices": [],
+                                key: -1}))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == f"{path}: {key}: expected an integer >= 0, got -1"
+
+
 def test_stream_manifest_future_version_rejected(tmp_path, rng):
     path = tmp_path / "stream_manifest.json"
     dataio.write_stream(path, rng.standard_normal((4, 5)))
@@ -302,10 +315,13 @@ PERF = "scenario_id,combo_id,platform_id,error\n"
      "2: bad error value '1_0'"),
     ("window_truth", TRUTH3 + "0,c0,\u0663\n", MalformedRow,
      "2: bad error value '\u0663'"),
+    ("performance_table", PERF + "s0,c0,p0,1.0\n" + "s" * 200_000
+     + ",c0,p0,1.0\n", MalformedRow,
+     "3: field larger than field limit (131072)"),
 ], ids=["truth-short-row", "truth-extra-cell", "truth-empty-combo",
         "truth-negative", "truth-nan", "truth-inf", "perf-nan", "perf-inf",
         "truth-0-and-00", "perf-underscore", "truth-underscore",
-        "truth-arabic-indic"])
+        "truth-arabic-indic", "perf-cell-over-csv-limit"])
 def test_both_csv_tables_follow_one_set_of_row_rules(
         tmp_path, table, text, error, message):
     # a row has the header's width, non-empty ids, a finite error >= 0 and
@@ -924,10 +940,9 @@ def test_trace_round_trip(tmp_path):
         assert d1.elapsed_ms == d2.elapsed_ms
         assert d1.window_id == d2.window_id
         assert d1.matched_scenario_id == d2.matched_scenario_id
-        assert d1.similarity == d2.similarity
         assert d1.chosen_combo_id == d2.chosen_combo_id
         assert d1.platform_id == d2.platform_id
-        assert np.array_equal(d1.all_similarities, d2.all_similarities)
+        assert d1.costs.tobytes() == d2.costs.tobytes()
 
 
 def test_trace_bad_lines_raise_malformed_row_naming_the_line(tmp_path):
@@ -966,7 +981,7 @@ def test_trace_values_of_the_wrong_type_raise_malformed_row_naming_the_line(
     lines = path.read_text().splitlines()
     # each case is (line index, key, a value of the wrong JSON type)
     cases = [(0, "profile_reference", 7), (1, "window_id", "0"),
-             (2, "all_similarities", [0.5, "x"]), (3, "elapsed_ms", None)]
+             (2, "costs", [0.5, "x"]), (3, "elapsed_ms", None)]
     for index, key, value in cases:
         rec = json.loads(lines[index])
         rec[key] = value
@@ -1032,12 +1047,27 @@ def test_trace_csv_projection(tmp_path):
     path = tmp_path / "trace.csv"
     dataio.write_trace_csv(path, trace)
     lines = path.read_text().splitlines()
-    assert lines[0] == "window_id,combo_id,similarity"
+    assert lines[0] == "window_id,combo_id,matched_cost"
     assert len(lines) == 1 + len(trace.decisions)
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] == trace.decisions[0].chosen_combo_id
-    assert float(first[2]) == trace.decisions[0].similarity
+    assert float(first[2]) == trace.decisions[0].costs.min()
+
+
+def test_a_version_5_trace_line_raises_malformed_row_naming_costs(tmp_path):
+    # a version 5 line held exp(-d), which is 0.0 past d ~ 745 and cannot
+    # give the distance back, so it is refused rather than converted
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(json.dumps(doc, sort_keys=True) for doc in [
+        {"format_version": 5, "kind": "adasel-trace",
+         "profile_reference": "x" * 64},
+        {"window_id": 0, "matched_scenario_id": "s000", "similarity": 1.0,
+         "all_similarities": [1.0, 0.0], "chosen_combo_id": "c00",
+         "platform_id": "p1", "elapsed_ms": 1.0}]) + "\n")
+    with pytest.raises(MalformedRow) as exc:
+        dataio.read_trace(path)
+    assert str(exc.value) == f"{path}:2: missing key 'costs'"
 
 
 def test_trace_future_version_rejected(tmp_path):
@@ -1149,3 +1179,19 @@ def test_json_key_repeated_in_one_object_raises_naming_the_file_and_key(
     with pytest.raises(error) as exc:
         read(path)
     assert str(exc.value) == f"{where}: repeated key {key!r}"
+
+
+@pytest.mark.parametrize("reader, error", [
+    ("stream", ManifestInvalid), ("profile", ManifestInvalid),
+    ("platforms", ManifestInvalid), ("trace", MalformedRow),
+    ("performance_table", MalformedRow), ("window_truth", MalformedRow),
+    ("synth_config", ConfigInvalid)])
+def test_a_file_that_is_not_utf8_raises_the_readers_error_naming_it(
+        tmp_path, reader, error):
+    # a bare UnicodeDecodeError names neither the file nor the reader
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff{}\n")
+    with pytest.raises(error) as exc:
+        getattr(dataio, f"read_{reader}")(path)
+    assert str(exc.value) == (
+        f"{path}: not UTF-8 text (invalid start byte, byte offset 0)")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adasel.errors import OutOfRange
 from adasel.gfk import (_lambda_coeffs, flow_samples, gfk_kernel,
-                        kernel_integral_oracle, similarity)
+                        kernel_integral_oracle)
 from adasel.subspace import SubspaceBasis, principal_angles
 from conftest import max_sine_angle, random_subspace, runtime_distance
 
@@ -166,7 +166,7 @@ def test_oracle_rejects_too_few_steps(rng):
 
 
 # --------------------------------------------------------------------------
-# stacked_distances / similarity
+# stacked_distances
 
 def test_distance_zero_for_equal_features(rng):
     x, z = random_subspace(rng, 10, 3), random_subspace(rng, 10, 3)
@@ -208,24 +208,6 @@ def test_distance_with_an_orthogonal_direction_matches_the_dense_kernel(
         delta = t - r
         d = runtime_distance(t, r, x, z)
         assert abs(d - delta @ W @ delta) <= 1e-12 * (delta @ delta)
-
-
-def test_similarity_reference_points():
-    assert similarity(0.0) == 1.0
-    assert abs(similarity(np.log(2.0)) - 0.5) < 1e-15
-    assert 0.0 < similarity(50.0) < 2e-22
-    assert similarity(700.0) > 0.0
-
-
-def test_similarity_strictly_decreasing(rng):
-    ds = np.sort(rng.uniform(0.0, 60.0, size=50))
-    sims = [similarity(float(d)) for d in ds]
-    assert all(s1 > s2 for s1, s2 in zip(sims, sims[1:]))
-
-
-def test_similarity_rejects_negative():
-    with pytest.raises(OutOfRange):
-        similarity(-1e-9)
 
 
 # --------------------------------------------------------------------------

@@ -35,8 +35,8 @@ def run_pipeline(dataset):
 def fake_trace(choices, matched=None):
     decisions = [SelectionDecision(
         window_id=i, matched_scenario_id=(matched[i] if matched else "s000"),
-        similarity=1.0, all_similarities=np.array([1.0]),
-        chosen_combo_id=c, platform_id="p1", elapsed_ms=0.0)
+        costs=np.array([0.0]), chosen_combo_id=c, platform_id="p1",
+        elapsed_ms=0.0)
         for i, c in enumerate(choices)]
     return SelectionTrace(decisions=decisions, profile_reference="x" * 64)
 

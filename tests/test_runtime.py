@@ -1,19 +1,20 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasel import dataio
 from adasel.design import DesignProfile, ProfileConfig, ScenarioProfile
 from adasel.errors import (AdaselError, DegenerateWindow, DimensionMismatch,
                            EmptyStream, InvalidM, NonFiniteFeatures,
                            OutOfRange, TooFewFrames, UnlabeledScenario)
-from adasel.gfk import gfk_kernel, similarity, stacked_distances
+from adasel.gfk import gfk_kernel, stacked_distances
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import (TimeWindow, _stack_scenarios, build_window,
-                            match_scenario, mean_similarity, run_selection,
-                            segment_windows)
+                            match_scenario, run_selection, segment_windows)
 from adasel.subspace import SubspaceBasis, pca_basis, principal_angles
 from conftest import design_for, random_subspace
 
@@ -148,8 +149,8 @@ def test_single_scenario_always_matches(rng):
     dataset = small_dataset(n_scenarios=1)
     profile = design_for(dataset)
     w = build_window(rng.standard_normal((12, 16)) * 50.0, 3)
-    scenario, sims = match_scenario(w, profile)
-    assert scenario is profile.scenarios[0] and sims.shape == (1,)
+    scenario, costs = match_scenario(w, profile)
+    assert scenario is profile.scenarios[0] and costs.shape == (1,)
 
 
 def test_window_of_scenario_members_matches_it(rng):
@@ -163,9 +164,9 @@ def test_window_of_scenario_members_matches_it(rng):
         d2 = ((frames.mean(axis=0) - reps) ** 2).sum(axis=1)
         expected = profile.scenarios[int(d2.argmin())].scenario_id
         w = build_window(frames, 3)
-        scenario, sims = match_scenario(w, profile)
+        scenario, costs = match_scenario(w, profile)
         assert scenario.scenario_id == expected
-        assert sims.max() > 1.0 - 1e-6
+        assert costs.min() < 1e-6
 
 
 def test_match_monte_carlo_rate(rng):
@@ -192,15 +193,15 @@ def test_match_monte_carlo_rate(rng):
 def test_match_tie_breaks_on_lowest_id(rng):
     dataset = small_dataset(n_scenarios=2)
     profile = design_for(dataset)
-    # duplicate scenario content under two ids: similarities tie bitwise
+    # duplicate scenario content under two ids: costs tie bitwise
     dup = copy.deepcopy(profile)
     dup.scenarios[1].representative_feature = \
         dup.scenarios[0].representative_feature.copy()
     dup.scenarios[1].basis = dup.scenarios[0].basis
     per = dataset.config.frames_per_scenario
     w = build_window(dataset.test_stream[:per], dataset.config.dim_subspace)
-    scenario, sims = match_scenario(w, dup)
-    assert sims[0] == sims[1]
+    scenario, costs = match_scenario(w, dup)
+    assert costs[0] == costs[1]
     assert scenario.scenario_id == "s000"
 
 
@@ -232,14 +233,14 @@ def test_match_degraded_window_still_compares(rng):
         np.outer(np.linspace(-1, 1, 12), direction)
     w = build_window(frames, 3)
     assert w.degraded and w.basis.shape[1] == 1
-    _, sims = match_scenario(w, profile)
-    assert sims.shape == (3,)
+    _, costs = match_scenario(w, profile)
+    assert costs.shape == (3,)
 
 
 def test_match_ranks_by_distance_beyond_exp_underflow():
     # each window's mean moved 60 units along its own leading direction:
-    # every d is in the thousands, so every exp(-d) underflows to 0.0,
-    # and only the distances themselves can tell the scenarios apart
+    # every d is in the thousands, where every exp(-d) underflows to 0.0,
+    # so only the distances themselves can tell the scenarios apart
     dataset = default_dataset()
     profile = design_for(dataset)
     per = dataset.config.frames_per_scenario
@@ -254,9 +255,32 @@ def test_match_ranks_by_distance_beyond_exp_underflow():
             W = gfk_kernel(principal_angles(x, z), x)
             delta = s.representative_feature - w.aggregated_feature
             d.append(delta @ W @ delta)
-        scenario, sims = match_scenario(w, profile)
-        assert min(d) > 745.0 and not sims.any()
+        scenario, costs = match_scenario(w, profile)
+        assert min(d) > 745.0 and costs.min() > 745.0
         assert scenario is profile.scenarios[int(np.argmin(d))]
+        assert scenario is profile.scenarios[int(np.argmin(costs))]
+
+
+def test_trace_line_of_a_shifted_window_holds_its_costs(tmp_path):
+    # the shifted windows above, run and traced: each line keeps the
+    # distances, which exp(-d) would have written as all zeros
+    dataset = default_dataset()
+    profile = design_for(dataset)
+    per = dataset.config.frames_per_scenario
+    stream = dataset.test_stream.copy()
+    for k in range(12):
+        frames = stream[k * per:(k + 1) * per]
+        frames += 60.0 * build_window(frames, 5).basis[:, 0]
+    path = tmp_path / "trace.jsonl"
+    dataio.write_trace(path, run_selection(stream, profile, "p1", per))
+    ids = [s.scenario_id for s in profile.scenarios]
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == 12
+    for line in lines:
+        record = json.loads(line)
+        costs = np.array(record["costs"])
+        assert np.isfinite(costs).all() and costs.min() > 745.0
+        assert ids[int(costs.argmin())] == record["matched_scenario_id"]
 
 
 @st.composite
@@ -309,8 +333,8 @@ def test_batched_distances_equal_dense_quadratic_form(case):
         W = gfk_kernel(principal_angles(x, z), x)
         delta = s.representative_feature - window.aggregated_feature
         assert abs(ds - delta @ W @ delta) <= 1e-12 * (delta @ delta)
-    _, sims = match_scenario(window, profile)
-    assert sims.tolist() == [similarity(v) for v in d.tolist()]
+    _, costs = match_scenario(window, profile)
+    assert costs.tolist() == d.tolist()
 
 
 def test_match_dimension_mismatch(rng):
@@ -365,8 +389,9 @@ def test_trace_decisions_internally_consistent(rng):
                           dataset.config.frames_per_scenario)
     table = dataset.performance
     labels = {s.scenario_id: s.labels for s in profile.scenarios}
+    ids = [s.scenario_id for s in profile.scenarios]
     for d in trace.decisions:
-        assert d.similarity == d.all_similarities.max()
+        assert d.costs[ids.index(d.matched_scenario_id)] == d.costs.min()
         assert d.chosen_combo_id == labels[d.matched_scenario_id]["p2"]
         # two-step consistency: chosen combo minimizes the table error
         errors = {c.id: table[(d.matched_scenario_id, c.id, "p2")]
@@ -440,19 +465,10 @@ def test_run_selection_equals_matching_each_window_alone(rng):
     for d in trace.decisions:
         w = build_window(stream[12 * d.window_id:12 * (d.window_id + 1)], 3)
         degraded.append(w.degraded)
-        scenario, sims = match_scenario(w, profile)
+        scenario, costs = match_scenario(w, profile)
         assert d.matched_scenario_id == scenario.scenario_id
-        assert d.all_similarities.tobytes() == sims.tobytes()
-        assert d.similarity == sims.max()
+        assert d.costs.tobytes() == costs.tobytes()
         assert d.chosen_combo_id == scenario.labels["p1"]
     assert degraded == [False, True, False, True, False, False]
 
-
-def test_mean_similarity(rng):
-    dataset = small_dataset(n_windows=10)
-    profile = design_for(dataset)
-    trace = run_selection(dataset.test_stream, profile, "p1",
-                          dataset.config.frames_per_scenario)
-    m = mean_similarity(trace)
-    assert 0.0 < m <= 1.0
 
