@@ -50,7 +50,8 @@ from .subspace import ORTHO_TOL
 MATRIX_MAGIC = b"ADSLMAT1"
 FORMAT_VERSION = 6
 REPORT_VERSION = 1
-# rows * cols * 8 beyond this cannot be a real file; reject before allocating
+# no real file holds more bytes, and numpy cannot index rows * 8 or cols * 8
+# beyond it even when the other dimension is 0: reject before allocating
 MAX_PAYLOAD_BYTES = 1 << 62
 
 
@@ -60,7 +61,7 @@ MAX_PAYLOAD_BYTES = 1 << 62
 def write_matrix(path, matrix) -> None:
     M = np.ascontiguousarray(matrix, dtype="<f8")
     if M.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
+        raise DimensionMismatch(f"matrix must be 2-D, got shape {M.shape}")
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
@@ -77,7 +78,7 @@ def read_matrix(path) -> np.ndarray:
             raise TruncatedPayload(f"{path}: header truncated")
         rows, cols = struct.unpack("<QQ", header[8:])
         nbytes = rows * cols * 8
-        if nbytes > MAX_PAYLOAD_BYTES:
+        if max(nbytes, rows * 8, cols * 8) > MAX_PAYLOAD_BYTES:
             raise DimensionOverflow(
                 f"{path}: {rows} x {cols} matrix exceeds addressable size")
         size = os.fstat(fh.fileno()).st_size - 24
@@ -117,24 +118,6 @@ _SCENARIO_KEYS = {"scenario_id": _STR, "matrix_file": _STR,
 _PLATFORMS_KEYS = {"combos": _LIST, "platforms": _LIST}
 
 
-class _NonFinite:
-    """A JSON ``NaN``, ``Infinity`` or ``-Infinity``, or a number too large
-    for a float (``1e999``): no type check takes it, so a key that is read
-    refuses it with the reader's error, and a key that is not (the Infinity
-    in an old profile's constraints) may hold it."""
-
-    def __init__(self, token):
-        self.token = token
-
-    def __repr__(self):
-        return self.token
-
-
-def _json_float(token):
-    value = float(token)
-    return value if math.isfinite(value) else _NonFinite(token)
-
-
 def _json_object(text, where, error) -> dict:
     """The JSON object in ``text``; text that is not JSON, holds no object,
     or repeats a key in an object (json keeps the last) raises ``error``."""
@@ -146,17 +129,23 @@ def _json_object(text, where, error) -> dict:
         return obj
 
     try:
-        doc = json.loads(text, parse_constant=_NonFinite,
-                         parse_float=_json_float, object_pairs_hook=unique)
+        doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not JSON ({exc})") from None
     return _require(doc, {}, where, error)
 
 
+def _is(value, types) -> bool:
+    """Whether type(value) is one of types and, for a float, it is finite:
+    json.loads reads NaN, Infinity and 1e999 as non-finite floats."""
+    return type(value) in types and (
+        type(value) is not float or math.isfinite(value))
+
+
 def _require(entry, spec, where, error=ManifestInvalid) -> dict:
-    """``entry``, a JSON object holding each key of spec with a value of one
-    of its types (and, for a container spec, elements of one of its element
-    types); errors, of type ``error``, name where, the key and the element."""
+    """``entry``, a JSON object holding each key of spec with a value (and,
+    for a container spec, elements) of its types, a float only if finite;
+    errors, of type ``error``, name where, the key and the element."""
     if not isinstance(entry, dict):
         raise error(f"{where}: expected a JSON object")
     for key, types in spec.items():
@@ -164,12 +153,12 @@ def _require(entry, spec, where, error=ManifestInvalid) -> dict:
             raise error(f"{where}: missing key {key!r}")
         types, items = types if isinstance(types[0], tuple) else (types, ())
         value = entry[key]
-        if type(value) not in types:
+        if not _is(value, types):
             raise error(f"{where}: {key}: expected {_EXPECTED[types]}")
         if not items:
             continue
         for k, v in value.items() if type(value) is dict else enumerate(value):
-            if type(v) not in items:
+            if not _is(v, items):
                 raise error(
                     f"{where}: {key}[{k!r}]: expected {_EXPECTED[items]}")
     return entry
@@ -286,24 +275,29 @@ def _table_rows(path, ids) -> tuple[list[str], list[tuple]]:
     then ``error``.  Each row has the header's width, non-empty ids that
     parse by their types (an int as plain digits) into a key no other row
     has (window ids ``0`` and ``00`` are one key), and a finite error >= 0
-    written in ASCII with no ``_``.  A cell longer than the ``csv`` field
-    limit is MalformedRow naming the line where ``csv`` reports it.
+    written in ASCII with no ``_``.  Errors name the file line where the
+    row starts (a quoted cell may hold line breaks); a cell longer than the
+    ``csv`` field limit is MalformedRow naming the line where ``csv``
+    reports it.
     """
     names = [*ids, "error"]
     reader = csv.reader(io.StringIO(_read_text(path, MalformedRow),
                                     newline=""))
+    records, start = [], 1  # (file line where a record starts, its cells)
     try:
-        lines = list(reader)
+        for record in reader:
+            records.append((start, record))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
-    if not lines:
+    if not records:
         raise MalformedRow(f"{path}: empty file")
-    header = [h.strip() for h in lines[0]]
+    header = [h.strip() for h in records[0][1]]
     if header[:len(names)] != names:
         raise MalformedRow(
             f"{path}: header must start with {','.join(names)}")
     rows, seen = [], {}
-    for lineno, row in enumerate(lines[1:], 2):
+    for lineno, row in records[1:]:
         where, cells = f"{path}:{lineno}", [c.strip() for c in row]
         if cells in ([], [""]):
             continue
@@ -564,10 +558,12 @@ def write_trace(path, trace: SelectionTrace) -> None:
 
 def read_trace(path) -> SelectionTrace:
     """Parse a trace; a line that is not a JSON object, lacks a key or holds
-    a value of the wrong type raises MalformedRow naming ``path:line``."""
-    lines = _read_text(path, MalformedRow).splitlines()
-    if not lines:
+    a value of the wrong type raises MalformedRow naming ``path:line``.
+    Lines end at a line feed alone: a JSON string may hold a raw U+2028."""
+    text = _read_text(path, MalformedRow)
+    if not text.strip():
         raise MalformedRow(f"{path}: empty trace")
+    lines = text.split("\n")
     where = f"{path}:1"
     header = _json_object(lines[0], where, MalformedRow)
     _check_version(header, where, MalformedRow)

@@ -103,7 +103,7 @@ def pca_basis(samples, b: int) -> np.ndarray:
 
     Parameters
     ----------
-    samples : (n, a) array or sequence of length-a vectors, n >= 2
+    samples : (n, a) array or sequence of length-a vectors, n > b
     b : target subspace dimension, 1 <= b < a
 
     Raises
@@ -112,11 +112,17 @@ def pca_basis(samples, b: int) -> np.ndarray:
         If samples differ in length or b is out of range.
     RankDeficient
         If the centered sample matrix has rank < b; the message states the
-        achievable rank.  Singular values count toward the rank only
-        above max(n, a) * eps * ||X||_F, the rounding left by centering the
-        frames, so a window of identical frames has rank 0.
+        achievable rank.  n <= b samples raise it before any decomposition,
+        since their rank is at most n - 1.  Singular values count toward
+        the rank only above max(n, a) * eps * ||X||_F, the rounding left by
+        centering the frames, so a window of identical frames has rank 0.
     """
-    directions, rank = _principal_directions(as_feature_matrix(samples), b)
+    X = as_feature_matrix(samples)
+    n, a = X.shape
+    if n <= b and 1 <= b < a:
+        raise RankDeficient(f"{n} samples: centered sample matrix has rank "
+                            f"at most {max(n - 1, 0)} < requested b={b}")
+    directions, rank = _principal_directions(X, b)
     if rank < b:
         raise RankDeficient(
             f"centered sample matrix has rank {rank} < requested b={b}")
@@ -141,8 +147,6 @@ def _principal_directions(X: np.ndarray, b: int) -> tuple[np.ndarray, int]:
     its singular values above tol make the rank.
     """
     n, a = X.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     if not (1 <= b < a):
         raise DimensionMismatch(f"need 1 <= b < a={a}, got b={b}")
     centered = X - X.mean(axis=0)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import importlib
 import importlib.util
@@ -174,6 +175,17 @@ def test_every_error_type_is_raised_somewhere():
     for path in PACKAGE.glob("*.py"):
         raised.update(_raised_names(ast.parse(path.read_text())))
     assert sorted(declared - raised) == []
+
+
+def test_no_builtin_exception_is_raised():
+    # a bare ValueError escapes the CLI's error mapping and callers' except
+    # AdaselError clauses; every failure has a typed error
+    builtin = {name for name, cls in vars(builtins).items()
+               if isinstance(cls, type) and issubclass(cls, BaseException)}
+    found = {f"{path.name}: {name}" for path in PACKAGE.glob("*.py")
+             for name in _raised_names(ast.parse(path.read_text()))
+             if name in builtin}
+    assert sorted(found) == []
 
 
 def _dict_keywords(tree) -> dict[str, list[str]]:

@@ -93,10 +93,19 @@ def test_matrix_oversized_payload_rejected(tmp_path):
 
 
 def test_matrix_dimension_overflow(tmp_path):
+    # a zero dimension claims 0 payload bytes, but numpy cannot allocate
+    # the other dimension either
     path = tmp_path / "m.mat"
-    path.write_bytes(b"ADSLMAT1" + struct.pack("<QQ", 1 << 40, 1 << 40))
-    with pytest.raises(DimensionOverflow):
-        dataio.read_matrix(path)
+    for shape in [(1 << 40, 1 << 40), (0, (1 << 64) - 1), (1 << 63, 0)]:
+        path.write_bytes(b"ADSLMAT1" + struct.pack("<QQ", *shape))
+        with pytest.raises(DimensionOverflow) as exc:
+            dataio.read_matrix(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_matrix_that_is_not_2d_raises_dimension_mismatch(tmp_path):
+    with pytest.raises(DimensionMismatch, match=r"got shape \(3,\)$"):
+        dataio.write_matrix(tmp_path / "m.mat", np.zeros(3))
 
 
 def test_matrix_truncated_header(tmp_path):
@@ -117,6 +126,20 @@ def test_stream_round_trip_with_labels(tmp_path, rng):
     stream = dataio.read_stream(path)
     assert np.array_equal(stream.frames, frames)
     assert stream.labels == labels
+
+
+def test_stream_label_count_must_match_the_frames(tmp_path, rng):
+    path = tmp_path / "m.json"
+    with pytest.raises(ManifestInvalid, match=r"^1 labels for 3 frames$"):
+        dataio.write_stream(path, rng.standard_normal((3, 5)), labels=["g"])
+    dataio.write_stream(path, rng.standard_normal((3, 5)),
+                        labels=["g", "g", "h"])
+    doc = json.loads(path.read_text())
+    doc["frame_labels"] = ["g"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == f"{path}: 1 frame_labels for 3 frames"
 
 
 def test_stream_manifest_dim_mismatch(tmp_path, rng):
@@ -318,10 +341,22 @@ PERF = "scenario_id,combo_id,platform_id,error\n"
     ("performance_table", PERF + "s0,c0,p0,1.0\n" + "s" * 200_000
      + ",c0,p0,1.0\n", MalformedRow,
      "3: field larger than field limit (131072)"),
+    # a quoted cell over lines 2-3 moves the next row to line 4
+    ("performance_table", PERF + '"s\n0",c0,p0,1.0\ns1,c0,p0,x\n',
+     MalformedRow, "4: bad error value 'x'"),
+    ("window_truth", TRUTH + '0,c00,1.0,"s\n0"\n1,c00,1.0,\n0,c00,2.0,\n',
+     DuplicateKey,
+     "5: duplicate window_id/combo_id (0, 'c00') (first seen at line 2)"),
+    ("performance_table", "", MalformedRow, " empty file"),
+    ("window_truth", TRUTH3 + "\n0,c00,1.0\n  \n0,c00,x\n", MalformedRow,
+     "5: bad error value 'x'"),
 ], ids=["truth-short-row", "truth-extra-cell", "truth-empty-combo",
         "truth-negative", "truth-nan", "truth-inf", "perf-nan", "perf-inf",
         "truth-0-and-00", "perf-underscore", "truth-underscore",
-        "truth-arabic-indic", "perf-cell-over-csv-limit"])
+        "truth-arabic-indic", "perf-cell-over-csv-limit",
+        "perf-line-after-multiline-cell",
+        "truth-duplicate-after-multiline-cell", "perf-empty-file",
+        "truth-blank-rows-skipped"])
 def test_both_csv_tables_follow_one_set_of_row_rules(
         tmp_path, table, text, error, message):
     # a row has the header's width, non-empty ids, a finite error >= 0 and
@@ -971,6 +1006,35 @@ def test_trace_bad_lines_raise_malformed_row_naming_the_line(tmp_path):
         assert str(exc.value).startswith(f"{bad}{message}")
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_a_trace_without_lines_raises_empty_trace(tmp_path, text):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    with pytest.raises(MalformedRow) as exc:
+        dataio.read_trace(path)
+    assert str(exc.value) == f"{path}: empty trace"
+
+
+def test_trace_lines_split_at_line_feeds_alone(tmp_path):
+    # json.dumps(ensure_ascii=False) writes U+2028 and U+0085 raw, and
+    # str.splitlines() would break a line at them; blank lines are skipped
+    dataset, profile = pipeline_profile()
+    trace = run_selection(dataset.test_stream, profile, "p1",
+                          dataset.config.frames_per_scenario)
+    path = tmp_path / "trace.jsonl"
+    dataio.write_trace(path, trace)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["matched_scenario_id"] = "s\u2028\x85000"
+    lines[1] = json.dumps(rec, ensure_ascii=False)
+    path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n",
+                    encoding="utf-8")
+    back = dataio.read_trace(path)
+    assert back.decisions[0].matched_scenario_id == "s\u2028\x85000"
+    assert [d.window_id for d in back.decisions] == [
+        d.window_id for d in trace.decisions]
+
+
 def test_trace_values_of_the_wrong_type_raise_malformed_row_naming_the_line(
         tmp_path):
     dataset, profile = pipeline_profile()
@@ -1085,43 +1149,61 @@ def test_trace_future_version_rejected(tmp_path):
         dataio.read_trace(path)
 
 
+# kind: (the file, the path of keys to the value set to the token, and where
+# the error names it, or None where no reader reads the key and it loads)
+NON_FINITE = {
+    "platforms": ("platforms", ["platforms", 0, "cost"],
+                  ": platforms[0]: cost"),
+    "capability": ("platforms", ["platforms", 0, "combo_capabilities", "c00"],
+                   ": platforms[0]: combo_capabilities['c00']"),
+    "unread": ("platforms", ["combos", 0, "extra"], None),
+    "synth_config": ("synth_config", ["mean_scale"], ": mean_scale"),
+    "trace": ("trace", ["elapsed_ms"], ":2: elapsed_ms"),
+    "costs": ("trace", ["costs", 0], ":2: costs[0]"),
+}
+
+
 @pytest.mark.parametrize("kind, token", [
     ("platforms", "NaN"), ("synth_config", "Infinity"), ("trace", "-Infinity"),
-    ("platforms", "-1e999"), ("trace", "1e999")])
+    ("platforms", "-1e999"), ("trace", "1e999"), ("capability", "NaN"),
+    ("costs", "NaN"), ("unread", "Infinity")])
 def test_json_nan_and_infinity_are_rejected_naming_the_file(
         tmp_path, kind, token):
     # json.loads reads NaN, Infinity and -Infinity as floats, and a number
     # too large for a float as an infinity; a number that any reader reads
-    # must be finite
-    path = tmp_path / f"{kind}.json"
-    if kind == "platforms":
+    # must be finite, and a key that none reads may hold any value
+    file, keys, where = NON_FINITE[kind]
+    path = tmp_path / f"{file}.json"
+    if file == "synth_config":
+        lines = [json.dumps({"mean_scale": 4.0})]
+    elif file == "platforms":
         dataset, _ = pipeline_profile()
         dataio.write_platforms(path, dataset.combos, dataset.platforms)
-        doc = json.loads(path.read_text())
-        doc["platforms"][0]["cost"] = "@"
-        path.write_text(json.dumps(doc).replace('"@"', token))
-        read = dataio.read_platforms
-        error, where = ManifestInvalid, f"{path}: platforms[0]: cost"
-    elif kind == "synth_config":
-        path.write_text(json.dumps({"mean_scale": "@"}).replace('"@"', token))
-        read = dataio.read_synth_config
-        error, where = ConfigInvalid, f"{path}: mean_scale"
-    else:
+        lines = [path.read_text()]
+    elif file == "trace":
         dataset, profile = pipeline_profile()
         dataio.write_trace(path, run_selection(
             dataset.test_stream, profile, "p1",
             dataset.config.frames_per_scenario))
         lines = path.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["elapsed_ms"] = "@"
-        lines[1] = json.dumps(rec).replace('"@"', token)
-        path.write_text("\n".join(lines) + "\n")
-        read = dataio.read_trace
-        error, where = MalformedRow, f"{path}:2: elapsed_ms"
+    index = 1 if file == "trace" else 0
+    doc = json.loads(lines[index])
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = "@"
+    lines[index] = json.dumps(doc).replace('"@"', token)
+    path.write_text("\n".join(lines) + "\n")
+    read, error = {"platforms": (dataio.read_platforms, ManifestInvalid),
+                   "synth_config": (dataio.read_synth_config, ConfigInvalid),
+                   "trace": (dataio.read_trace, MalformedRow)}[file]
     assert token in path.read_text()
+    if where is None:
+        read(path)
+        return
     with pytest.raises(error) as exc:
         read(path)
-    assert str(exc.value).startswith(where)
+    assert str(exc.value).startswith(f"{path}{where}")
 
 
 @pytest.mark.parametrize("second", ["0, 1", "0,01", "+0,1"])

@@ -32,6 +32,17 @@ def test_pca_identical_samples_rank_deficient():
         pca_basis(samples, 1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_pca_with_at_most_b_samples_is_rank_deficient_before_decomposing(
+        monkeypatch, n):
+    # n samples have rank at most n - 1 < b: no decomposition can help
+    monkeypatch.setattr("adasel.subspace._principal_directions", None)
+    samples = np.random.default_rng(5).standard_normal((n, 6))
+    with pytest.raises(RankDeficient,
+                       match=rf"^{n} samples: .* < requested b=3$"):
+        pca_basis(samples, 3)
+
+
 def test_pca_reports_achievable_rank():
     rng = np.random.default_rng(3)
     # rank-2 data in R6
