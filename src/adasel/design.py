@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Real
 
 import numpy as np
 
@@ -62,9 +63,11 @@ class ScenarioProfile:
     labels: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionConstraints:
-    """Design's limits: an infinite one is no limit, a NaN is OutOfRange."""
+    """Design's limits, each a real number: an infinite one is no limit,
+    and a NaN, a bool or a value of another type is OutOfRange.  Frozen,
+    so no limit changes after the check."""
 
     max_mean_error: float
     required_fps: float
@@ -72,8 +75,9 @@ class SelectionConstraints:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if np.isnan(value):
-                raise OutOfRange(f"{name} must be a number, got nan")
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or np.isnan(value)):
+                raise OutOfRange(f"{name} must be a number, got {value!r}")
 
 
 @dataclass

@@ -77,6 +77,20 @@ def test_dataio_parses_json_in_one_place():
     assert len(calls) == 1, calls
 
 
+def test_gfk_coefficients_take_one_series_branch():
+    # the per-angle coefficients switch to a series in one place, so the
+    # runtime distance and the dense kernel cannot disagree on where
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    getattr(operand, "id", getattr(operand, "attr", ""))
+                    == "SERIES_ANGLE"
+                    for operand in [node.left, *node.comparators]):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) <= 1, found
+
+
 def test_dataio_reads_csv_in_one_place():
     # the performance table and the window truth go through one table
     # reader, so every row rule is stated once

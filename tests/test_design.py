@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -13,7 +14,7 @@ from adasel.design import (AlgoParamCombo, PlatformSpec, ScenarioProfile,
                            cluster_scenarios, feasible_combos,
                            label_scenarios, scenario_ids, select_platform)
 from adasel.errors import (InvalidM, MissingRecord, NoFeasiblePlatform,
-                           TooFewFrames, TooFewSamples)
+                           OutOfRange, TooFewFrames, TooFewSamples)
 from conftest import random_subspace
 
 
@@ -452,6 +453,24 @@ def test_combo_the_platform_does_not_list_is_not_runnable(rng):
         basis=random_subspace(rng, 8, 2).basis, member_count=5)
     label_scenarios([scenario], combos, [platform], performance, 0.0)
     assert scenario.labels == {"p0": "c0"}
+
+
+@pytest.mark.parametrize("value, shown", [("1", "'1'"), (None, "None"),
+                                          (True, "True")],
+                         ids=["string", "none", "bool"])
+@pytest.mark.parametrize("field", ["max_mean_error", "required_fps",
+                                   "max_cost"])
+def test_constraint_that_is_not_a_real_number_raises_naming_the_field(
+        field, value, shown):
+    limits = dict(max_mean_error=1.0, required_fps=0.0, max_cost=1.0)
+    limits[field] = value
+    with pytest.raises(OutOfRange,
+                       match=rf"^{field} must be a number, got {shown}$"):
+        SelectionConstraints(**limits)
+    # nor can a checked limit be set to one afterwards
+    checked = SelectionConstraints(1.0, 0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(checked, field, value)
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasel.errors import OutOfRange
-from adasel.gfk import (_lambda_coeffs, flow_samples, gfk_kernel,
-                        kernel_integral_oracle)
+from adasel.errors import DimensionMismatch, OutOfRange
+from adasel.gfk import (SERIES_ANGLE, _flow_free_coeffs, _lambda_coeffs,
+                        flow_samples, gfk_kernel, kernel_integral_oracle)
 from adasel.subspace import SubspaceBasis, principal_angles
 from conftest import max_sine_angle, random_subspace, runtime_distance
 
@@ -116,7 +116,8 @@ def test_kernel_symmetric_psd_low_rank(rng):
 
 
 def test_kernel_small_angle_series_consistent(rng):
-    # series branch (theta < 1e-4) agrees with the oracle at tiny angles
+    # angles on both sides of 1e-4, all below SERIES_ANGLE, where
+    # lambda3/sin^2 takes its series, agree with the oracle
     a, b = 10, 2
     alpha = np.array([5e-5, 1e-3])
     basis = np.eye(a)[:, :b]
@@ -130,6 +131,52 @@ def test_kernel_small_angle_series_consistent(rng):
     W = gfk_kernel(dec, x)
     Wo = kernel_integral_oracle(dec, x, steps=100_000)
     assert np.abs(W - Wo).max() < 1e-10
+
+
+@pytest.mark.parametrize("call", [flow_samples, gfk_kernel])
+def test_flow_and_kernel_reject_a_basis_of_another_dimension(rng, call):
+    x, z = random_subspace(rng, 10, 2), random_subspace(rng, 10, 2)
+    dec = principal_angles(x, z)
+    other = random_subspace(rng, 12, 2)
+    args = (dec, other, [0.5]) if call is flow_samples else (dec, other)
+    with pytest.raises(DimensionMismatch,
+                       match="basis does not match the decomposition"):
+        call(*args)
+
+
+# --------------------------------------------------------------------------
+# the per-angle coefficients
+
+def quadrature_coeffs(angles):
+    """lambda1, lambda2/sin and lambda3/sin^2 at angles theta > 0, by
+    40-node Gauss-Legendre quadrature over y in [0, 1] of cos(y theta)^2,
+    -cos(y theta) sin(y theta) and sin(y theta)^2, each sine divided by
+    sin(theta) inside the integrand so that nothing cancels."""
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    y, w = (nodes + 1.0) / 2.0, weights / 2.0
+    theta = np.asarray(angles)[:, None]
+    c, s = np.cos(y * theta), np.sin(y * theta) / np.sin(theta)
+    return np.array([(c * c) @ w, -((c * s) @ w), (s * s) @ w])
+
+
+def test_coefficients_match_their_integrals():
+    l1, l2s, l3s = _flow_free_coeffs(np.zeros(1))
+    assert (l1[0], l2s[0]) == (1.0, -0.5)
+    assert abs(l3s[0] - 1.0 / 3.0) <= 1e-12 / 3.0
+    l1, l2, l3 = _lambda_coeffs(np.zeros(1))
+    assert (l1[0], l2[0], l3[0]) == (1.0, 0.0, 0.0)
+
+    angles = np.concatenate([
+        np.geomspace(1e-9, np.pi / 2, 2000),
+        [np.nextafter(SERIES_ANGLE, 0.0), SERIES_ANGLE,
+         np.nextafter(SERIES_ANGLE, 1.0)]])
+    expect = quadrature_coeffs(angles)
+    np.testing.assert_allclose(_flow_free_coeffs(angles), expect,
+                               rtol=1e-12, atol=0.0)
+    sin = np.sin(angles)
+    np.testing.assert_allclose(_lambda_coeffs(angles),
+                               expect * [np.ones_like(sin), sin, sin * sin],
+                               rtol=1e-12, atol=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_build_window_too_few_frames(rng):
         build_window(rng.standard_normal((5, 8)), 5)
 
 
+@pytest.mark.parametrize("shape", [(10,), (10, 1)],
+                         ids=["one-dimensional", "single-column"])
+def test_build_window_rejects_frames_that_are_not_a_feature_matrix(
+        rng, shape):
+    with pytest.raises(DimensionMismatch, match="a >= 2"):
+        build_window(rng.standard_normal(shape), 1)
+
+
 # --------------------------------------------------------------------------
 # match_scenario
 

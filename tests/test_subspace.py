@@ -74,6 +74,18 @@ def test_pca_rejects_mismatched_sample_lengths():
         pca_basis([[1.0, 2.0], [1.0, 2.0, 3.0]], 1)
 
 
+@pytest.mark.parametrize("shape, b, message", [
+    ((10, 6), 0, r"need 1 <= b < a=6, got b=0"),
+    ((10, 6), 6, r"need 1 <= b < a=6, got b=6"),
+    ((10,), 1, r"got shape \(10,\)"),
+    ((10, 1), 1, r"got shape \(10, 1\)"),
+], ids=["b-zero", "b-equals-a", "one-dimensional", "single-column"])
+def test_pca_rejects_a_subspace_dimension_or_shape_out_of_range(
+        rng, shape, b, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        pca_basis(rng.standard_normal(shape), b)
+
+
 def test_pca_deterministic(rng):
     samples = rng.standard_normal((25, 9))
     assert np.array_equal(pca_basis(samples, 3), pca_basis(samples.copy(), 3))
