@@ -11,28 +11,23 @@ the scenario's label becomes the window's selection.
 from .design import (AlgoParamCombo, DesignProfile, PlatformSpec,
                      ProfileConfig, ScenarioProfile, SelectionConstraints,
                      build_design_profile, cluster_scenarios, feasible_combos,
-                     label_scenarios, select_platform)
-from .gfk import gfk_kernel, kernel_integral_oracle
+                     label_scenarios, rank_combos, select_platform)
 from .harness import (RegretReport, SyntheticConfig, SyntheticDataset,
                       WindowTruth, evaluate_regret, generate_synthetic)
 from .runtime import (SelectionDecision, SelectionTrace, TimeWindow,
                       build_window, match_scenario, run_selection,
                       segment_windows)
-from .subspace import (PrincipalDecomposition, SubspaceBasis,
-                       as_feature_matrix, orthogonal_complement, pca_basis,
-                       principal_angles)
+from .subspace import as_feature_matrix, pca_basis
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgoParamCombo", "DesignProfile", "PlatformSpec",
-    "PrincipalDecomposition", "ProfileConfig", "RegretReport",
-    "ScenarioProfile", "SelectionConstraints", "SelectionDecision",
-    "SelectionTrace", "SubspaceBasis", "SyntheticConfig", "SyntheticDataset",
-    "TimeWindow", "WindowTruth", "as_feature_matrix", "build_design_profile",
-    "build_window", "cluster_scenarios", "evaluate_regret",
-    "feasible_combos", "generate_synthetic", "gfk_kernel",
-    "kernel_integral_oracle", "label_scenarios", "match_scenario",
-    "orthogonal_complement", "pca_basis", "principal_angles",
+    "AlgoParamCombo", "DesignProfile", "PlatformSpec", "ProfileConfig",
+    "RegretReport", "ScenarioProfile", "SelectionConstraints",
+    "SelectionDecision", "SelectionTrace", "SyntheticConfig",
+    "SyntheticDataset", "TimeWindow", "WindowTruth", "as_feature_matrix",
+    "build_design_profile", "build_window", "cluster_scenarios",
+    "evaluate_regret", "feasible_combos", "generate_synthetic",
+    "label_scenarios", "match_scenario", "pca_basis", "rank_combos",
     "run_selection", "segment_windows", "select_platform",
 ]

@@ -85,7 +85,8 @@ def cmd_profile(args) -> int:
 def cmd_select(args) -> int:
     profile = dataio.read_profile(args.profile)
     stream = dataio.read_stream(args.stream)
-    platform_id = args.platform or profile.selected_platform
+    platform_id = (profile.selected_platform if args.platform is None
+                   else args.platform)
     window_length = profile.config.window_length
     log.debug("matching %d frames on platform %s, window length %d",
               stream.frames.shape[0], platform_id, window_length)

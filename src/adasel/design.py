@@ -277,16 +277,19 @@ def feasible_combos(platform: PlatformSpec, combos: list[AlgoParamCombo],
             if c.id in caps and caps[c.id] >= required_fps]
 
 
-def _best_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],
-                 performance: dict[tuple[str, str, str], float],
-                 required_fps: float) -> dict[str, dict[str, tuple]]:
+def rank_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],
+                performance: dict[tuple[str, str, str], float],
+                required_fps: float) -> dict[str, dict[str, tuple]]:
     """{platform id: {scenario id: (error, -fps, combo id)}}, the best
     feasible combo of each scenario the table names, in sorted id order.
 
     Combos rank by error, then higher achievable fps on the platform, then
     combo id; a platform that runs no combo at required_fps maps to {}.
-    Raises MissingRecord if the table lacks a feasible combo's entry.
+    Raises MissingRecord when the table has no records or lacks a feasible
+    (scenario, combo, platform) entry.
     """
+    if not performance:
+        raise MissingRecord("performance table has no records")
     ids = sorted({sid for sid, _, _ in performance})
     best = {}
     for p in platforms:
@@ -300,27 +303,21 @@ def _best_combos(platforms: list[PlatformSpec], combos: list[AlgoParamCombo],
     return best
 
 
-def select_platform(platforms: list[PlatformSpec],
-                    performance: dict[tuple[str, str, str], float],
-                    constraints: SelectionConstraints,
-                    combos: list[AlgoParamCombo]) -> str:
+def select_platform(ranking: dict[str, dict[str, tuple]],
+                    platforms: list[PlatformSpec],
+                    constraints: SelectionConstraints) -> str:
     """Cheapest platform whose best achievable mean error meets the ceiling.
 
     Best achievable mean error = mean over scenarios of the min error over
-    combos feasible at constraints.required_fps.  Ties on cost break by
-    lower error, then id order.  Raises NoFeasiblePlatform with per-platform
-    figures in its message when nothing qualifies, and MissingRecord when the
-    table has no records or lacks a feasible (scenario, combo, platform) entry.
+    combos feasible at constraints.required_fps, read from the
+    :func:`rank_combos` ranking.  Ties on cost break by lower error, then
+    id order.  Raises NoFeasiblePlatform with per-platform figures in its
+    message when nothing qualifies.
     """
-    if not performance:
-        raise MissingRecord("performance table has no records")
-    best = _best_combos(platforms, combos, performance,
-                        constraints.required_fps)
-
     lines = []
     candidates = []
     for p in platforms:
-        errors = [row[0] for row in best[p.id].values()] or [float("inf")]
+        errors = [row[0] for row in ranking[p.id].values()] or [float("inf")]
         mean = sum(errors) / len(errors)
         cost_ok = p.cost <= constraints.max_cost
         lines.append(f"{p.id}: cost={p.cost}"
@@ -337,26 +334,20 @@ def select_platform(platforms: list[PlatformSpec],
 
 
 def label_scenarios(scenarios: list[ScenarioProfile],
-                    combos: list[AlgoParamCombo],
-                    platforms: list[PlatformSpec],
-                    performance: dict[tuple[str, str, str], float],
-                    required_fps: float) -> None:
-    """Fill labels[platform] = best feasible combo per scenario; idempotent.
-
-    Best = minimal error; ties break by higher achievable fps on that
-    platform, then lexicographic combo id.  Raises MissingRecord if the
-    table names no such scenario or lacks a feasible (scenario, combo,
-    platform) entry.
+                    ranking: dict[str, dict[str, tuple]]) -> None:
+    """Fill labels[platform] = best feasible combo per scenario, read from
+    the :func:`rank_combos` ranking; idempotent.  A platform that runs no
+    combo gets no label.  Raises MissingRecord if the table names no such
+    scenario.
     """
-    best = _best_combos(platforms, combos, performance, required_fps)
-    named = {sid for sid, _, _ in performance}
     for scenario in scenarios:
         sid = scenario.scenario_id
-        if sid not in named:
-            raise MissingRecord(
-                f"performance table names no scenario {sid}; its scenario "
-                f"ids are {', '.join(sorted(named)) or 'none'}")
-        scenario.labels = {pid: rows[sid][2] for pid, rows in best.items()
+        for rows in ranking.values():
+            if rows and sid not in rows:
+                raise MissingRecord(
+                    f"performance table names no scenario {sid}; its "
+                    f"scenario ids are {', '.join(rows)}")
+        scenario.labels = {pid: rows[sid][2] for pid, rows in ranking.items()
                            if rows}
 
 
@@ -375,23 +366,24 @@ def build_design_profile(frames, combos: list[AlgoParamCombo],
                          constraints: SelectionConstraints,
                          n_scenarios: int, subspace_dim: int,
                          window_length: int, seed: int) -> DesignProfile:
-    """Run the full offline phase: select platform, cluster, label.
+    """Run the full offline phase: rank once, select platform, cluster, label.
 
     Raises TooFewFrames up front if a window of window_length frames is
-    too short to build a subspace_dim-dim subspace at runtime, and
-    InvalidM if a non-empty performance table does not name exactly
-    n_scenarios scenarios.
+    too short to build a subspace_dim-dim subspace at runtime, then
+    MissingRecord as :func:`rank_combos` does, and InvalidM if the
+    performance table does not name exactly n_scenarios scenarios.
     """
     check_window_length(window_length, subspace_dim)
+    ranking = rank_combos(platforms, combos, performance,
+                          constraints.required_fps)
     table_ids = {sid for sid, _, _ in performance}
-    if table_ids and len(table_ids) != n_scenarios:
+    if len(table_ids) != n_scenarios:
         raise InvalidM(
             f"n_scenarios is {n_scenarios}, but the performance table "
             f"names {len(table_ids)} scenarios")
-    selected = select_platform(platforms, performance, constraints, combos)
+    selected = select_platform(ranking, platforms, constraints)
     scenarios = cluster_scenarios(frames, n_scenarios, subspace_dim, seed)
-    label_scenarios(scenarios, combos, platforms, performance,
-                    constraints.required_fps)
+    label_scenarios(scenarios, ranking)
     return DesignProfile(
         scenarios=scenarios, selected_platform=selected,
         config=ProfileConfig(scenarios[0].basis.shape[0], subspace_dim,

@@ -17,7 +17,7 @@ from adasel import dataio
 from adasel.design import (AlgoParamCombo, DesignProfile, PlatformSpec,
                            ProfileConfig, ScenarioProfile,
                            SelectionConstraints, build_design_profile,
-                           feasible_combos, label_scenarios, select_platform)
+                           label_scenarios, rank_combos, select_platform)
 from adasel.errors import BadMagic, DuplicateKey, TruncatedPayload
 from adasel.gfk import gfk_kernel, kernel_integral_oracle
 from adasel.harness import SyntheticConfig, evaluate_regret, generate_synthetic
@@ -176,7 +176,8 @@ def _random_instance(rng):
     performance = {(s.scenario_id, c.id, p.id):
                    float(np.round(rng.uniform(0, 10), 3))
                    for s in scenarios for c in combos for p in platforms}
-    label_scenarios(scenarios, combos, platforms, performance, 10.0)
+    label_scenarios(scenarios,
+                    rank_combos(platforms, combos, performance, 10.0))
     profile = DesignProfile(
         scenarios=scenarios, selected_platform="p1",
         config=ProfileConfig(dim_ambient=a, dim_subspace=b,
@@ -204,7 +205,8 @@ def _brute_force_two_step(profile, window, platform_id, design_inputs):
     matched = profile.scenarios[order[0]].scenario_id
     # step 2: explicit scan of the performance table over feasible combos
     platform = next(p for p in platforms if p.id == platform_id)
-    feas = feasible_combos(platform, combos, 10.0)
+    feas = [cid for cid, fps in platform.combo_capabilities.items()
+            if fps >= 10.0]
     best = min(feas, key=lambda cid: (performance[matched, cid, platform_id],
                                       -platform.combo_capabilities[cid], cid))
     return matched, best
@@ -301,15 +303,15 @@ def test_criterion_7_platform_selection():
                                  max_cost=10.0)
     strict = SelectionConstraints(max_mean_error=2.0, required_fps=10.0,
                                   max_cost=10.0)
-    assert select_platform(platforms, records, loose, combos) == "platform1"
-    assert select_platform(platforms, records, strict, combos) == "platform2"
+    ranking = rank_combos(platforms, combos, records, 10.0)
+    assert select_platform(ranking, platforms, loose) == "platform1"
+    assert select_platform(ranking, platforms, strict) == "platform2"
 
     # labels under platform2 concentrate on the high-resolution combo
     scenarios = [ScenarioProfile(sid, rng.standard_normal(8),
                                  random_subspace(rng, 8, 2).basis, 5)
                  for sid in scenario_ids]
-    label_scenarios(scenarios, combos, platforms, records,
-                    strict.required_fps)
+    label_scenarios(scenarios, ranking)
     p2_labels = [s.labels["platform2"] for s in scenarios]
     high_res = sum(1 for lab in p2_labels if lab == "ACF-480x640")
     assert high_res >= 12

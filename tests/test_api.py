@@ -91,6 +91,22 @@ def test_gfk_coefficients_take_one_series_branch():
     assert len(found) <= 1, found
 
 
+def test_design_ranks_the_table_once():
+    # the platform choice and the labels both read the one ranking that
+    # build_design_profile makes, so neither can rank the table again
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                found += [f"{path.name}: {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id",
+                                      getattr(node.func, "attr", ""))
+                          == "rank_combos"]
+    assert found == ["design.py: build_design_profile"]
+
+
 def test_dataio_reads_csv_in_one_place():
     # the performance table and the window truth go through one table
     # reader, so every row rule is stated once
@@ -169,6 +185,13 @@ def test_the_selector_uses_nothing_of_the_reference_path():
         found += [f"{name}:{line}: {used}" for line, used in sorted(uses)
                   if used in REFERENCE_PATH]
     assert not found
+
+
+def test_the_package_root_exports_nothing_of_the_reference_path():
+    # the root is the selector's API; the reference path is imported from
+    # adasel.subspace and adasel.gfk
+    assert not REFERENCE_PATH & set(adasel.__all__)
+    assert not [name for name in REFERENCE_PATH if hasattr(adasel, name)]
 
 
 def _raised_names(tree):

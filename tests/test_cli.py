@@ -523,6 +523,25 @@ def test_select_with_explicit_platform(tmp_path):
     assert json.loads(line)["platform_id"] == "p2"
 
 
+def test_select_with_an_empty_platform_id_exits_1(tmp_path, capsys):
+    # an empty id, as an unset shell variable gives, names no platform; it
+    # must not fall back to the profile's selection
+    out = run_pipeline(tmp_path)
+    capsys.readouterr()
+    rc = main([
+        "select",
+        "--profile", str(out / "profile.json"),
+        "--stream", str(out / "test_manifest.json"),
+        "--platform", "",
+        "--out", str(out / "empty_platform_trace.jsonl"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnlabeledScenario: window 0: scenario s")
+    assert err.endswith(" has no label for platform \n")
+    assert not (out / "empty_platform_trace.jsonl").exists()
+
+
 def test_profile_window_shorter_than_subspace_exits_1(tmp_path, capsys):
     out = run_pipeline(tmp_path)
     rc = main([

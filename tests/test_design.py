@@ -12,7 +12,8 @@ from adasel import design
 from adasel.design import (AlgoParamCombo, PlatformSpec, ScenarioProfile,
                            SelectionConstraints, build_design_profile,
                            cluster_scenarios, feasible_combos,
-                           label_scenarios, scenario_ids, select_platform)
+                           label_scenarios, rank_combos, scenario_ids,
+                           select_platform)
 from adasel.errors import (InvalidM, MissingRecord, NoFeasiblePlatform,
                            OutOfRange, TooFewFrames, TooFewSamples)
 from conftest import random_subspace
@@ -446,12 +447,12 @@ def test_combo_the_platform_does_not_list_is_not_runnable(rng):
     performance = {("s000", "c0", "p0"): 0.5, ("s000", "c1", "p0"): 0.1}
     constraints = SelectionConstraints(
         max_mean_error=1.0, required_fps=0.0, max_cost=1.0)
-    assert select_platform([platform], performance, constraints,
-                           combos) == "p0"
+    ranking = rank_combos([platform], combos, performance, 0.0)
+    assert select_platform(ranking, [platform], constraints) == "p0"
     scenario = ScenarioProfile(
         scenario_id="s000", representative_feature=rng.standard_normal(8),
         basis=random_subspace(rng, 8, 2).basis, member_count=5)
-    label_scenarios([scenario], combos, [platform], performance, 0.0)
+    label_scenarios([scenario], ranking)
     assert scenario.labels == {"p0": "c0"}
 
 
@@ -498,11 +499,11 @@ def test_expensive_platform_chosen_when_forced():
          "ACF-480x640": 6.0},
         {"HOG-240x320": 5.0, "HOG-480x640": 4.0, "ACF-240x320": 3.0,
          "ACF-480x640": 1.0})
+    platforms = table_ii_platforms()
     chosen = select_platform(
-        table_ii_platforms(), perf,
+        rank_combos(platforms, combos, perf, 8.0), platforms,
         SelectionConstraints(max_mean_error=2.0, required_fps=8.0,
-                             max_cost=10.0),
-        combos)
+                             max_cost=10.0))
     assert chosen == "platform2"
 
 
@@ -512,11 +513,11 @@ def test_cheaper_platform_wins_when_both_qualify():
          "ACF-480x640": 9.0},
         {"HOG-240x320": 2.0, "HOG-480x640": 2.5, "ACF-240x320": 1.5,
          "ACF-480x640": 1.0})
+    platforms = table_ii_platforms()
     chosen = select_platform(
-        table_ii_platforms(), perf,
+        rank_combos(platforms, combos, perf, 8.0), platforms,
         SelectionConstraints(max_mean_error=3.5, required_fps=8.0,
-                             max_cost=10.0),
-        combos)
+                             max_cost=10.0))
     assert chosen == "platform1"
 
 
@@ -528,7 +529,9 @@ def test_high_res_combo_unlocked_by_platform2(rng):
     perf, combos = two_platform_table(p1, p1)
     constraints = SelectionConstraints(max_mean_error=2.0, required_fps=10.0,
                                        max_cost=10.0)
-    chosen = select_platform(table_ii_platforms(), perf, constraints, combos)
+    platforms = table_ii_platforms()
+    chosen = select_platform(rank_combos(platforms, combos, perf, 10.0),
+                             platforms, constraints)
     assert chosen == "platform2"
     # brute force: enumerate platform/combo feasibility by hand
     feas1 = feasible_combos(table_ii_platforms()[0], combos, 10.0)
@@ -555,7 +558,8 @@ def test_select_platform_matches_exhaustive_enumeration(rng):
             required_fps=10.0, max_cost=3.0)
         candidates = []
         for p in platforms:
-            feas = feasible_combos(p, combos, constraints.required_fps)
+            feas = [cid for cid, fps in p.combo_capabilities.items()
+                    if fps >= constraints.required_fps]
             if p.cost > constraints.max_cost:
                 continue
             if not feas:
@@ -565,13 +569,15 @@ def test_select_platform_matches_exhaustive_enumeration(rng):
                                 for sid in ("s000", "s001", "s002")])
             if best <= constraints.max_mean_error:
                 candidates.append((p.cost, best, p.id))
+        ranking = rank_combos(platforms, combos, table,
+                              constraints.required_fps)
         if not candidates:
             with pytest.raises(NoFeasiblePlatform):
-                select_platform(platforms, table, constraints, combos)
+                select_platform(ranking, platforms, constraints)
         else:
             expected = min(candidates)[2]
-            assert select_platform(platforms, table, constraints,
-                                   combos) == expected
+            assert select_platform(ranking, platforms,
+                                   constraints) == expected
 
 
 def test_no_feasible_platform_reports_diagnostics():
@@ -580,13 +586,14 @@ def test_no_feasible_platform_reports_diagnostics():
          "ACF-480x640": 3.0},
         {"HOG-240x320": 4.0, "HOG-480x640": 3.0, "ACF-240x320": 2.5,
          "ACF-480x640": 2.0})
+    platforms = table_ii_platforms()
+    ranking = rank_combos(platforms, combos, perf, 8.0)
     for max_cost, over in [(10.0, ""), (2.0, " (over budget)")]:
         with pytest.raises(NoFeasiblePlatform) as exc:
             select_platform(
-                table_ii_platforms(), perf,
+                ranking, platforms,
                 SelectionConstraints(max_mean_error=1.0, required_fps=8.0,
-                                     max_cost=max_cost),
-                combos)
+                                     max_cost=max_cost))
         assert str(exc.value) == (
             f"no platform meets max_mean_error=1.0 at cost <= {max_cost}: "
             "platform1: cost=1.0, best mean error=4; "
@@ -603,8 +610,9 @@ def labeled_scenarios(rng, performance, scenario_ids=("s000", "s001"),
         scenario_id=sid, representative_feature=rng.standard_normal(8),
         basis=random_subspace(rng, 8, 2).basis, member_count=5)
         for sid in scenario_ids]
-    label_scenarios(scenarios, table_ii_combos(), table_ii_platforms(),
-                    performance, required_fps)
+    label_scenarios(scenarios, rank_combos(table_ii_platforms(),
+                                           table_ii_combos(), performance,
+                                           required_fps))
     return scenarios
 
 
@@ -640,7 +648,8 @@ def test_labels_match_brute_force_on_full_table(rng):
                                   required_fps=5.0)
     for s in scenarios:
         for p in platforms:
-            feas = feasible_combos(p, combos, 5.0)
+            feas = [cid for cid, fps in p.combo_capabilities.items()
+                    if fps >= 5.0]
             best = min(feas, key=lambda cid: (
                 errors[(s.scenario_id, cid, p.id)],
                 -p.combo_capabilities[cid], cid))
@@ -672,6 +681,22 @@ def test_label_names_a_scenario_the_table_does_not(rng):
                               "its scenario ids are video0, video1")
 
 
+def test_label_gives_no_label_for_a_platform_that_runs_no_combo(rng):
+    errors = {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 2.0,
+              "ACF-480x640": 7.0}
+    perf, combos = two_platform_table(errors, errors)
+    platforms = table_ii_platforms()
+    # only platform2 runs a combo (HOG-240x320) at 30 fps, and none at 100
+    for fps, expected in [(30.0, {"platform2": "HOG-240x320"}), (100.0, {})]:
+        ranking = rank_combos(platforms, combos, perf, fps)
+        scenarios = [ScenarioProfile(
+            scenario_id=sid, representative_feature=rng.standard_normal(8),
+            basis=random_subspace(rng, 8, 2).basis, member_count=5)
+            for sid in ("s000", "s001")]
+        label_scenarios(scenarios, ranking)
+        assert [s.labels for s in scenarios] == [expected, expected]
+
+
 def test_label_idempotent(rng):
     perf, _ = two_platform_table(
         {"HOG-240x320": 3.0, "HOG-480x640": 5.0, "ACF-240x320": 2.0,
@@ -680,8 +705,8 @@ def test_label_idempotent(rng):
          "ACF-480x640": 7.0})
     scenarios = labeled_scenarios(rng, perf)
     once = {s.scenario_id: dict(s.labels) for s in scenarios}
-    label_scenarios(scenarios, table_ii_combos(), table_ii_platforms(), perf,
-                    5.0)
+    label_scenarios(scenarios, rank_combos(table_ii_platforms(),
+                                           table_ii_combos(), perf, 5.0))
     twice = {s.scenario_id: dict(s.labels) for s in scenarios}
     assert once == twice
 
@@ -709,7 +734,8 @@ def test_build_design_profile_end_to_end(rng):
     for s in profile.scenarios:
         for p in platforms:
             labeled = perf[s.scenario_id, s.labels[p.id], p.id]
-            for cid in feasible_combos(p, combos, 8.0):
+            for cid in [cid for cid, fps in p.combo_capabilities.items()
+                        if fps >= 8.0]:
                 assert perf[s.scenario_id, cid, p.id] >= labeled
 
 
@@ -740,3 +766,20 @@ def test_build_design_profile_rejects_a_scenario_count_the_table_does_not_name(
             SelectionConstraints(max_mean_error=3.5, required_fps=8.0,
                                  max_cost=10.0),
             n_scenarios=n_scenarios, subspace_dim=2, window_length=10, seed=3)
+
+
+def test_build_design_profile_reports_a_missing_record_before_the_count(rng):
+    # the table is ranked before its scenario ids are counted
+    means = [np.full(8, 0.0), np.full(8, 15.0)]
+    frames, _ = gaussian_blobs(rng, means, per_cluster=10, sigma=0.3)
+    errors = {"HOG-240x320": 4.0, "HOG-480x640": 5.0, "ACF-240x320": 3.0,
+              "ACF-480x640": 9.0}
+    perf, combos = two_platform_table(errors, errors)
+    del perf["s001", "ACF-240x320", "platform2"]
+    with pytest.raises(MissingRecord, match="scenario=s001 "
+                       "combo=ACF-240x320 platform=platform2"):
+        build_design_profile(
+            frames, combos, table_ii_platforms(), perf,
+            SelectionConstraints(max_mean_error=3.5, required_fps=8.0,
+                                 max_cost=10.0),
+            n_scenarios=3, subspace_dim=2, window_length=10, seed=3)

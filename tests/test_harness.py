@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adasel.design import (DesignProfile, ProfileConfig, ScenarioProfile,
-                           cluster_scenarios, label_scenarios)
+                           cluster_scenarios, label_scenarios, rank_combos)
 from adasel.errors import ConfigInvalid, DuplicateKey, Misaligned
 from adasel.dataio import read_window_truth, write_report, write_window_truth
 from adasel.harness import (RegretReport, SyntheticConfig, WindowTruth,
@@ -415,8 +415,9 @@ def labeled_profile(dataset):
             scenario_id=sid, representative_feature=block.mean(axis=0),
             basis=pca_basis(block, cfg.dim_subspace),
             member_count=len(block)))
-    label_scenarios(scenarios, dataset.combos, dataset.platforms,
-                    dataset.performance, OPEN.required_fps)
+    label_scenarios(scenarios, rank_combos(dataset.platforms, dataset.combos,
+                                           dataset.performance,
+                                           OPEN.required_fps))
     return DesignProfile(
         scenarios=scenarios, selected_platform="p1",
         config=ProfileConfig(cfg.dim_ambient, cfg.dim_subspace,
