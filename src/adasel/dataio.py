@@ -93,6 +93,16 @@ def read_matrix(path) -> np.ndarray:
     return M
 
 
+def _read_named_matrix(doc_path, path) -> np.ndarray:
+    """read_matrix of a file the document ``doc_path`` names; a missing file
+    or a directory raises ManifestInvalid naming both."""
+    try:
+        return read_matrix(path)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ManifestInvalid(
+            f"{doc_path}: matrix file {path}: {exc.strerror}") from None
+
+
 # --------------------------------------------------------------------------
 # JSON helpers
 
@@ -362,7 +372,7 @@ def read_stream(manifest_path) -> FeatureStream:
                                   f"integer >= 0, got {doc[key]}")
     if doc.get("frame_labels") is not None:
         _require(doc, {"frame_labels": _STR_LIST}, manifest_path)
-    parts = [read_matrix(manifest_path.parent / name)
+    parts = [_read_named_matrix(manifest_path, manifest_path.parent / name)
              for name in doc["matrices"]]
     for name, part in zip(doc["matrices"], parts):
         if part.shape[1] != doc["dim"]:
@@ -485,7 +495,7 @@ def read_profile(path) -> DesignProfile:
     for s in _entries(doc, "scenarios", partial(_require, spec=_SCENARIO_KEYS),
                       path, "scenario_id"):
         sidecar = path.parent / s["matrix_file"]
-        M = read_matrix(sidecar)
+        M = _read_named_matrix(path, sidecar)
         if M.shape != (a, b + 1):
             raise DimensionMismatch(
                 f"{sidecar}: matrix has shape {M.shape}; the profile config "

@@ -10,8 +10,11 @@ window).  Everything is deterministic given the seed; clustering is also
 invariant to the order of the input frames (frames are put in lexicographic
 order before seeding k-means++: a stable sort of the first feature, and of
 every feature only when two frames tie in the first).  The k-means restarts
-are seeded and run their Lloyd steps in lockstep, one stacked product with
-the frames per step; each restart's SSE comes from its last step's distances.
+are seeded and run their Lloyd steps in lockstep.  The first step assigns by
+the seeding's own distances; after it, a step moves only the centers whose
+members changed, updating their sums by the frames that moved, and one
+stacked product with the frames gives the distances to those centers alone.
+Each restart's SSE comes from its last step's distances.
 """
 
 from __future__ import annotations
@@ -111,32 +114,35 @@ def scenario_ids(means) -> list[str]:
 
 
 def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of KMEANS_RESTARTS
-    restarts in lockstep: their (R, k, a) centers, and which restarts fell
-    back to uniform weights.  Each restart draws rng.integers(n), then
-    rng.random(k - 1), in restart order.  A later center inverts its uniform
-    through cumulative weights as rng.choice(n, p=...) does: the squared
-    distances to the nearest center so far, or uniform weights once every
-    distance is 0.  One product with X per step updates every restart."""
+    restarts in lockstep: their (R, k, a) centers, which restarts fell
+    back to uniform weights, and the (R, k, n) squared distances from each
+    center to every frame, unclamped.  Each restart draws rng.integers(n),
+    then rng.random(k - 1), in restart order.  A later center inverts its
+    uniform through cumulative weights as rng.choice(n, p=...) does: the
+    squared distances to the nearest center so far, clamped at 0, or
+    uniform weights once every distance is 0.  One product with X per step
+    updates every restart."""
     n, R = X.shape[0], KMEANS_RESTARTS
     firsts, laters = zip(*[(rng.integers(n), rng.random(k - 1))
                            for _ in range(R)])
     picks, u = np.array(firsts), np.array(laters)
-    centers = np.empty((R, k, X.shape[1]))
+    centers, dist = np.empty((R, k, X.shape[1])), np.empty((R, k, n))
     d2, uniform = np.full((R, n), np.inf), np.zeros(R, dtype=bool)
     for j in range(k):
         centers[:, j] = C = X[picks]
-        P = C @ X.T
-        d2 = np.minimum(d2, np.maximum(
-            -2.0 * P + sq + np.einsum("ij,ij->i", C, C)[:, None], 0.0))
+        dist[:, j] = (-2.0 * (C @ X.T) + sq
+                      + np.einsum("ij,ij->i", C, C)[:, None])
+        d2 = np.minimum(d2, np.maximum(dist[:, j], 0.0))
         if j + 1 < k:
             flat = d2.sum(axis=1) <= 0.0
             uniform |= flat
             w = np.where(flat[:, None], 1.0, d2)
             cdf = (w / w.sum(axis=1)[:, None]).cumsum(axis=1)
             picks = (cdf / cdf[:, -1:] <= u[:, j, None]).sum(axis=1)
-    return centers, uniform
+    return centers, uniform, dist
 
 
 def _fill_empty_clusters(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
@@ -162,57 +168,76 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Best of KMEANS_RESTARTS k-means++ / Lloyd runs on the rows of X
     (lowest within-cluster SSE, the first on a tie); returns assignments.
 
-    All restarts are seeded first, together, by :func:`_seed_centers`.  The
-    restarts still moving then step in lockstep: one product of their
-    stacked centers with X gives all distances, and one of their stacked
-    one-hot assignments with X all center sums.  After the argmin, empty
-    clusters are filled by :func:`_fill_empty_clusters`, and only then is
-    each center the mean of its members, moved frames counted only where
-    they went.  A restart stops once its assignment repeats; its
+    All restarts are seeded first, together, by :func:`_seed_centers`, and
+    the first step assigns frames by the distances the seeding computed.
+    The restarts still moving then step in lockstep.  Each step takes the
+    argmin of the distances to the current centers, then fills empty
+    clusters by :func:`_fill_empty_clusters`; only then is each center the
+    mean of its members, moved frames counted only where they went.  The
+    first step sums every center by one product of the stacked one-hot
+    assignments with X.  A later step adds each frame that moved to its
+    new center's sum and subtracts it from its old one's, so only the
+    centers whose members changed move.  One stacked product with X then
+    gives the distances to the centers that moved; every other center
+    keeps its distances.  A restart stops once its assignment repeats; its
     SSE is the sum of that step's distances from each frame to its own
     center, which is its cluster's mean.  A restart that has not converged
-    after KMEANS_MAX_ITER steps keeps its last assignment, and one more
-    distance product gives its SSE.
+    after KMEANS_MAX_ITER steps keeps its last assignment, and the
+    distances to its last centers give its SSE.
     """
-    n, a = X.shape
+    (n, a), R = X.shape, KMEANS_RESTARTS
     sq = np.einsum("ij,ij->i", X, X)
-    centers, uniform = _seed_centers(X, sq, k, rng)
-    assign = np.full((KMEANS_RESTARTS, n), -1)
-    steps = np.zeros(KMEANS_RESTARTS, dtype=int)
-    sse = np.empty(KMEANS_RESTARTS)
+    uniform, d2 = _seed_centers(X, sq, k, rng)[1:]
+    assign = np.full((R, n), -1)
+    sums, counts = np.empty((R, k, a)), np.empty((R, k))
+    steps, sse = np.zeros(R, dtype=int), np.empty(R)
     frames = np.arange(n)
-    live = np.arange(KMEANS_RESTARTS)
+    live = np.arange(R)
+    step = rows = 0
     while live.size:
-        C = centers[live].reshape(-1, a)
-        d2 = C @ X.T
-        d2 *= -2.0
-        d2 += sq
-        d2 += np.einsum("ij,ij->i", C, C)[:, None]
-        d2 = d2.reshape(live.size, k, n)
-        del C  # each stacked array goes once used, to keep the peak small
-        new = d2.argmin(axis=1)
-        for row, dist in zip(new, d2):
-            _fill_empty_clusters(row, dist, k)
-        steps[live] += 1
-        done = (np.all(new == assign[live], axis=1)
-                | (steps[live] > KMEANS_MAX_ITER))
-        for i in np.flatnonzero(done):
-            sse[live[i]] = d2[i, assign[live[i]], frames].sum()
-        del d2
+        step += 1
+        new = d2[live].argmin(axis=1)
+        for row, r in zip(new, live):
+            _fill_empty_clusters(row, d2[r], k)
+        steps[live] = step
+        done = np.all(new == assign[live], axis=1) | (step > KMEANS_MAX_ITER)
+        for r in live[done]:
+            sse[r] = d2[r, assign[r], frames].sum()
         live, new = live[~done], new[~done]
+        moved = np.zeros((R, k), dtype=bool)
+        if step == 1:
+            onehot = np.zeros((live.size, k, n))
+            onehot[np.arange(live.size)[:, None], new, frames] = 1.0
+            onehot = onehot.reshape(-1, n)
+            sums[live] = (onehot @ X).reshape(live.size, k, a)
+            counts[live] = onehot.sum(axis=1).reshape(live.size, k)
+            moved[live] = True
+            del onehot  # gone once used, to keep the peak small
+        else:
+            for r, was, now in zip(live, assign[live], new):
+                f = np.flatnonzero(now != was)
+                members = X[f]
+                np.add.at(sums[r], now[f], members)
+                np.subtract.at(sums[r], was[f], members)
+                np.add.at(counts[r], now[f], 1.0)
+                np.subtract.at(counts[r], was[f], 1.0)
+                moved[r, now[f]] = moved[r, was[f]] = True
         assign[live] = new
-        onehot = np.zeros((live.size, k, n))
-        onehot[np.arange(live.size)[:, None], new, frames] = 1.0
-        onehot = onehot.reshape(-1, n)
-        sums = onehot @ X
-        sums /= onehot.sum(axis=1)[:, None]
-        centers[live] = sums.reshape(live.size, k, a)
-        del onehot, sums
+        r, j = np.nonzero(moved)
+        C = sums[r, j] / counts[r, j, None]
+        D = C @ X.T
+        D *= -2.0
+        D += sq
+        D += np.einsum("ij,ij->i", C, C)[:, None]
+        d2[r, j] = D
+        rows += r.size
+        del C, D
     steps = np.minimum(steps, KMEANS_MAX_ITER)
     best = int(np.argmin(sse))
     log.debug("clustering: Lloyd steps per restart %s; chose restart %d, "
-              "SSE %.6g; uniform-weight seeding in restarts %s",
-              steps.tolist(), best, sse[best],
+              "SSE %.6g; %d distance rows computed in Lloyd steps; "
+              "uniform-weight seeding in restarts %s",
+              steps.tolist(), best, sse[best], rows,
               np.flatnonzero(uniform).tolist())
     return assign[best]
 

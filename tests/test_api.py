@@ -4,6 +4,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import adasel
@@ -29,6 +33,8 @@ REFERENCE_PATH = {"SubspaceBasis", "PrincipalDecomposition",
                   "flow_samples", "kernel_integral_oracle"}
 SELECTOR_MODULES = ["design.py", "runtime.py", "dataio.py", "harness.py",
                     "cli.py"]
+# the third-party packages pyproject.toml's dependencies name
+DEPENDENCIES = {"numpy"}
 
 
 def test_public_names_resolve_once_from_the_package_root():
@@ -223,6 +229,23 @@ def test_no_builtin_exception_is_raised():
              for name in _raised_names(ast.parse(path.read_text()))
              if name in builtin}
     assert sorted(found) == []
+
+
+def test_the_cli_loads_no_third_party_module_but_its_dependencies():
+    # an interpreter without site-packages' start-up hooks (-S), which
+    # sees only adasel and the dependencies' own directories
+    import numpy
+    code = ("import json, sys, adasel.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    path = os.pathsep.join([str(PACKAGE.parent),
+                            str(Path(numpy.__file__).parents[1])])
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         check=True).stdout
+    loaded = {name.split(".")[0] for name in json.loads(out)}
+    assert (loaded - set(sys.stdlib_module_names)
+            - {"__main__", "adasel"}) == DEPENDENCIES
 
 
 def _dict_keywords(tree) -> dict[str, list[str]]:

@@ -213,6 +213,27 @@ def test_stream_multi_part_manifest_concatenates(tmp_path, rng):
     assert stream.labels == [f"g{i}" for i in range(7)]
 
 
+def replace_with(path, kind):
+    """Remove the file ``path``, or put an empty directory in its place."""
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    return {"missing": "No such file or directory",
+            "directory": "Is a directory"}[kind]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_stream_matrix_file_that_is_not_a_file_raises_manifest_invalid(
+        tmp_path, rng, kind):
+    path = tmp_path / "m.json"
+    dataio.write_stream(path, rng.standard_normal((7, 5)))
+    matrix = tmp_path / "m.mat"
+    reason = replace_with(matrix, kind)
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == f"{path}: matrix file {matrix}: {reason}"
+
+
 def test_stream_part_of_the_wrong_width_raises_manifest_invalid_naming_it(
         tmp_path, rng):
     path = tmp_path / "m.json"
@@ -602,6 +623,19 @@ def test_profile_version_4_with_a_sidecar_per_array_raises_manifest_invalid(
         dataio.read_profile(path)
     assert str(exc.value) == (
         f"{path}: scenarios[0]: missing key 'matrix_file'")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_profile_sidecar_that_is_not_a_file_raises_manifest_invalid(
+        tmp_path, kind):
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.mat"
+    reason = replace_with(sidecar, kind)
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == f"{path}: matrix file {sidecar}: {reason}"
 
 
 def test_profile_rejects_basis_of_wrong_shape(tmp_path):

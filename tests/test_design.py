@@ -348,12 +348,18 @@ def seeding_case(case):
 def test_lockstep_seeding_matches_the_sequential_draws(case):
     X, k, seed = seeding_case(case)
     rng = np.random.default_rng(seed)
-    centers, uniform = design._seed_centers(
-        X, np.einsum("ij,ij->i", X, X), k, rng)
+    sq = np.einsum("ij,ij->i", X, X)
+    centers, uniform, dist = design._seed_centers(X, sq, k, rng)
     reference = np.random.default_rng(seed)
     assert centers.shape == (design.KMEANS_RESTARTS, k, X.shape[1])
-    for restart in centers:
+    assert dist.shape == (design.KMEANS_RESTARTS, k, X.shape[0])
+    for restart, rows in zip(centers, dist):
         assert np.array_equal(restart, reference_seed_centers(X, k, reference))
+        # each seed's squared distances to the frames, unclamped, up to
+        # the rounding of a product of another shape
+        expected = (-2.0 * (restart @ X.T) + sq
+                    + np.einsum("ij,ij->i", restart, restart)[:, None])
+        assert np.allclose(rows, expected, rtol=0, atol=1e-12 * sq.max())
     assert (uniform == (case == "fewer-distinct")).all()
     # the same draws were made, no more and no fewer
     assert rng.bit_generator.state == reference.bit_generator.state
@@ -370,6 +376,40 @@ def test_kmeans_logs_the_restarts_seeded_from_uniform_weights(caplog):
     assert lines[0].endswith("; uniform-weight seeding in restarts []")
     assert lines[1].endswith("; uniform-weight seeding in restarts "
                              f"{list(range(design.KMEANS_RESTARTS))}")
+
+
+def test_kmeans_computes_each_center_once_when_restarts_converge_in_two_steps(
+        caplog):
+    # means 100x the noise: every seeding puts one center in each cluster,
+    # so the first step assigns every frame right and the second repeats
+    # it; the first step reads the seeding's distances, and only the
+    # distances to the k means of each restart are computed
+    rng = np.random.default_rng(0)
+    X = np.vstack([100.0 * rng.standard_normal(40)
+                   + rng.standard_normal((30, 40)) for _ in range(4)])
+    with caplog.at_level(logging.DEBUG, logger="adasel.design"):
+        design._kmeans(X, 4, np.random.default_rng(3))
+    [record] = [r for r in caplog.records if r.name == "adasel.design"]
+    steps, _, _, rows = record.args[:4]
+    assert steps == [2] * design.KMEANS_RESTARTS
+    assert rows == design.KMEANS_RESTARTS * 4
+    assert f"; {rows} distance rows computed in Lloyd steps; " in \
+        record.getMessage()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 25),
+       st.integers(2, 10), st.sampled_from([0.5, 1.0, 2.0, 10.0]))
+def test_kmeans_matches_the_sequential_reference_on_drawn_blobs(
+        seed, k, per_cluster, dim, separation):
+    # means drawn at `separation` times the noise's deviation: at 0.5 and
+    # 1 the clusters overlap, restarts take many steps, and each step moves
+    # a few frames
+    rng = np.random.default_rng(seed)
+    X, _ = gaussian_blobs(rng, separation * rng.standard_normal((k, dim)),
+                          per_cluster, sigma=1.0)
+    assert partition(design._kmeans(X, k, np.random.default_rng(seed))) == \
+        partition(reference_kmeans(X, k, np.random.default_rng(seed)))
 
 
 def test_fill_empty_clusters_refills_a_cluster_it_empties():
