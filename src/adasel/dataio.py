@@ -31,7 +31,7 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import get_type_hints
 
 import numpy as np
@@ -91,6 +91,18 @@ def read_matrix(path) -> np.ndarray:
             raise TruncatedPayload(
                 f"{path}: read {got} payload bytes, header claims {nbytes}")
     return M
+
+
+def _matrix_path(doc_path, name) -> Path:
+    """The file ``name`` in the folder of the document ``doc_path``.  A name
+    that is absolute or has a ``..`` part, and so may leave that folder, or
+    that holds a NUL, which no file name does, raises ManifestInvalid
+    naming both."""
+    pure = PurePath(name)
+    if "\0" in name or pure.is_absolute() or ".." in pure.parts:
+        raise ManifestInvalid(f"{doc_path}: matrix file {name!r}: not a "
+                              "name in the document's folder")
+    return doc_path.parent / name
 
 
 def _read_named_matrix(doc_path, path) -> np.ndarray:
@@ -372,7 +384,8 @@ def read_stream(manifest_path) -> FeatureStream:
                                   f"integer >= 0, got {doc[key]}")
     if doc.get("frame_labels") is not None:
         _require(doc, {"frame_labels": _STR_LIST}, manifest_path)
-    parts = [_read_named_matrix(manifest_path, manifest_path.parent / name)
+    parts = [_read_named_matrix(manifest_path,
+                                _matrix_path(manifest_path, name))
              for name in doc["matrices"]]
     for name, part in zip(doc["matrices"], parts):
         if part.shape[1] != doc["dim"]:
@@ -494,7 +507,7 @@ def read_profile(path) -> DesignProfile:
     scenarios = []
     for s in _entries(doc, "scenarios", partial(_require, spec=_SCENARIO_KEYS),
                       path, "scenario_id"):
-        sidecar = path.parent / s["matrix_file"]
+        sidecar = _matrix_path(path, s["matrix_file"])
         M = _read_named_matrix(path, sidecar)
         if M.shape != (a, b + 1):
             raise DimensionMismatch(
@@ -503,7 +516,11 @@ def read_profile(path) -> DesignProfile:
         if not np.isfinite(M).all():
             raise NonFiniteFeatures(f"{sidecar}: matrix contains NaN or Inf")
         basis = M[:, :b]
-        if np.abs(basis.T @ basis - np.eye(b)).max() > ORTHO_TOL:
+        # an entry large enough to overflow the product leaves an inf or a
+        # NaN in it, which fails the check like any other departure
+        with np.errstate(over="ignore", invalid="ignore"):
+            departure = np.abs(basis.T @ basis - np.eye(b)).max()
+        if not departure <= ORTHO_TOL:
             raise NotOrthonormal(
                 f"{sidecar}: basis columns are not orthonormal")
         scenarios.append(ScenarioProfile(

@@ -12,8 +12,13 @@ order before seeding k-means++: a stable sort of the first feature, and of
 every feature only when two frames tie in the first).  The k-means restarts
 are seeded and run their Lloyd steps in lockstep.  The first step assigns by
 the seeding's own distances; after it, a step moves only the centers whose
-members changed, updating their sums by the frames that moved, and one
-stacked product with the frames gives the distances to those centers alone.
+members changed, and one stacked product gives the distances to those
+centers alone.  That product is with the frames, each center being the sum
+of its members updated by the frames that moved, or with the frame Gram
+XX^T, each center being its one-hot row of members.  k-means takes the Gram
+when computing it costs fewer multiply-adds than the frame products it
+replaces up to the second Lloyd step: n(a/2 + Rk) < 3Rka for n frames of
+a features, k clusters and R restarts, which holds only for n < 6Rk.
 Each restart's SSE comes from its last step's distances.
 """
 
@@ -113,8 +118,17 @@ def scenario_ids(means) -> list[str]:
     return [f"s{r:03d}" for r in rank]
 
 
+def _gram_is_cheaper(n: int, a: int, k: int) -> bool:
+    """Whether k-means on n frames of a features takes its distances from
+    the n x n frame Gram: its n*n*a/2 multiply-adds plus the first Lloyd
+    step's R*k rows of n*n are fewer than the 3*R*k*n*a of the frame
+    products up to the second step (seeding, center sums, distances)."""
+    R = KMEANS_RESTARTS
+    return n * (a / 2 + R * k) < 3 * R * k * a
+
+
 def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
-                  rng: np.random.Generator
+                  rng: np.random.Generator, G: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of KMEANS_RESTARTS
     restarts in lockstep: their (R, k, a) centers, which restarts fell
@@ -124,7 +138,8 @@ def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
     uniform through cumulative weights as rng.choice(n, p=...) does: the
     squared distances to the nearest center so far, clamped at 0, or
     uniform weights once every distance is 0.  One product with X per step
-    updates every restart."""
+    updates every restart; given the frame Gram G = XX^T, a step reads the
+    picked frames' rows of G instead, -2 G[p] + |x|^2 + |x_p|^2."""
     n, R = X.shape[0], KMEANS_RESTARTS
     firsts, laters = zip(*[(rng.integers(n), rng.random(k - 1))
                            for _ in range(R)])
@@ -133,8 +148,11 @@ def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
     d2, uniform = np.full((R, n), np.inf), np.zeros(R, dtype=bool)
     for j in range(k):
         centers[:, j] = C = X[picks]
-        dist[:, j] = (-2.0 * (C @ X.T) + sq
-                      + np.einsum("ij,ij->i", C, C)[:, None])
+        if G is None:
+            dist[:, j] = (-2.0 * (C @ X.T) + sq
+                          + np.einsum("ij,ij->i", C, C)[:, None])
+        else:
+            dist[:, j] = -2.0 * G[picks] + sq + sq[picks, None]
         d2 = np.minimum(d2, np.maximum(dist[:, j], 0.0))
         if j + 1 < k:
             flat = d2.sum(axis=1) <= 0.0
@@ -173,21 +191,32 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     The restarts still moving then step in lockstep.  Each step takes the
     argmin of the distances to the current centers, then fills empty
     clusters by :func:`_fill_empty_clusters`; only then is each center the
-    mean of its members, moved frames counted only where they went.  The
-    first step sums every center by one product of the stacked one-hot
-    assignments with X.  A later step adds each frame that moved to its
-    new center's sum and subtracts it from its old one's, so only the
-    centers whose members changed move.  One stacked product with X then
-    gives the distances to the centers that moved; every other center
-    keeps its distances.  A restart stops once its assignment repeats; its
-    SSE is the sum of that step's distances from each frame to its own
-    center, which is its cluster's mean.  A restart that has not converged
-    after KMEANS_MAX_ITER steps keeps its last assignment, and the
-    distances to its last centers give its SSE.
+    mean of its members, moved frames counted only where they went, and
+    only the centers whose members changed get new distances.  Every other
+    center keeps its distances.  The distances come from one of two
+    sources, with the same draws, ties and steps:
+
+    - The frames.  The first step sums every center by one product of the
+      stacked one-hot assignments with X.  A later step adds each frame
+      that moved to its new center's sum and subtracts it from its old
+      one's.  One stacked product of the moved centers with X then gives
+      their distances.
+    - The frame Gram G = XX^T, computed once, when :func:`_gram_is_cheaper`.
+      With P = onehot(members) @ G for the stacked one-hot rows of the
+      moved centers, the squared distances from a center of c members to
+      the frames are -2 P / c + |x|^2 + (P . onehot) / c^2.  This side
+      keeps no center sums and reads X only to seed.
+
+    A restart stops once its assignment repeats; its SSE is the sum of that
+    step's distances from each frame to its own center, which is its
+    cluster's mean.  A restart that has not converged after KMEANS_MAX_ITER
+    steps keeps its last assignment, and the distances to its last centers
+    give its SSE.
     """
     (n, a), R = X.shape, KMEANS_RESTARTS
     sq = np.einsum("ij,ij->i", X, X)
-    uniform, d2 = _seed_centers(X, sq, k, rng)[1:]
+    G = X @ X.T if _gram_is_cheaper(n, a, k) else None
+    uniform, d2 = _seed_centers(X, sq, k, rng, G)[1:]
     assign = np.full((R, n), -1)
     sums, counts = np.empty((R, k, a)), np.empty((R, k))
     steps, sse = np.zeros(R, dtype=int), np.empty(R)
@@ -206,38 +235,52 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         live, new = live[~done], new[~done]
         moved = np.zeros((R, k), dtype=bool)
         if step == 1:
-            onehot = np.zeros((live.size, k, n))
-            onehot[np.arange(live.size)[:, None], new, frames] = 1.0
-            onehot = onehot.reshape(-1, n)
-            sums[live] = (onehot @ X).reshape(live.size, k, a)
-            counts[live] = onehot.sum(axis=1).reshape(live.size, k)
             moved[live] = True
-            del onehot  # gone once used, to keep the peak small
+            if G is None:
+                onehot = np.zeros((live.size, k, n))
+                onehot[np.arange(live.size)[:, None], new, frames] = 1.0
+                onehot = onehot.reshape(-1, n)
+                sums[live] = (onehot @ X).reshape(live.size, k, a)
+                counts[live] = onehot.sum(axis=1).reshape(live.size, k)
+                del onehot  # gone once used, to keep the peak small
         else:
             for r, was, now in zip(live, assign[live], new):
                 f = np.flatnonzero(now != was)
-                members = X[f]
-                np.add.at(sums[r], now[f], members)
-                np.subtract.at(sums[r], was[f], members)
-                np.add.at(counts[r], now[f], 1.0)
-                np.subtract.at(counts[r], was[f], 1.0)
                 moved[r, now[f]] = moved[r, was[f]] = True
+                if G is None:
+                    members = X[f]
+                    np.add.at(sums[r], now[f], members)
+                    np.subtract.at(sums[r], was[f], members)
+                    np.add.at(counts[r], now[f], 1.0)
+                    np.subtract.at(counts[r], was[f], 1.0)
         assign[live] = new
         r, j = np.nonzero(moved)
-        C = sums[r, j] / counts[r, j, None]
-        D = C @ X.T
-        D *= -2.0
-        D += sq
-        D += np.einsum("ij,ij->i", C, C)[:, None]
+        if G is None:
+            C = sums[r, j] / counts[r, j, None]
+            D = C @ X.T
+            D *= -2.0
+            D += sq
+            D += np.einsum("ij,ij->i", C, C)[:, None]
+            del C
+        else:
+            onehot = (assign[r] == j[:, None]).astype(float)
+            c = onehot.sum(axis=1)
+            D = onehot @ G
+            norms = np.einsum("ij,ij->i", D, onehot) / (c * c)
+            D *= (-2.0 / c)[:, None]
+            D += sq
+            D += norms[:, None]
+            del onehot
         d2[r, j] = D
         rows += r.size
-        del C, D
+        del D
     steps = np.minimum(steps, KMEANS_MAX_ITER)
     best = int(np.argmin(sse))
     log.debug("clustering: Lloyd steps per restart %s; chose restart %d, "
               "SSE %.6g; %d distance rows computed in Lloyd steps; "
-              "uniform-weight seeding in restarts %s",
+              "distances from the %s; uniform-weight seeding in restarts %s",
               steps.tolist(), best, sse[best], rows,
+              "frames" if G is None else "frame Gram",
               np.flatnonzero(uniform).tolist())
     return assign[best]
 

@@ -1,16 +1,21 @@
 import dataclasses
 import json
+import shutil
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasel import dataio
-from adasel.errors import (BadMagic, ConfigInvalid, DimensionMismatch,
-                           DimensionOverflow, DuplicateKey, MalformedRow,
-                           ManifestInvalid, NegativeError, NonFiniteFeatures,
-                           NotOrthonormal, TruncatedPayload,
+from adasel.errors import (AdaselError, BadMagic, ConfigInvalid,
+                           DimensionMismatch, DimensionOverflow, DuplicateKey,
+                           MalformedRow, ManifestInvalid, NegativeError,
+                           NonFiniteFeatures, NotOrthonormal, TruncatedPayload,
                            UnsupportedVersion)
 from adasel.harness import SyntheticConfig, generate_synthetic
 from adasel.runtime import run_selection
@@ -232,6 +237,39 @@ def test_stream_matrix_file_that_is_not_a_file_raises_manifest_invalid(
     with pytest.raises(ManifestInvalid) as exc:
         dataio.read_stream(path)
     assert str(exc.value) == f"{path}: matrix file {matrix}: {reason}"
+
+
+def rename_matrix(path, key, name, index=0):
+    """Make the JSON document ``path`` name the matrix ``name`` at its
+    ``key`` list's entry ``index``, a matrices entry or a scenario."""
+    doc = json.loads(path.read_text())
+    if key == "matrices":
+        doc[key][index] = name
+    else:
+        doc[key][index]["matrix_file"] = name
+    path.write_text(json.dumps(doc))
+
+
+def name_outside(kind, matrix):
+    """A name that reaches ``matrix``, a file one folder above the
+    document's, from the document's folder: absolute or through ``..``."""
+    return {"absolute": str(matrix), "parent": f"../{matrix.name}"}[kind]
+
+
+@pytest.mark.parametrize("outside", ["absolute", "parent"])
+def test_stream_matrix_name_that_leaves_the_manifest_folder_raises(
+        tmp_path, rng, outside):
+    # the name reaches a valid matrix of the declared shape, one folder up
+    path = tmp_path / "docs" / "m.json"
+    path.parent.mkdir()
+    dataio.write_stream(path, rng.standard_normal((7, 5)))
+    dataio.write_matrix(tmp_path / "x.mat", rng.standard_normal((7, 5)))
+    name = name_outside(outside, tmp_path / "x.mat")
+    rename_matrix(path, "matrices", name)
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_stream(path)
+    assert str(exc.value) == (f"{path}: matrix file {name!r}: not a name "
+                              "in the document's folder")
 
 
 def test_stream_part_of_the_wrong_width_raises_manifest_invalid_naming_it(
@@ -638,6 +676,24 @@ def test_profile_sidecar_that_is_not_a_file_raises_manifest_invalid(
     assert str(exc.value) == f"{path}: matrix file {sidecar}: {reason}"
 
 
+@pytest.mark.parametrize("outside", ["absolute", "parent"])
+def test_profile_matrix_name_that_leaves_the_profile_folder_raises(
+        tmp_path, outside):
+    # the name reaches a copy of the scenario's own sidecar, one folder up
+    _, profile = pipeline_profile()
+    path = tmp_path / "docs" / "profile.json"
+    path.parent.mkdir()
+    dataio.write_profile(path, profile)
+    sid = profile.scenarios[1].scenario_id
+    shutil.copy(path.parent / f"profile.{sid}.mat", tmp_path / "x.mat")
+    name = name_outside(outside, tmp_path / "x.mat")
+    rename_matrix(path, "scenarios", name, index=1)
+    with pytest.raises(ManifestInvalid) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == (f"{path}: matrix file {name!r}: not a name "
+                              "in the document's folder")
+
+
 def test_profile_rejects_basis_of_wrong_shape(tmp_path):
     _, profile = pipeline_profile()
     path = tmp_path / "profile.json"
@@ -656,6 +712,22 @@ def test_profile_rejects_non_orthonormal_basis_naming_the_sidecar(tmp_path):
     dataio.write_profile(path, profile)
     sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.mat"
     dataio.write_matrix(sidecar, 2.0 * dataio.read_matrix(sidecar))
+    with pytest.raises(NotOrthonormal) as exc:
+        dataio.read_profile(path)
+    assert str(exc.value) == f"{sidecar}: basis columns are not orthonormal"
+
+
+@pytest.mark.parametrize("entries", [(1e300, 1e300), (1e300, -1e300)])
+def test_profile_basis_entry_that_overflows_the_check_raises_not_orthonormal(
+        tmp_path, entries):
+    # finite entries whose products overflow to inf, and to inf - inf = NaN
+    _, profile = pipeline_profile()
+    path = tmp_path / "profile.json"
+    dataio.write_profile(path, profile)
+    sidecar = tmp_path / f"profile.{profile.scenarios[1].scenario_id}.mat"
+    M = dataio.read_matrix(sidecar)
+    M[0, :2] = entries
+    dataio.write_matrix(sidecar, M)
     with pytest.raises(NotOrthonormal) as exc:
         dataio.read_profile(path)
     assert str(exc.value) == f"{sidecar}: basis columns are not orthonormal"
@@ -991,6 +1063,84 @@ def test_entry_list_that_is_not_a_list_raises_manifest_invalid(
     with pytest.raises(ManifestInvalid) as exc:
         reader(path)
     assert str(exc.value) == f"{path}: {name}: expected a JSON list"
+
+
+# --------------------------------------------------------------------------
+# mutated documents and matrices
+
+# values a key is retyped to: every JSON type, names that leave the folder,
+# and a string holding a NUL, which no file name may
+ODD_VALUES = [None, True, 0, -1, 2.5, "", "x", [], {}, ["x"], {"x": "y"},
+              "/etc/passwd", "../m.mat", "\u0000"]
+
+
+def key_paths(node, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = (node.items() if type(node) is dict
+             else enumerate(node) if type(node) is list else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+def mutate(data, doc_path, matrices):
+    """Apply one drawn mutation to the document ``doc_path`` or one of its
+    ``matrices``: a byte flip or a cut of either file, or a key of the
+    document deleted or retyped."""
+    kind = data.draw(st.sampled_from(["flip", "cut", "delete", "retype"]))
+    if kind in ("flip", "cut"):
+        target = data.draw(st.sampled_from([doc_path, *matrices]))
+        raw = bytearray(target.read_bytes())
+        i = data.draw(st.integers(0, len(raw) - 1))
+        if kind == "flip":
+            raw[i] ^= data.draw(st.integers(1, 255))
+        else:
+            del raw[i:]
+        target.write_bytes(bytes(raw))
+        return
+    doc = json.loads(doc_path.read_text())
+    *parents, key = data.draw(st.sampled_from(list(key_paths(doc))))
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    if kind == "delete":
+        del node[key]
+    else:
+        node[key] = data.draw(st.sampled_from(ODD_VALUES))
+    doc_path.write_text(json.dumps(doc))
+
+
+def assert_reads_or_names_the_folder(read, doc_path):
+    """read(doc_path) returns, or raises an AdaselError that names the
+    document or a matrix in its folder."""
+    try:
+        read(doc_path)
+    except AdaselError as exc:
+        assert str(doc_path.parent) in str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_read_stream_reads_a_mutated_manifest_or_names_the_file(data):
+    rng = np.random.default_rng(5)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.json"
+        dataio.write_stream(path, rng.standard_normal((4, 3)),
+                            source="synth", labels=["a", "b", "a", "c"])
+        mutate(data, path, [path.with_suffix(".mat")])
+        assert_reads_or_names_the_folder(dataio.read_stream, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_read_profile_reads_a_mutated_profile_or_names_the_file(data):
+    _, profile = pipeline_profile()
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "profile.json"
+        dataio.write_profile(path, profile)
+        mutate(data, path, [path.parent / f"profile.{s.scenario_id}.mat"
+                            for s in profile.scenarios])
+        assert_reads_or_names_the_folder(dataio.read_profile, path)
 
 
 # --------------------------------------------------------------------------

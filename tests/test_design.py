@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import tracemalloc
 
@@ -408,6 +409,82 @@ def test_kmeans_matches_the_sequential_reference_on_drawn_blobs(
     rng = np.random.default_rng(seed)
     X, _ = gaussian_blobs(rng, separation * rng.standard_normal((k, dim)),
                           per_cluster, sigma=1.0)
+    assert partition(design._kmeans(X, k, np.random.default_rng(seed))) == \
+        partition(reference_kmeans(X, k, np.random.default_rng(seed)))
+
+
+def gram_width(n, k):
+    """The fewest features that put n frames and k clusters on the Gram
+    side of k-means's rule."""
+    return next(a for a in itertools.count(1)
+                if design._gram_is_cheaper(n, a, k))
+
+
+def padded_to_the_gram(X, k):
+    """X with the fewest zero columns appended that put it on the Gram side;
+    they change no distance between frames."""
+    n, a = X.shape
+    return np.hstack([X, np.zeros((n, max(gram_width(n, k) - a, 0)))])
+
+
+@pytest.mark.parametrize("case", [f"separated-{s}" for s in range(5)]
+                         + ["duplicated", "k=1", "k=n", "fewer-distinct"])
+def test_lockstep_seeding_from_the_frame_gram_matches_the_frames(case):
+    X, k, seed = seeding_case(case)
+    sq = np.einsum("ij,ij->i", X, X)
+    rng, gram_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    centers, uniform, dist = design._seed_centers(X, sq, k, rng)
+    got = design._seed_centers(X, sq, k, gram_rng, X @ X.T)
+    assert np.array_equal(got[0], centers)
+    assert np.array_equal(got[1], uniform)
+    assert np.allclose(got[2], dist, rtol=0, atol=1e-12 * sq.max())
+    assert gram_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_kmeans_logs_which_source_its_distances_came_from(caplog):
+    # the same frames on both sides of the rule, the second time padded
+    # with zero columns: the same steps choose the same restart and compute
+    # the same number of rows
+    X, k, seed = seeding_case("separated-2")
+    with caplog.at_level(logging.DEBUG, logger="adasel.design"):
+        design._kmeans(X, k, np.random.default_rng(seed))
+        design._kmeans(padded_to_the_gram(X, k), k,
+                       np.random.default_rng(seed))
+    frames, gram = [r for r in caplog.records if r.name == "adasel.design"]
+    assert "; distances from the frames; " in frames.getMessage()
+    assert "; distances from the frame Gram; " in gram.getMessage()
+    steps, best, _, rows = frames.args[:4]
+    assert (steps, best, rows) == (gram.args[0], gram.args[1], gram.args[3])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(9, 25),
+       st.integers(2, 6), st.sampled_from([0.5, 1.0, 2.0, 10.0]))
+def test_kmeans_on_the_frame_gram_matches_the_frames_on_padded_blobs(
+        seed, k, per_cluster, dim, separation):
+    # at most 6 features and at least 18 frames keep the drawn blobs on
+    # the frame side; the zero columns move them to the Gram side
+    rng = np.random.default_rng(seed)
+    X, _ = gaussian_blobs(rng, separation * rng.standard_normal((k, dim)),
+                          per_cluster, sigma=1.0)
+    padded = padded_to_the_gram(X, k)
+    assert not design._gram_is_cheaper(*X.shape, k)
+    assert design._gram_is_cheaper(*padded.shape, k)
+    assert partition(design._kmeans(X, k, np.random.default_rng(seed))) == \
+        partition(design._kmeans(padded, k, np.random.default_rng(seed)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 10),
+       st.integers(0, 20), st.sampled_from([0.5, 1.0, 2.0, 10.0]))
+def test_kmeans_on_the_frame_gram_matches_the_sequential_reference(
+        seed, k, per_cluster, extra, separation):
+    # as many features as the Gram side needs, or up to 20 more
+    dim = gram_width(k * per_cluster, k) + extra
+    rng = np.random.default_rng(seed)
+    X, _ = gaussian_blobs(rng, separation * rng.standard_normal((k, dim)),
+                          per_cluster, sigma=1.0)
+    assert design._gram_is_cheaper(*X.shape, k)
     assert partition(design._kmeans(X, k, np.random.default_rng(seed))) == \
         partition(reference_kmeans(X, k, np.random.default_rng(seed)))
 
