@@ -12,19 +12,21 @@ order before seeding k-means++: a stable sort of the first feature, and of
 every feature only when two frames tie in the first).  The k-means restarts
 are seeded and run their Lloyd steps in lockstep.  The first step assigns by
 the seeding's own distances; after it, a step moves only the centers whose
-members changed, and one stacked product gives the distances to those
-centers alone.  That product is with the frames, each center being the sum
-of its members updated by the frames that moved, or with the frame Gram
-XX^T, each center being its one-hot row of members.  k-means takes the Gram
-when computing it costs fewer multiply-adds than the frame products it
-replaces up to the second Lloyd step: n(a/2 + Rk) < 3Rka for n frames of
-a features, k clusters and R restarts, which holds only for n < 6Rk.
-Each restart's SSE comes from its last step's distances.
+members changed, and gives new distances to those centers alone.  Each
+center is the sum of one operand's rows over its members, updated by the
+frames that moved; the operand is the frames, or the frame Gram XX^T,
+whose rows are already each frame's inner products with every frame.
+k-means takes the Gram when computing it costs fewer multiply-adds than
+the frame products it replaces up to the second Lloyd step:
+n(a/2 + Rk) < 3Rka for n frames of a features, k clusters and R restarts,
+which holds only for n < 6Rk.  Each restart's SSE comes from its last
+step's distances.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 from numbers import Real
@@ -84,7 +86,7 @@ class SelectionConstraints:
     def __post_init__(self):
         for name, value in vars(self).items():
             if (isinstance(value, bool) or not isinstance(value, Real)
-                    or np.isnan(value)):
+                    or value != value):  # only a NaN is unequal to itself
                 raise OutOfRange(f"{name} must be a number, got {value!r}")
 
 
@@ -127,32 +129,28 @@ def _gram_is_cheaper(n: int, a: int, k: int) -> bool:
     return n * (a / 2 + R * k) < 3 * R * k * a
 
 
-def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
-                  rng: np.random.Generator, G: np.ndarray | None = None
+def _seed_centers(F: np.ndarray, inner: Callable[[np.ndarray], np.ndarray],
+                  sq: np.ndarray, k: int, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of KMEANS_RESTARTS
-    restarts in lockstep: their (R, k, a) centers, which restarts fell
+    restarts in lockstep: their (R, k) seed frames, which restarts fell
     back to uniform weights, and the (R, k, n) squared distances from each
-    center to every frame, unclamped.  Each restart draws rng.integers(n),
-    then rng.random(k - 1), in restart order.  A later center inverts its
+    seed to every frame, unclamped.  Each restart draws rng.integers(n),
+    then rng.random(k - 1), in restart order.  A later seed inverts its
     uniform through cumulative weights as rng.choice(n, p=...) does: the
-    squared distances to the nearest center so far, clamped at 0, or
-    uniform weights once every distance is 0.  One product with X per step
-    updates every restart; given the frame Gram G = XX^T, a step reads the
-    picked frames' rows of G instead, -2 G[p] + |x|^2 + |x_p|^2."""
-    n, R = X.shape[0], KMEANS_RESTARTS
+    squared distances to the nearest seed so far, clamped at 0, or
+    uniform weights once every distance is 0.  One call of ``inner`` on
+    the picked rows of the operand F (see :func:`_kmeans`) per step
+    updates every restart: -2 inner(F[p]) + |x|^2 + |x_p|^2."""
+    n, R = sq.size, KMEANS_RESTARTS
     firsts, laters = zip(*[(rng.integers(n), rng.random(k - 1))
                            for _ in range(R)])
     picks, u = np.array(firsts), np.array(laters)
-    centers, dist = np.empty((R, k, X.shape[1])), np.empty((R, k, n))
+    seeds, dist = np.empty((R, k), dtype=int), np.empty((R, k, n))
     d2, uniform = np.full((R, n), np.inf), np.zeros(R, dtype=bool)
     for j in range(k):
-        centers[:, j] = C = X[picks]
-        if G is None:
-            dist[:, j] = (-2.0 * (C @ X.T) + sq
-                          + np.einsum("ij,ij->i", C, C)[:, None])
-        else:
-            dist[:, j] = -2.0 * G[picks] + sq + sq[picks, None]
+        seeds[:, j] = picks
+        dist[:, j] = -2.0 * inner(F[picks]) + sq + sq[picks, None]
         d2 = np.minimum(d2, np.maximum(dist[:, j], 0.0))
         if j + 1 < k:
             flat = d2.sum(axis=1) <= 0.0
@@ -160,7 +158,7 @@ def _seed_centers(X: np.ndarray, sq: np.ndarray, k: int,
             w = np.where(flat[:, None], 1.0, d2)
             cdf = (w / w.sum(axis=1)[:, None]).cumsum(axis=1)
             picks = (cdf / cdf[:, -1:] <= u[:, j, None]).sum(axis=1)
-    return centers, uniform, dist
+    return seeds, uniform, dist
 
 
 def _fill_empty_clusters(assign: np.ndarray, d2: np.ndarray, k: int) -> None:
@@ -190,22 +188,20 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     the first step assigns frames by the distances the seeding computed.
     The restarts still moving then step in lockstep.  Each step takes the
     argmin of the distances to the current centers, then fills empty
-    clusters by :func:`_fill_empty_clusters`; only then is each center the
-    mean of its members, moved frames counted only where they went, and
-    only the centers whose members changed get new distances.  Every other
-    center keeps its distances.  The distances come from one of two
-    sources, with the same draws, ties and steps:
+    clusters by :func:`_fill_empty_clusters`; only then are the centers
+    updated, moved frames counted only where they went, and only the
+    centers whose members changed get new distances.  Every other center
+    keeps its distances.
 
-    - The frames.  The first step sums every center by one product of the
-      stacked one-hot assignments with X.  A later step adds each frame
-      that moved to its new center's sum and subtracts it from its old
-      one's.  One stacked product of the moved centers with X then gives
-      their distances.
-    - The frame Gram G = XX^T, computed once, when :func:`_gram_is_cheaper`.
-      With P = onehot(members) @ G for the stacked one-hot rows of the
-      moved centers, the squared distances from a center of c members to
-      the frames are -2 P / c + |x|^2 + (P . onehot) / c^2.  This side
-      keeps no center sums and reads X only to seed.
+    A center is the sum s of the rows of one operand F over its c members.
+    F is X, or the frame Gram XX^T, computed once, when
+    :func:`_gram_is_cheaper`.  The first step sums every center by one
+    product of the stacked one-hot assignments with F; a later step adds
+    each frame that moved to its new center's sum and subtracts it from its
+    old one's.  ``inner`` gives the moved centers' inner products s . x with
+    every frame: one stacked product with X, or s itself on the Gram.  The
+    squared distances are then -2 (s . x) / c + |x|^2 + |s|^2 / c^2, where
+    |s|^2 is the sum of s . x over the center's own members.
 
     A restart stops once its assignment repeats; its SSE is the sum of that
     step's distances from each frame to its own center, which is its
@@ -215,10 +211,11 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """
     (n, a), R = X.shape, KMEANS_RESTARTS
     sq = np.einsum("ij,ij->i", X, X)
-    G = X @ X.T if _gram_is_cheaper(n, a, k) else None
-    uniform, d2 = _seed_centers(X, sq, k, rng, G)[1:]
+    gram = _gram_is_cheaper(n, a, k)
+    F, inner = (X @ X.T, lambda S: S) if gram else (X, lambda S: S @ X.T)
+    uniform, d2 = _seed_centers(F, inner, sq, k, rng)[1:]
     assign = np.full((R, n), -1)
-    sums, counts = np.empty((R, k, a)), np.empty((R, k))
+    sums, counts = np.empty((R, k, F.shape[1])), np.empty((R, k))
     steps, sse = np.zeros(R, dtype=int), np.empty(R)
     frames = np.arange(n)
     live = np.arange(R)
@@ -236,41 +233,31 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         moved = np.zeros((R, k), dtype=bool)
         if step == 1:
             moved[live] = True
-            if G is None:
-                onehot = np.zeros((live.size, k, n))
-                onehot[np.arange(live.size)[:, None], new, frames] = 1.0
-                onehot = onehot.reshape(-1, n)
-                sums[live] = (onehot @ X).reshape(live.size, k, a)
-                counts[live] = onehot.sum(axis=1).reshape(live.size, k)
-                del onehot  # gone once used, to keep the peak small
+            onehot = np.zeros((live.size, k, n))
+            onehot[np.arange(live.size)[:, None], new, frames] = 1.0
+            onehot = onehot.reshape(-1, n)
+            sums[live] = (onehot @ F).reshape(live.size, k, -1)
+            counts[live] = onehot.sum(axis=1).reshape(live.size, k)
+            del onehot  # gone once used, to keep the peak small
         else:
             for r, was, now in zip(live, assign[live], new):
                 f = np.flatnonzero(now != was)
                 moved[r, now[f]] = moved[r, was[f]] = True
-                if G is None:
-                    members = X[f]
-                    np.add.at(sums[r], now[f], members)
-                    np.subtract.at(sums[r], was[f], members)
-                    np.add.at(counts[r], now[f], 1.0)
-                    np.subtract.at(counts[r], was[f], 1.0)
+                members = F[f]
+                np.add.at(sums[r], now[f], members)
+                np.subtract.at(sums[r], was[f], members)
+                np.add.at(counts[r], now[f], 1.0)
+                np.subtract.at(counts[r], was[f], 1.0)
         assign[live] = new
         r, j = np.nonzero(moved)
-        if G is None:
-            C = sums[r, j] / counts[r, j, None]
-            D = C @ X.T
-            D *= -2.0
-            D += sq
-            D += np.einsum("ij,ij->i", C, C)[:, None]
-            del C
-        else:
-            onehot = (assign[r] == j[:, None]).astype(float)
-            c = onehot.sum(axis=1)
-            D = onehot @ G
-            norms = np.einsum("ij,ij->i", D, onehot) / (c * c)
-            D *= (-2.0 / c)[:, None]
-            D += sq
-            D += norms[:, None]
-            del onehot
+        c = counts[r, j]
+        D = inner(sums[r, j])
+        own = (assign[r] == j[:, None]).astype(float)
+        norms = np.einsum("ij,ij->i", D, own) / (c * c)
+        del own
+        D *= (-2.0 / c)[:, None]
+        D += sq
+        D += norms[:, None]
         d2[r, j] = D
         rows += r.size
         del D
@@ -280,7 +267,7 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
               "SSE %.6g; %d distance rows computed in Lloyd steps; "
               "distances from the %s; uniform-weight seeding in restarts %s",
               steps.tolist(), best, sse[best], rows,
-              "frames" if G is None else "frame Gram",
+              "frame Gram" if gram else "frames",
               np.flatnonzero(uniform).tolist())
     return assign[best]
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,16 +272,24 @@ def test_kmeans_matches_the_sequential_reference_when_a_restart_merges():
     assert sorted(np.bincount(assign)) == [100] * 4
 
 
-@pytest.mark.parametrize("max_iter, data_seed, seed",
-                         [(1, 2, 1), (1, 3, 5), (2, 2, 3)])
+def overlapping_blobs(data_seed):
+    """Five clusters of 30 frames, 40 features, whose means are half the
+    noise's deviation apart."""
+    rng = np.random.default_rng(data_seed)
+    return np.vstack([0.5 * rng.standard_normal(40)
+                      + rng.standard_normal((30, 40)) for _ in range(5)])
+
+
+STEPS_RUN_OUT = [(1, 2, 1), (1, 3, 5), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("max_iter, data_seed, seed", STEPS_RUN_OUT)
 def test_kmeans_matches_the_sequential_reference_when_steps_run_out(
         monkeypatch, max_iter, data_seed, seed):
     # overlapping clusters and too few steps to converge: each restart keeps
     # its last assignment and is scored on it, and the restarts disagree
     monkeypatch.setattr(design, "KMEANS_MAX_ITER", max_iter)
-    rng = np.random.default_rng(data_seed)
-    X = np.vstack([0.5 * rng.standard_normal(40)
-                   + rng.standard_normal((30, 40)) for _ in range(5)])
+    X = overlapping_blobs(data_seed)
     assert partition(design._kmeans(X, 5, np.random.default_rng(seed))) == \
         partition(reference_kmeans(X, 5, np.random.default_rng(seed)))
 
@@ -323,6 +332,12 @@ FEWER_DISTINCT = np.repeat(np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0],
                                      [2.0, 2.0, 0.0]]), 4, axis=0)
 
 
+def frames_inner(X):
+    """The inner products k-means takes on the frames: each row of X with
+    every frame."""
+    return lambda S: S @ X.T
+
+
 def seeding_case(case):
     """(X, k, seed) for a lockstep seeding check."""
     rng = np.random.default_rng(7)
@@ -350,11 +365,12 @@ def test_lockstep_seeding_matches_the_sequential_draws(case):
     X, k, seed = seeding_case(case)
     rng = np.random.default_rng(seed)
     sq = np.einsum("ij,ij->i", X, X)
-    centers, uniform, dist = design._seed_centers(X, sq, k, rng)
+    seeds, uniform, dist = design._seed_centers(X, frames_inner(X), sq, k,
+                                                rng)
     reference = np.random.default_rng(seed)
-    assert centers.shape == (design.KMEANS_RESTARTS, k, X.shape[1])
+    assert seeds.shape == (design.KMEANS_RESTARTS, k)
     assert dist.shape == (design.KMEANS_RESTARTS, k, X.shape[0])
-    for restart, rows in zip(centers, dist):
+    for restart, rows in zip(X[seeds], dist):
         assert np.array_equal(restart, reference_seed_centers(X, k, reference))
         # each seed's squared distances to the frames, unclamped, up to
         # the rounding of a product of another shape
@@ -433,9 +449,10 @@ def test_lockstep_seeding_from_the_frame_gram_matches_the_frames(case):
     X, k, seed = seeding_case(case)
     sq = np.einsum("ij,ij->i", X, X)
     rng, gram_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    centers, uniform, dist = design._seed_centers(X, sq, k, rng)
-    got = design._seed_centers(X, sq, k, gram_rng, X @ X.T)
-    assert np.array_equal(got[0], centers)
+    seeds, uniform, dist = design._seed_centers(X, frames_inner(X), sq, k,
+                                                rng)
+    got = design._seed_centers(X @ X.T, lambda S: S, sq, k, gram_rng)
+    assert np.array_equal(X[got[0]], X[seeds])
     assert np.array_equal(got[1], uniform)
     assert np.allclose(got[2], dist, rtol=0, atol=1e-12 * sq.max())
     assert gram_rng.bit_generator.state == rng.bit_generator.state
@@ -487,6 +504,23 @@ def test_kmeans_on_the_frame_gram_matches_the_sequential_reference(
     assert design._gram_is_cheaper(*X.shape, k)
     assert partition(design._kmeans(X, k, np.random.default_rng(seed))) == \
         partition(reference_kmeans(X, k, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize(
+    "max_iter, data_seed, seed",
+    [(design.KMEANS_MAX_ITER, None, 11)] + STEPS_RUN_OUT,
+    ids=["fewer-distinct"] + [f"steps-run-out-{i}" for i in range(3)])
+def test_kmeans_on_the_frame_gram_matches_the_reference_when_members_move(
+        monkeypatch, max_iter, data_seed, seed):
+    # the fewer-distinct frames leave clusters empty and refill them every
+    # step, and the overlapping blobs stop before they converge: the Gram
+    # side's center sums follow every frame that leaves or joins a center
+    X = FEWER_DISTINCT if data_seed is None else overlapping_blobs(data_seed)
+    padded = padded_to_the_gram(X, 5)
+    assert design._gram_is_cheaper(*padded.shape, 5)
+    monkeypatch.setattr(design, "KMEANS_MAX_ITER", max_iter)
+    assert partition(design._kmeans(padded, 5, np.random.default_rng(seed))) \
+        == partition(reference_kmeans(X, 5, np.random.default_rng(seed)))
 
 
 def test_fill_empty_clusters_refills_a_cluster_it_empties():
@@ -589,6 +623,20 @@ def test_constraint_that_is_not_a_real_number_raises_naming_the_field(
     checked = SelectionConstraints(1.0, 0.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(checked, field, value)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 10**400, np.int64(3),
+                                   np.float32(0.5)],
+                         ids=["fraction", "huge-int", "int64", "float32"])
+def test_constraint_that_is_any_real_number_is_accepted(value):
+    limits = SelectionConstraints(max_mean_error=value, required_fps=value,
+                                  max_cost=value)
+    assert vars(limits) == dict.fromkeys(vars(limits), value)
+
+
+def test_constraint_that_is_a_numpy_nan_raises_out_of_range():
+    with pytest.raises(OutOfRange, match=r"^max_cost must be a number, "):
+        SelectionConstraints(1.0, 0.0, np.float32("nan"))
 
 
 # --------------------------------------------------------------------------
